@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from polyzero.dsl import parse_grammar, parse_transducer
-from polyzero.grammar import check_certificate, closure_rounds
+from polyzero.grammar import ValueTable, check_certificate, closure_rounds
 from polyzero.transducer import to_difference_grammar
 
 
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(g.nonterminals)} nonterminals, "
           f"{len(g.productions)} productions")
 
-    it = closure_rounds(g)
+    it = closure_rounds(ValueTable(g))
     start = time.monotonic()
     for rnd in range(a.rounds):
         t0 = time.monotonic()

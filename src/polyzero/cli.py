@@ -171,15 +171,13 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     t2 = _load_transducer(args.right)
     letters = _alphabet(args.alphabet)
     budgets = _budgets(args)
+    comp = to_difference_grammar(t1, t2, letters)
     certs: list[InvariantCertificate] = []
-    if args.check_certificate:
-        comp = to_difference_grammar(t1, t2, letters)
-        if comp.grammar is not None:
-            certs = _load_cert(comp.grammar, args.check_certificate)
-    v = equivalence_check(t1, t2, budgets, letters, certs, args.schedule)
+    if args.check_certificate and comp.grammar is not None:
+        certs = _load_cert(comp.grammar, args.check_certificate)
+    v = equivalence_check(t1, t2, budgets, letters, certs, comp)
     cert_obj = None
     if v.certificate is not None:
-        comp = to_difference_grammar(t1, t2, letters)
         assert comp.grammar is not None
         cert_obj = certificate_to_obj(comp.grammar, v.certificate)
         if args.emit_certificate:
@@ -203,7 +201,7 @@ def cmd_zeroness(args: argparse.Namespace) -> int:
     budgets = _budgets(args)
     certs = _load_cert(g, args.check_certificate) \
         if args.check_certificate else []
-    res = zeroness(g, budgets, certs, args.schedule)
+    res = zeroness(g, budgets, certs)
     cert_obj = None
     if res.certificate is not None:
         cert_obj = certificate_to_obj(g, res.certificate)
@@ -355,7 +353,8 @@ def _add_budget_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--budget-iters", type=int, default=8, metavar="N",
                     help="invariant closure rounds (default 8)")
     sp.add_argument("--budget-seconds", type=float, default=60.0, metavar="S",
-                    help="wall clock abort (default 60)")
+                    help="wall-clock deadline, checked between search "
+                         "steps (default 60)")
 
 
 def _add_cert_flags(sp: argparse.ArgumentParser) -> None:
@@ -367,7 +366,9 @@ def _add_cert_flags(sp: argparse.ArgumentParser) -> None:
 
 def _add_schedule_flag(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--schedule", choices=("rr", "parallel"), default="rr",
-                    help="interleaved or process-parallel zeroness search")
+                    help="search schedule, echoed in the report; both "
+                         "run the one interleaved search ('parallel' is "
+                         "an alias of 'rr')")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,16 +8,22 @@ derivable bottom-up; the zeroness problem asks whether every value of
 the initial nonterminal is zero (in quotient mode: zero modulo an
 ambient ideal).
 
-Zeroness is attacked from two sides, interleaved round-robin:
+Zeroness is attacked from two sides, each a stream of bounded steps:
 
-* derivation enumeration searches for a nonzero value, a *witness*;
-* algebraic invariants: per-nonterminal ideals whose varieties contain
-  every derivable value, verified production by production
+* refutation: derivation enumeration searches for a nonzero value, a
+  *witness*, one derivation size per step;
+* proof: algebraic invariants, per-nonterminal ideals whose varieties
+  contain every derivable value, verified production by production
   (:func:`check_certificate`) and found either by exact forward
   propagation with image closures and intersections, or by a
   degree-capped widening that extracts low-degree polynomials vanishing
-  on sampled values and verifies them the same way
-  (:func:`forward_closure`).
+  on sampled values and verifies them the same way, one candidate per
+  step (:func:`closure_rounds`).
+
+One driver (:func:`_interleave`) steps the streams in turn, checking
+the deadline between steps, until one of them decides.  Both streams
+of a search read the values of a grammar from one shared
+:class:`ValueTable`, so every derivation is produced once per search.
 
 The exact propagation alone cannot terminate when reachable value sets
 form growing finite families (most interesting grammars), which is why
@@ -28,11 +34,10 @@ learn equalities that need radical reasoning on twisted coefficients.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .encoding import Automorphism, PolySubst
 from .errors import (
@@ -277,33 +282,38 @@ class ValueTable:
         self.grow_to(size)
         return self.by_size[nt][size]
 
+    def values(self, nt: str,
+               max_size: int) -> Iterator[tuple[Value, Derivation]]:
+        """(value, derivation) of the nonterminal, by increasing size."""
+        for s in range(1, max_size + 1):
+            yield from self.of_size(nt, s)
+
 
 def enumerate_values(g: Grammar, max_size: int,
                      nonterminal: str | None = None) -> Iterator[tuple[Value, Derivation]]:
     """Stream (value, derivation) for the nonterminal, by increasing size."""
     nt = nonterminal if nonterminal is not None else g.initial
-    table = ValueTable(g)
-    for s in range(1, max_size + 1):
-        yield from table.of_size(nt, s)
+    return ValueTable(g).values(nt, max_size)
 
 
-def collect_samples(g: Grammar, max_size: int, cap: int) -> dict[str, list[Value]]:
+def _dedup_values(pairs: Iterable[tuple[Value, Derivation]],
+                  cap: int) -> list[Value]:
+    seen: dict[Value, None] = {}
+    for v, _ in pairs:
+        seen.setdefault(v, None)
+        if len(seen) >= cap:
+            break
+    return list(seen)
+
+
+def collect_samples(table: ValueTable, max_size: int,
+                    cap: int) -> dict[str, list[Value]]:
     """Deduplicated value samples per productive nonterminal."""
-    table = ValueTable(g)
-    table.grow_to(max_size)
     out: dict[str, list[Value]] = {}
-    for nt in g.nonterminals:
-        seen: dict[Value, None] = {}
-        for s in range(1, max_size + 1):
-            for v, _ in table.by_size[nt][s]:
-                if v not in seen:
-                    seen[v] = None
-                if len(seen) >= cap:
-                    break
-            if len(seen) >= cap:
-                break
-        if seen:
-            out[nt] = list(seen)
+    for nt in table.g.nonterminals:
+        vals = _dedup_values(table.values(nt, max_size), cap)
+        if vals:
+            out[nt] = vals
     return out
 
 
@@ -315,12 +325,20 @@ class Witness:
     value: Value
 
 
+def _enum_rounds(table: ValueTable, max_size: int) -> Iterator[Witness | None]:
+    """One step per derivation size: a witness, or None if all are zero."""
+    g = table.g
+    for s in range(1, max_size + 1):
+        for value, deriv in table.of_size(g.initial, s):
+            if not g.value_is_zero(value):
+                deriv.replay(g)
+                yield Witness(deriv, value)
+                return
+        yield None
+
+
 def nonzero_search(g: Grammar, max_size: int) -> Witness | None:
-    for value, deriv in enumerate_values(g, max_size):
-        if not g.value_is_zero(value):
-            deriv.replay(g)
-            return Witness(deriv, value)
-    return None
+    return next(filter(None, _enum_rounds(ValueTable(g), max_size)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +601,18 @@ def _kleene_rounds(g: Grammar, rounds: int) -> Iterator[InvariantCertificate | N
         yield None
 
 
-def _sampling_rounds(g: Grammar) -> Iterator[InvariantCertificate | None]:
+def _widening_step(i: int) -> tuple[int, int, int]:
+    """Candidate degree, sample size and sample cap of widening round i."""
+    return (1 if i % 2 == 0 else 2), 2 + i // 2, 8 + 4 * (i // 2)
+
+
+def _sampling_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
     """Degree-capped widening: vanishing candidates from sampled values."""
+    g = table.g
     productive = productive_nonterminals(g)
     for i in itertools.count():
-        degree = 1 if i % 2 == 0 else 2
-        size = 2 + i // 2
-        cap = 8 + 4 * (i // 2)
-        samples = collect_samples(g, size, cap)
+        degree, size, cap = _widening_step(i)
+        samples = collect_samples(table, size, cap)
         if any(nt not in samples for nt in productive):
             yield None
             continue
@@ -615,18 +637,13 @@ def _sampling_rounds(g: Grammar) -> Iterator[InvariantCertificate | None]:
         yield InvariantCertificate(ideals, g.name)
 
 
-def closure_rounds(g: Grammar,
+def closure_rounds(table: ValueTable,
                    kleene_limit: int = 4) -> Iterator[InvariantCertificate | None]:
     """Candidate invariants, one per round: the whole exact propagation
     is the first round (it is cheap or bails), then sampling rounds with
     a growing degree/size schedule (never ends)."""
-    found = None
-    for cand in _kleene_rounds(g, kleene_limit):
-        if cand is not None:
-            found = cand
-            break
-    yield found
-    yield from _sampling_rounds(g)
+    yield next(filter(None, _kleene_rounds(table.g, kleene_limit)), None)
+    yield from _sampling_rounds(table)
 
 
 def forward_closure(g: Grammar, max_iterations: int = 8,
@@ -636,15 +653,11 @@ def forward_closure(g: Grammar, max_iterations: int = 8,
     The conclusion (initial coordinates forced to zero) is *not*
     required here; callers decide what the invariant is for.
     """
-    rounds = 0
-    for cand in closure_rounds(g, kleene_limit):
-        rounds += 1
-        if cand is not None and check_certificate(
-                g, cand, require_conclusion=False).proved():
-            return cand
-        if rounds >= max_iterations:
-            return None
-    return None
+    rounds = itertools.islice(closure_rounds(ValueTable(g), kleene_limit),
+                              max_iterations)
+    return next((cand for cand in rounds if cand is not None and
+                 check_certificate(g, cand, require_conclusion=False).proved()),
+                None)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +666,10 @@ def forward_closure(g: Grammar, max_iterations: int = 8,
 
 @dataclass(frozen=True)
 class Budgets:
-    """Work bounds: enumeration tree size, closure rounds, and a hard
-    wall-clock abort (the first two keep results machine-independent)."""
+    """Work bounds: enumeration tree size, closure rounds, and a
+    wall-clock deadline.  The deadline is checked between search steps,
+    never inside one, so a long step can overrun it; the two work bounds
+    keep results machine-independent."""
 
     size: int = 12
     iters: int = 8
@@ -673,103 +688,36 @@ class ZeronessResult:
     detail: str = ""
 
 
-def _enum_rounds(g: Grammar, max_size: int) -> Iterator[Witness | None]:
-    table = ValueTable(g)
-    for s in range(1, max_size + 1):
-        for value, deriv in table.of_size(g.initial, s):
-            if not g.value_is_zero(value):
-                deriv.replay(g)
-                yield Witness(deriv, value)
-                return
-        yield None
+_R = TypeVar("_R")
+_DONE = object()
 
 
-def _zeroness_rr(g: Grammar, budgets: Budgets) -> ZeronessResult:
-    deadline = time.monotonic() + budgets.seconds
-    enum_iter = _enum_rounds(g, budgets.size)
-    clos_iter = closure_rounds(g)
-    enum_done = clos_done = False
-    clos_count = 0
-    while not (enum_done and clos_done):
-        if time.monotonic() > deadline:
-            return ZeronessResult("unknown", detail="time budget exhausted")
-        if not enum_done:
-            try:
-                w = next(enum_iter)
-            except StopIteration:
-                enum_done = True
-            else:
-                if w is not None:
-                    return ZeronessResult("nonzero", witness=w,
-                                          detail="nonzero value derived")
-        if time.monotonic() > deadline:
-            return ZeronessResult("unknown", detail="time budget exhausted")
-        if not clos_done:
-            cand = next(clos_iter)
-            clos_count += 1
-            if cand is not None:
-                verdict = check_certificate(g, cand, require_conclusion=True)
-                if verdict.proved():
-                    return ZeronessResult("zero", certificate=cand,
-                                          detail="invariant certificate found")
-            if clos_count >= budgets.iters:
-                clos_done = True
-    return ZeronessResult("unknown", detail="work budgets exhausted")
+def _interleave(streams: Sequence[Iterator[_R | None]], seconds: float,
+                result: Callable[..., _R]) -> _R:
+    """Step the streams in turn until one yields a result.
 
-
-def _zeroness_parallel(g: Grammar, budgets: Budgets) -> ZeronessResult:
-    stop = threading.Event()
-    box: dict[str, ZeronessResult] = {}
-    lock = threading.Lock()
-
-    def put(key: str, res: ZeronessResult) -> None:
-        with lock:
-            box.setdefault(key, res)
-        stop.set()
-
-    def enum_task() -> None:
-        for w in _enum_rounds(g, budgets.size):
-            if w is not None:
-                put("nonzero", ZeronessResult(
-                    "nonzero", witness=w, detail="nonzero value derived"))
-                return
-            if stop.is_set():
-                return
-
-    def clos_task() -> None:
-        count = 0
-        for cand in closure_rounds(g):
-            count += 1
-            if cand is not None:
-                verdict = check_certificate(g, cand, require_conclusion=True)
-                if verdict.proved():
-                    put("zero", ZeronessResult(
-                        "zero", certificate=cand,
-                        detail="invariant certificate found"))
-                    return
-            if count >= budgets.iters or stop.is_set():
-                return
-
-    threads = [threading.Thread(target=enum_task),
-               threading.Thread(target=clos_task)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=budgets.seconds)
-    stop.set()
-    for t in threads:
-        t.join()
-    # ties broken toward the certificate side
-    if "zero" in box:
-        return box["zero"]
-    if "nonzero" in box:
-        return box["nonzero"]
-    return ZeronessResult("unknown", detail="work budgets exhausted")
+    Each stream is bounded and yields None for a step that decided
+    nothing.  The deadline is checked before every step; when it has
+    passed, or every stream is used up, ``result`` builds the unknown
+    verdict.
+    """
+    deadline = time.monotonic() + seconds
+    live = list(streams)
+    while live:
+        for stream in list(live):
+            if time.monotonic() > deadline:
+                return result("unknown", detail="time budget exhausted")
+            step = next(stream, _DONE)
+            if step is _DONE:
+                live.remove(stream)
+            elif step is not None:
+                return step
+    return result("unknown", detail="work budgets exhausted")
 
 
 def zeroness(g: Grammar, budgets: Budgets = Budgets(),
-             certificates: Sequence[InvariantCertificate] = (),
-             schedule: str = "rr") -> ZeronessResult:
+             certificates: Sequence[InvariantCertificate] = ()
+             ) -> ZeronessResult:
     """Decide zeroness within budgets: supplied certificates are checked
     first, then witness enumeration and invariant search interleave."""
     if g.initial not in productive_nonterminals(g):
@@ -778,11 +726,18 @@ def zeroness(g: Grammar, budgets: Budgets = Budgets(),
         if check_certificate(g, cert, require_conclusion=True).proved():
             return ZeronessResult("zero", certificate=cert,
                                   detail="supplied certificate verified")
-    if schedule == "parallel":
-        return _zeroness_parallel(g, budgets)
-    if schedule != "rr":
-        raise StructureError(f"unknown schedule {schedule!r}")
-    return _zeroness_rr(g, budgets)
+    table = ValueTable(g)
+    refute = (None if w is None else
+              ZeronessResult("nonzero", witness=w,
+                             detail="nonzero value derived")
+              for w in _enum_rounds(table, budgets.size))
+    prove = (ZeronessResult("zero", certificate=cand,
+                            detail="invariant certificate found")
+             if cand is not None and check_certificate(g, cand).proved()
+             else None
+             for cand in closure_rounds(table))
+    return _interleave([refute, itertools.islice(prove, budgets.iters)],
+                       budgets.seconds, ZeronessResult)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +850,6 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
     if outer.initial not in productive_nonterminals(outer) or \
             inner.initial not in productive_nonterminals(inner):
         return IndepResult("zero", detail="no derivable values")
-    deadline = time.monotonic() + budgets.seconds
 
     def try_invariant(cand: InvariantCertificate) -> IndepResult | None:
         if not check_certificate(inner, cand,
@@ -923,46 +877,32 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
 
     outer_table = ValueTable(outer)
     inner_table = ValueTable(inner)
-    outer_seen: list[tuple[Value, Derivation]] = []
-    inner_seen: list[tuple[Value, Derivation]] = []
 
-    def try_pairs(size: int) -> tuple[Witness, Witness] | None:
-        new_outer = outer_table.of_size(outer.initial, size)
-        new_inner = inner_table.of_size(inner.initial, size)
-        pairs = [(o, i) for o in new_outer for i in inner_seen]
-        pairs += [(o, i) for o in outer_seen + new_outer for i in new_inner]
-        for (oval, oder), (ival, ider) in pairs:
-            binding = {x: outer.ring.const(c.constant_value())
-                       for x, c in zip(xnames, ival)}
-            if not oval[0].substitute(binding).is_zero():
-                return (Witness(oder, oval), Witness(ider, ival))
-        outer_seen.extend(new_outer)
-        inner_seen.extend(new_inner)
-        return None
+    def refute() -> Iterator[IndepResult | None]:
+        outer_seen: list[tuple[Value, Derivation]] = []
+        inner_seen: list[tuple[Value, Derivation]] = []
+        for size in range(1, budgets.size + 1):
+            new_outer = outer_table.of_size(outer.initial, size)
+            new_inner = inner_table.of_size(inner.initial, size)
+            pairs = [(o, i) for o in new_outer for i in inner_seen]
+            pairs += [(o, i) for o in outer_seen + new_outer
+                      for i in new_inner]
+            for (oval, oder), (ival, ider) in pairs:
+                binding = {x: outer.ring.const(c.constant_value())
+                           for x, c in zip(xnames, ival)}
+                if not oval[0].substitute(binding).is_zero():
+                    yield IndepResult("nonzero", witness_pair=(
+                        Witness(oder, oval), Witness(ider, ival)),
+                        detail="nonzero evaluation found")
+                    return
+            outer_seen.extend(new_outer)
+            inner_seen.extend(new_inner)
+            yield None
 
-    clos_iter = closure_rounds(inner)
-    enum_size = 0
-    clos_count = 0
-    while enum_size < budgets.size or clos_count < budgets.iters:
-        if time.monotonic() > deadline:
-            return IndepResult("unknown", detail="time budget exhausted")
-        if enum_size < budgets.size:
-            enum_size += 1
-            pair = try_pairs(enum_size)
-            if pair is not None:
-                return IndepResult("nonzero", witness_pair=pair,
-                                   detail="nonzero evaluation found")
-        if time.monotonic() > deadline:
-            return IndepResult("unknown", detail="time budget exhausted")
-        if clos_count < budgets.iters:
-            cand = next(clos_iter)
-            clos_count += 1
-            if cand is None:
-                continue
-            res = try_invariant(cand)
-            if res is not None:
-                return res
-    return IndepResult("unknown", detail="work budgets exhausted")
+    prove = (None if cand is None else try_invariant(cand)
+             for cand in closure_rounds(inner_table))
+    return _interleave([refute(), itertools.islice(prove, budgets.iters)],
+                       budgets.seconds, IndepResult)
 
 
 # ---------------------------------------------------------------------------
@@ -979,26 +919,18 @@ class ChainResult:
     detail: str = ""
 
 
-def _dedup_values(pairs: Iterable[tuple[Value, Derivation]],
-                  cap: int) -> list[Value]:
-    seen: dict[Value, None] = {}
-    for v, _ in pairs:
-        seen.setdefault(v, None)
-        if len(seen) >= cap:
-            break
-    return list(seen)
-
-
-def _composed_tail_values(tail: Sequence[Grammar], size: int,
+def _composed_tail_values(tail: Sequence[ValueTable], size: int,
                           cap: int) -> list[Value]:
     """Sampled values of the innermost grammar pushed outwards through
     the substitution chain; always scalar tuples over a variable-free
     ring (deduplicated and capped at each stage)."""
-    sring = PolyRing(EMPTY_VARTABLE, tail[-1].ring.field, tail[-1].ring.mode)
+    last = tail[-1].g
+    sring = PolyRing(EMPTY_VARTABLE, last.ring.field, last.ring.mode)
     vals = [tuple(sring.const(c.constant_value()) for c in v)
-            for v in _dedup_values(enumerate_values(tail[-1], size), cap)]
-    for g in reversed(tail[:-1]):
-        outer_vals = _dedup_values(enumerate_values(g, size), cap)
+            for v in _dedup_values(tail[-1].values(last.initial, size), cap)]
+    for table in reversed(tail[:-1]):
+        g = table.g
+        outer_vals = _dedup_values(table.values(g.initial, size), cap)
         xnames = g.ring.names()
         acc: dict[Value, None] = {}
         for ov in outer_vals:
@@ -1031,7 +963,7 @@ def chain_zeroness(grammars: Sequence[Grammar],
     if len(gs) == 1:
         r = zeroness(gs[0], budgets)
         return ChainResult(r.verdict, quotient_result=r, detail=r.detail)
-    head, tail = gs[0], gs[1:]
+    head = gs[0]
     if head.ambient is not None:
         raise StructureError("head grammar already has an ambient ideal")
     for i, g in enumerate(gs[:-1]):
@@ -1044,24 +976,18 @@ def chain_zeroness(grammars: Sequence[Grammar],
         raise StructureError("innermost chain grammar must be scalar-valued")
     if any(g.initial not in productive_nonterminals(g) for g in gs):
         return ChainResult("zero", detail="no derivable composed values")
-    deadline = time.monotonic() + budgets.seconds
     xnames = head.ring.names()
     coords = tuple(f"_t{i}" for i in range(len(xnames)))
     coordring = PolyRing(VarTable.make((c, VarKind.ORDINARY) for c in coords),
                          head.ring.field, head.ring.mode)
     sring = PolyRing(EMPTY_VARTABLE, head.ring.field, head.ring.mode)
-    head_table = ValueTable(head)
-    for rnd in range(budgets.iters):
-        if time.monotonic() > deadline:
-            return ChainResult("unknown", detail="time budget exhausted")
-        degree = 1 if rnd % 2 == 0 else 2
-        size = 2 + rnd // 2
-        cap = 8 + 4 * (rnd // 2)
-        composed = _composed_tail_values(tail, size, cap)
-        head_size = min(budgets.size, 2 + rnd)
-        head_vals = _dedup_values(
-            ((v, d) for s in range(1, head_size + 1)
-             for v, d in head_table.of_size(head.initial, s)), 4 * cap)
+    head_table, *tail_tables = [ValueTable(g) for g in gs]
+
+    def one_round(rnd: int) -> ChainResult | None:
+        degree, size, cap = _widening_step(rnd)
+        composed = _composed_tail_values(tail_tables, size, cap)
+        head_vals = _dedup_values(head_table.values(
+            head.initial, min(budgets.size, 2 + rnd)), 4 * cap)
         for hv in head_vals:
             for cv in composed:
                 binding = {x: head.ring.const(c.constant_value())
@@ -1075,19 +1001,15 @@ def chain_zeroness(grammars: Sequence[Grammar],
         gens = low_degree_vanishing(sring, None, coordring, coords,
                                     composed, degree)
         if gens is None or (not gens and rnd > 0):
-            continue
+            return None
         links = []
-        verified = True
         for f in gens:
             fmap = PolyMap(coordring, coords, (f,))
             sub = chain_zeroness([attach_polymap(fmap, gs[1])] + gs[2:],
                                  budgets.inner())
             links.append(sub)
             if sub.verdict != "zero":
-                verified = False
-                break
-        if not verified:
-            continue
+                return None
         quotient = Grammar(head.nonterminals, head.initial, head.productions,
                            head.ring,
                            ambient=Ideal(head.ring,
@@ -1100,4 +1022,7 @@ def chain_zeroness(grammars: Sequence[Grammar],
             return ChainResult("zero", invariant_gens=tuple(gens),
                                link_results=tuple(links), quotient_result=qr,
                                detail="tail invariant and quotient proof")
-    return ChainResult("unknown", detail="work budgets exhausted")
+        return None
+
+    return _interleave([map(one_round, range(budgets.iters))],
+                       budgets.seconds, ChainResult)

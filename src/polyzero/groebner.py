@@ -418,7 +418,3 @@ def vanishing_ideal_of_points(ring: PolyRing,
         result = pt_ideal if result is None else ideal_intersect(result, pt_ideal)
     return result
 
-
-def quotient_zero_test(f: Poly, I: Ideal) -> bool:
-    """Whether f is zero in the quotient ring, i.e. a member of I."""
-    return I.member(f)

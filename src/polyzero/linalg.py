@@ -111,12 +111,3 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int, field) -> list[list]:
         basis.append(vec)
     return basis
 
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence, field) -> list | None:
-    """Unique solution of a square system, or None if singular."""
-    n = len(rows)
-    inv = mat_inverse(rows, field)
-    if inv is None:
-        return None
-    return [sum((inv[i][j] * rhs[j] for j in range(n)), field.zero())
-            for i in range(n)]

@@ -1004,52 +1004,6 @@ def map_ring_over(value_ring: PolyRing,
         value_ring.field, value_ring.mode)
 
 
-def substitute_vec(polys: Iterable[Poly], mapping: dict[str, Poly],
-                   target_ring: PolyRing | None = None) -> tuple[Poly, ...]:
-    return tuple(p.substitute(mapping, target_ring) for p in polys)
-
-
-# ---------------------------------------------------------------------------
-# exponent rescaling
-
-
-def rescale_exponents(polys: Iterable[Poly]) -> tuple[tuple[Poly, ...], dict[str, int]]:
-    """Clear fractional bar exponents by a per-variable power substitution.
-
-    For each bar variable, the least common multiple D of all exponent
-    denominators is computed and every exponent is multiplied by D; the
-    returned mapping records D per variable so callers can interpret the
-    results (the variable now stands for its D-th root).
-    """
-    polys = tuple(polys)
-    if not polys:
-        return (), {}
-    ring = polys[0].ring
-    from math import lcm
-
-    denoms: dict[int, int] = {}
-    for p in polys:
-        if p.ring != ring:
-            raise StructureError("rescaling polynomials over different rings")
-        for m in p.terms:
-            for i, e in m.exps:
-                if isinstance(e, Fraction):
-                    denoms[i] = lcm(denoms.get(i, 1), e.denominator)
-    if not denoms:
-        return polys, {}
-    scales = {ring.vartable.names[i]: d for i, d in sorted(denoms.items())}
-    out = []
-    for p in polys:
-        terms: dict[Monomial, Coeff] = {}
-        for m, c in p.terms.items():
-            m2 = Monomial((i, e * denoms.get(i, 1)) for i, e in m.exps)
-            if m2 in terms:
-                raise StructureError("exponent rescaling collided")
-            terms[m2] = c
-        out.append(Poly(ring, terms))
-    return tuple(out), scales
-
-
 # ---------------------------------------------------------------------------
 # textual syntax
 

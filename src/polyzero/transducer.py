@@ -685,13 +685,17 @@ def equivalence_check(t1: Transducer, t2: Transducer,
                       budgets: Budgets = Budgets(),
                       input_letters: Sequence[str] | None = None,
                       certificates: Sequence[InvariantCertificate] = (),
-                      schedule: str = "rr") -> EquivVerdict:
+                      comp: DiffCompilation | None = None) -> EquivVerdict:
     """Equivalence on all words over the (optionally restricted) input
     letters.  Zeroness machinery runs only on the twist-free and
     simultaneous fragments; the general fragment gets refutation search
     alone.  Every separating word is replayed through both transducers.
+
+    ``comp`` is ``to_difference_grammar(t1, t2, input_letters)`` when the
+    caller has already compiled it; it is compiled here otherwise.
     """
-    comp = to_difference_grammar(t1, t2, input_letters)
+    if comp is None:
+        comp = to_difference_grammar(t1, t2, input_letters)
     if comp.mismatch_word is not None:
         word = comp.mismatch_word
         out1, out2 = run(t1, word), run(t2, word)
@@ -710,7 +714,7 @@ def equivalence_check(t1: Transducer, t2: Transducer,
         word, outs = _confirmed(t1, t2, g, wit)
         return EquivVerdict("not-equivalent", GENERAL, witness_word=word,
                             outputs=outs, detail="separating word derived")
-    res = zeroness(g, budgets, certificates, schedule)
+    res = zeroness(g, budgets, certificates)
     if res.verdict == "zero":
         return EquivVerdict("equivalent", comp.classification,
                             certificate=res.certificate, detail=res.detail)

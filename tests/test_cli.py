@@ -53,12 +53,24 @@ def test_equiv_binary_alphabet_finds_short_witness():
 
 
 def test_equiv_with_starved_budgets_is_unknown():
-    p = cli("equiv", _inp("sqrev1.tr"), _inp("sqrev2.tr"),
-            "--budget-size", "2", "--budget-iters", "0",
-            "--budget-seconds", "20")
-    rep = report_of(p)
-    assert p.returncode == 2
-    assert rep["verdict"] == "unknown"
+    # --budget-iters 0 allows no invariant round at all
+    for args in (("equiv", _inp("sqrev1.tr"), _inp("sqrev2.tr")),
+                 ("zeroness", _inp("twist_demo.pg"))):
+        p = cli(*args, "--budget-size", "2", "--budget-iters", "0",
+                "--budget-seconds", "20")
+        rep = report_of(p)
+        assert p.returncode == 2
+        assert rep["verdict"] == "unknown"
+
+
+def test_schedule_parallel_is_an_alias_of_rr():
+    reps = {}
+    for schedule in ("rr", "parallel"):
+        p = cli("zeroness", _inp("twist_demo.pg"), "--schedule", schedule)
+        assert p.returncode == 0
+        reps[schedule] = report_of(p)
+        assert reps[schedule]["budgets"].pop("schedule") == schedule
+    assert reps["rr"] == reps["parallel"]
 
 
 def test_cominj_verdicts_and_matrix():

@@ -468,6 +468,18 @@ def test_chain_single_link_delegates():
     assert r.verdict == "nonzero"
 
 
+def test_passed_deadline_stops_every_search_before_its_first_step():
+    late = Budgets(size=6, iters=6, seconds=-1.0)
+    field = FractionField(ordinary_ring(["u"]))
+    results = [
+        zeroness(counter_grammar(1), late),
+        indep_zeroness(outer_on(field, "x1 + x2"), diag_powers_inner(), late),
+        chain_zeroness(chain_links("x1 + x2"), late),
+    ]
+    for r in results:
+        assert (r.verdict, r.detail) == ("unknown", "time budget exhausted")
+
+
 # --- sampling helpers -------------------------------------------------------
 
 
@@ -497,5 +509,5 @@ def test_low_degree_vanishing_really_vanishes(pts, degree):
 
 def test_collect_samples_dedups():
     g = plusminus_grammar()
-    samples = collect_samples(g, 5, cap=10)
+    samples = collect_samples(ValueTable(g), 5, cap=10)
     assert len(samples["N"]) == 2  # just 1 and -1

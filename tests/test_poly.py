@@ -11,7 +11,7 @@ from polyzero.errors import DomainError, ParseError, StructureError
 from polyzero.poly import (
     FractionField, Mode, Poly, PolyMap, PolyRing, RatFunc, VarKind, VarTable,
     flatten_poly, map_ring_over, ordinary_ring, poly_exact_div, rational_pow,
-    rescale_exponents, structure_poly,
+    structure_poly,
 )
 
 XY = ordinary_ring(["x", "y"])
@@ -95,16 +95,6 @@ def test_mixed_rings_rejected():
     other = ordinary_ring(["x", "z"])
     with pytest.raises(StructureError):
         X + other.var("z")
-
-
-def test_rescale_exponents():
-    a = BAR2.var("ab", Fraction(1, 2)) + BAR2.var("ab", Fraction(1, 3))
-    (scaled,), scales = rescale_exponents([a])
-    assert scales == {"ab": 6}
-    assert scaled == BAR2.var("ab", 3) + BAR2.var("ab", 2)
-    ints, scales2 = rescale_exponents([BAR2.var("ab", 2)])
-    assert scales2 == {}
-    assert ints[0] == BAR2.var("ab", 2)
 
 
 def test_parse_examples():
