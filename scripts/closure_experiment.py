@@ -4,7 +4,10 @@
 Takes a grammar file, or two transducer files (their difference grammar
 is searched).  Prints, per closure round, the candidate's generator
 counts, the candidate generation time, the verification time, and
-whether the candidate is inductively closed.
+whether the candidate is inductively closed.  A round printed as "no
+candidate" proposed nothing, or proposed a candidate that failed at a
+fresh value of the next derivation size and so never reached the
+exact check; its generation time includes that rejection.
 """
 
 from __future__ import annotations

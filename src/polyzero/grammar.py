@@ -16,9 +16,13 @@ Zeroness is attacked from two sides, each a stream of bounded steps:
   contain every derivable value, verified production by production
   (:func:`check_certificate`) and found either by exact forward
   propagation with image closures and intersections, or by a
-  degree-capped widening that extracts low-degree polynomials vanishing
-  on sampled values and verifies them the same way, one candidate per
-  step (:func:`closure_rounds`).
+  degree-capped widening, one candidate per step
+  (:func:`closure_rounds`).  The widening proposes the low-degree
+  polynomials vanishing on sampled values, rejects a candidate that
+  fails at a fresh value of the next derivation size, and verifies the
+  survivors exactly.  A proved invariant vanishes at every derivable
+  value, so the rejection never drops a candidate the exact check
+  would accept.
 
 One driver (:func:`_interleave`) steps the streams in turn, checking
 the deadline between steps, until one of them decides.  Both streams
@@ -387,6 +391,16 @@ def _cert_membership(g: Grammar, J: Ideal, h: Poly) -> bool:
     return J.radical_member(h)
 
 
+def vanishes_at(g: Grammar, nt: str, f: Poly, value: Value) -> bool:
+    """Whether f, over the certificate ring of nt, vanishes at a value of
+    nt: the result is zero, or lies in the ambient ideal when the
+    grammar has one."""
+    cring = g.cert_ring(nt)
+    binding = {c: v.convert(cring) for c, v in zip(g.coord_names(nt), value)}
+    res = f.convert(cring).substitute(binding).convert(g.ring)
+    return g.value_is_zero((res,))
+
+
 def check_production_closure(g: Grammar, cert: InvariantCertificate,
                              prod: Production) -> str | None:
     """None if the production preserves the certificate, else a reason."""
@@ -397,12 +411,8 @@ def check_production_closure(g: Grammar, cert: InvariantCertificate,
     lhs_coords = g.coord_names(prod.lhs)
     if prod.arity() == 0:
         value = g.produce(prod, [])
-        cring = g.cert_ring(prod.lhs)
-        binding = {c: v.convert(cring) for c, v in zip(lhs_coords, value)}
         for f in lhs_ideal.gens:
-            res = f.convert(cring).substitute(binding).convert(g.ring)
-            if not (res.is_zero() or
-                    (g.ambient is not None and g.ambient.member(res))):
+            if not vanishes_at(g, prod.lhs, f, value):
                 return (f"base production for {prod.lhs} does not satisfy "
                         f"generator {f}")
         return None
@@ -606,10 +616,31 @@ def _widening_step(i: int) -> tuple[int, int, int]:
     return (1 if i % 2 == 0 else 2), 2 + i // 2, 8 + 4 * (i // 2)
 
 
+def _holds_on_fresh_values(g: Grammar, ideals: dict[str, Ideal],
+                           sampled: dict[str, list[Value]],
+                           values: dict[str, list[Value]]) -> bool:
+    """Whether every generator vanishes at every value not sampled.
+
+    A certificate that :func:`check_certificate` proves vanishes at
+    every derivable value (twists included), so a candidate failing
+    here would fail the exact check too.
+    """
+    for nt, ideal in ideals.items():
+        seen = set(sampled[nt])
+        for value in values[nt]:
+            if value not in seen and not all(
+                    vanishes_at(g, nt, f, value) for f in ideal.gens):
+                return False
+    return True
+
+
 def _sampling_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
-    """Degree-capped widening: vanishing candidates from sampled values."""
+    """Degree-capped widening: vanishing candidates from sampled values,
+    dropped when they fail on the values of the next derivation size."""
     g = table.g
     productive = productive_nonterminals(g)
+    # certificates are undefined there: leave the refusal to check_certificate
+    filtered = all(p.slot_sources is None for p in g.productions)
     for i in itertools.count():
         degree, size, cap = _widening_step(i)
         samples = collect_samples(table, size, cap)
@@ -632,6 +663,10 @@ def _sampling_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]
             yield None
             continue
         if not ideals[g.initial].gens and g.ambient is None:
+            yield None
+            continue
+        if filtered and not _holds_on_fresh_values(
+                g, ideals, samples, collect_samples(table, size + 1, 2 * cap)):
             yield None
             continue
         yield InvariantCertificate(ideals, g.name)

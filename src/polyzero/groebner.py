@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, StructureError
 from .poly import (
-    Coeff, Monomial, Poly, PolyMap, PolyRing, UNIT_MONOMIAL, VarKind, VarTable,
+    Coeff, Monomial, Poly, PolyMap, PolyRing, VarKind, VarTable,
 )
 
 # ---------------------------------------------------------------------------

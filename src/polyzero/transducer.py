@@ -13,10 +13,9 @@ equivalence becomes grammar zeroness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import (DimensionError, DomainError, StructureError,
-                     UnsupportedSubstitution)
+from .errors import DomainError, StructureError, UnsupportedSubstitution
 from .poly import (EMPTY_VARTABLE, FractionField, Mode, Poly, PolyMap,
                    PolyRing, VarKind, VarTable)
 from .encoding import (Automorphism, PolySubst, Word, WordSubst, as_word,

@@ -1,10 +1,13 @@
 """Grammar model, enumeration, certificates, and the zeroness drivers."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyzero import grammar
+from polyzero.dsl import parse_grammar, parse_transducer
 from polyzero.encoding import Automorphism, PolySubst, encode_ring
 from polyzero.errors import CertificateError, DimensionError, StructureError
 from polyzero.groebner import Ideal
@@ -13,13 +16,17 @@ from polyzero.grammar import (
     Production, ValueTable, attach_polymap, chain_zeroness, check_certificate,
     closure_rounds, collect_samples, enumerate_values, forward_closure,
     indep_zeroness, low_degree_vanishing, nonzero_search,
-    productive_nonterminals, strip_twists, to_field_view, zeroness,
-    _monomials_upto,
+    productive_nonterminals, strip_twists, to_field_view, vanishes_at,
+    zeroness, _monomials_upto,
 )
 from polyzero.poly import (
     EMPTY_VARTABLE, FractionField, Mode, PolyMap, PolyRing, QQ, RatFunc,
     VarKind, VarTable, map_ring_over, ordinary_ring, scalar_ring,
 )
+from polyzero.reports import certificate_from_obj, read_json
+from polyzero.transducer import to_difference_grammar
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 SMALL = Budgets(size=6, iters=6, seconds=30.0)
 
@@ -511,3 +518,74 @@ def test_collect_samples_dedups():
     g = plusminus_grammar()
     samples = collect_samples(ValueTable(g), 5, cap=10)
     assert len(samples["N"]) == 2  # just 1 and -1
+
+
+# --- rejecting candidates on fresh values ----------------------------------
+
+
+def _difference_grammar(first, second, letters=None):
+    t1, t2 = (parse_transducer((INPUTS / f"{n}.tr").read_text(), name=n)
+              for n in (first, second))
+    return to_difference_grammar(t1, t2, letters).grammar
+
+
+def test_proved_certificates_vanish_on_fresh_values():
+    # the sampling filter drops a candidate that fails at a derivable
+    # value; that is sound only if every proved certificate vanishes at
+    # every value, twists and field views included
+    sqrev = _difference_grammar("sqrev1", "sqrev2")
+    twist = parse_grammar((INPUTS / "twist_demo.pg").read_text(),
+                          name="twist_demo")
+    rev_a = _difference_grammar("rev", "id", ("a",))
+    outer = parse_grammar((INPUTS / "pow_outer.pg").read_text(),
+                          name="pow_outer")
+    inner = parse_grammar((INPUTS / "pow_inner.pg").read_text(),
+                          name="pow_inner")
+    cases = [
+        (sqrev, certificate_from_obj(
+            sqrev, read_json(INPUTS / "sqrev_cert.json"))),
+        (twist, zeroness(twist).certificate),
+        (rev_a, zeroness(rev_a).certificate),
+        (to_field_view(inner), indep_zeroness(outer, inner).invariant),
+    ]
+    assert any(p.twist is not None for p in twist.productions)
+    for g, cert in cases:
+        assert check_certificate(g, cert, require_conclusion=False).proved()
+        table = ValueTable(g)
+        for nt in productive_nonterminals(g):
+            gens = cert.ideal_for(nt).gens
+            for value, _ in table.values(nt, 4):
+                assert all(vanishes_at(g, nt, f, value) for f in gens)
+
+
+def test_rev_id_binary_witness_needs_no_failing_closure_check(monkeypatch):
+    g = _difference_grammar("rev", "id", ("a", "b"))
+    verdicts = []
+
+    def counting(*args, **kwargs):
+        v = check_certificate(*args, **kwargs)
+        verdicts.append(v.kind)
+        return v
+
+    monkeypatch.setattr(grammar, "check_certificate", counting)
+    r = zeroness(g)
+    assert r.verdict == "nonzero"
+    assert r.witness.derivation.labels_inside_out(g) == ["b", "a"]
+    assert "closure-violation" not in verdicts
+
+
+def test_slot_wired_grammar_still_refuses_certificates():
+    # Z runs (0, 0), (1, 0), (2, 1), ...; the round-0 candidate z2 fails
+    # at size 3, but slot wiring must reach check_certificate unfiltered
+    vring = scalar_ring(QQ)
+    m = slot_ring(vring, ["z1", "z2"])
+    z1, z2 = m.var("z1"), m.var("z2")
+    g = Grammar(
+        {"S": 1, "Z": 2}, "S",
+        [Production("Z", (), const_map(vring, [vring.zero(), vring.zero()])),
+         Production("Z", ("Z",), PolyMap(m, ("z1", "z2"), (z1 + 1, z1 + z2)),
+                    slot_sources=((0, None), (1, None))),
+         Production("S", ("Z",), PolyMap(m, ("z1", "z2"), (z1 - z1,)))],
+        vring)
+    with pytest.raises(CertificateError):
+        zeroness(g, Budgets(size=6, iters=2, seconds=30.0))
