@@ -117,7 +117,8 @@ def _alphabet(text: str | None) -> tuple[str, ...] | None:
 def _budgets(args: argparse.Namespace) -> Budgets:
     if args.budget_size < 1 or args.budget_iters < 0 or \
             args.budget_seconds <= 0:
-        raise DomainError("budgets must be positive")
+        raise DomainError("budget size and seconds must be positive, "
+                          "budget iters nonnegative")
     return Budgets(args.budget_size, args.budget_iters, args.budget_seconds)
 
 

@@ -18,8 +18,8 @@ from .lexer import Token, TokenStream, tokenize
 from .poly import (EMPTY_VARTABLE, QQ, FractionField, Mode, Poly, PolyMap,
                    PolyRing, VarKind, VarTable, parse_poly_tokens,
                    structure_poly)
-from .transducer import (Concat, Empty, Letter, Reg, RegisterExpr, Subst,
-                         Transducer)
+from .transducer import (Concat, Letter, Reg, RegisterExpr, Subst,
+                         Transducer, word_expr)
 from .vass import (AddVector, NumericTransducer, NAdd, NConst, NMul, NReg,
                    NSubstX, NumExpr, NX, ResetSet, ResetVass)
 
@@ -43,10 +43,26 @@ def _letter_token(ts: TokenStream) -> str:
                      tok.line, tok.col)
 
 
-def _at_letter(ts: TokenStream) -> bool:
-    tok = ts.peek()
-    return (tok.kind == "ident" and len(tok.text) == 1 and tok.text != "_") \
-        or (tok.kind == "string" and len(tok.text) == 1)
+def _parse_state(ts: TokenStream, states: list[str], initial: str | None,
+                 accepting: list[str]) -> str | None:
+    """`NAME [initial|accepting]*;` after the `state` keyword: records the
+    state in states (and accepting) and returns the initial state."""
+    stok = ts.expect("ident")
+    sname = _check_name(stok, "state")
+    if sname in states:
+        raise ParseError(f"state {sname!r} declared twice",
+                         stok.line, stok.col)
+    states.append(sname)
+    while ts.at("ident", "initial") or ts.at("ident", "accepting"):
+        flag = ts.next().text
+        if flag == "initial":
+            if initial is not None:
+                raise ParseError("second initial state", stok.line, stok.col)
+            initial = sname
+        else:
+            accepting.append(sname)
+    ts.expect("sym", ";")
+    return initial
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +121,7 @@ def parse_word_subst(text: str) -> tuple[WordSubst, tuple[str, ...]]:
     mapping = parse_subst_entries(ts, ("}",) if wrapped else ())
     if wrapped:
         ts.expect("sym", "}")
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect_eof()
     mentioned = set(mapping)
     for w in mapping.values():
         mentioned.update(w)
@@ -128,7 +142,7 @@ def _parse_register_expr(ts: TokenStream, alphabet: frozenset[str],
                 if ch not in alphabet:
                     raise ParseError(f"letter {ch!r} is not in the alphabet",
                                      tok.line, tok.col)
-            return word_expr_local(tok.text)
+            return word_expr(tok.text)
         if tok.kind == "ident":
             ts.next()
             if tok.text in registers:
@@ -142,13 +156,6 @@ def _parse_register_expr(ts: TokenStream, alphabet: frozenset[str],
             ts.expect("sym", ")")
             return inner
         raise ts.error(f"expected a register expression, found {tok.text!r}")
-
-    def word_expr_local(chars: str) -> RegisterExpr:
-        out: RegisterExpr = Empty()
-        for ch in chars:
-            piece = Letter(ch)
-            out = piece if isinstance(out, Empty) else Concat(out, piece)
-        return out
 
     def postfixed() -> RegisterExpr:
         e = primary()
@@ -228,22 +235,7 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
                     break
             ts.expect("sym", ";")
         elif ts.accept("ident", "state"):
-            stok = ts.expect("ident")
-            sname = _check_name(stok, "state")
-            if sname in states:
-                raise ParseError(f"state {sname!r} declared twice",
-                                 stok.line, stok.col)
-            states.append(sname)
-            while ts.at("ident", "initial") or ts.at("ident", "accepting"):
-                flag = ts.next().text
-                if flag == "initial":
-                    if initial is not None:
-                        raise ParseError("second initial state",
-                                         stok.line, stok.col)
-                    initial = sname
-                else:
-                    accepting.append(sname)
-            ts.expect("sym", ";")
+            initial = _parse_state(ts, states, initial, accepting)
         elif ts.accept("ident", "on"):
             letter = _letter_token(ts)
             ts.expect("ident", "from")
@@ -269,9 +261,7 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
         else:
             raise ts.error(f"unexpected {tok.text!r} in transducer body")
     ts.expect("sym", "}")
-    end = ts.peek()
-    if end.kind != "eof":
-        raise ParseError(f"trailing input {end.text!r}", end.line, end.col)
+    ts.expect_eof()
 
     if initial is None:
         raise ParseError("no initial state declared", 1, 1)
@@ -346,22 +336,7 @@ def parse_vass(text: str, name: str | None = None) -> ResetVass:
 
     while not ts.at("sym", "}"):
         if ts.accept("ident", "state"):
-            stok = ts.expect("ident")
-            sname = _check_name(stok, "state")
-            if sname in states:
-                raise ParseError(f"state {sname!r} declared twice",
-                                 stok.line, stok.col)
-            states.append(sname)
-            while ts.at("ident", "initial") or ts.at("ident", "accepting"):
-                flag = ts.next().text
-                if flag == "initial":
-                    if initial is not None:
-                        raise ParseError("second initial state",
-                                         stok.line, stok.col)
-                    initial = sname
-                else:
-                    accepting.append(sname)
-            ts.expect("sym", ";")
+            initial = _parse_state(ts, states, initial, accepting)
             continue
         stok = ts.expect("ident")
         src = stok.text
@@ -388,9 +363,7 @@ def parse_vass(text: str, name: str | None = None) -> ResetVass:
         ts.expect("sym", ";")
         transitions.append((src, eff, tgt))
     ts.expect("sym", "}")
-    end = ts.peek()
-    if end.kind != "eof":
-        raise ParseError(f"trailing input {end.text!r}", end.line, end.col)
+    ts.expect_eof()
     if initial is None:
         raise ParseError("no initial state declared", 1, 1)
     return ResetVass(dim, states, initial, accepting, transitions, name=name)

@@ -2,7 +2,7 @@
 polynomial substitutions and field automorphisms.
 
 Each letter ``s`` contributes two variables: ``st`` (additive part, an
-ordinary variable) and ``sb`` (multiplicative part, a bar variableable to
+ordinary variable) and ``sb`` (multiplicative part, a bar variable able to
 carry fractional exponents).  A word ``w`` encodes as the pair
 
     enc(w) = (sum_i  tilde(w_i) * prod_{j>i} bar(w_j),  prod_i bar(w_i))
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionError, DomainError, NotComInjective, StructureError
+from .errors import DomainError, NotComInjective, StructureError
 from .linalg import mat_det, mat_inverse
 from .poly import (
     FractionField, Monomial, Poly, PolyMap, PolyRing, QQ, RatFunc, VarKind,
@@ -106,9 +106,6 @@ class WordSubst:
 
     def is_identity(self) -> bool:
         return not self.mapping
-
-    def changed_letters(self) -> frozenset[str]:
-        return frozenset(self.mapping)
 
     def apply_word(self, word: Iterable[str] | str) -> Word:
         out: list[str] = []

@@ -173,9 +173,8 @@ class Grammar:
         return tuple(f"_v{k}_{i}" for i in range(self.dim(nt)))
 
     def cert_ring(self, nt: str) -> PolyRing:
-        pairs = [(n, VarKind.ORDINARY) for n in self.coord_names(nt)]
-        return PolyRing(
-            self.ring.vartable.extended(pairs), self.ring.field, self.ring.mode)
+        return self.ring.extended(
+            (n, VarKind.ORDINARY) for n in self.coord_names(nt))
 
 
 def productive_nonterminals(g: Grammar) -> frozenset[str]:
@@ -371,16 +370,24 @@ class CertVerdict:
         return self.kind == "zero-proved"
 
 
-def _child_block_ring(g: Grammar, prod: Production) -> tuple[PolyRing, list[str]]:
-    pairs: list[tuple[str, VarKind]] = []
-    flat_names: list[str] = []
-    for ci, r in enumerate(prod.rhs):
-        for j in range(g.dim(r)):
-            n = f"_w{ci}_{j}"
-            pairs.append((n, VarKind.ORDINARY))
-            flat_names.append(n)
-    ring = PolyRing(g.ring.vartable.extended(pairs), g.ring.field, g.ring.mode)
-    return ring, flat_names
+def _child_block(g: Grammar, prod: Production,
+                 ideal_of: Callable[[str], Ideal]
+                 ) -> tuple[PolyRing, list[Poly], list[Poly]]:
+    """The production's children as one block of coordinates.
+
+    Child ci's coordinates become ``_w{ci}_{j}`` after the grammar's
+    variables.  Returns that ring, the generators of every child's ideal
+    renamed into it, and the production's outputs over it.
+    """
+    renames = [{old: f"_w{ci}_{j}" for j, old in enumerate(g.coord_names(r))}
+               for ci, r in enumerate(prod.rhs)]
+    flat_names = [n for rn in renames for n in rn.values()]
+    ring = g.ring.extended((n, VarKind.ORDINARY) for n in flat_names)
+    gens = [f.convert(ring, rn)
+            for r, rn in zip(prod.rhs, renames) for f in ideal_of(r).gens]
+    slot_rename = dict(zip(prod.pmap.slots, flat_names))
+    outputs = [p.convert(ring, slot_rename) for p in prod.pmap.outputs]
+    return ring, gens, outputs
 
 
 def _cert_membership(g: Grammar, J: Ideal, h: Poly) -> bool:
@@ -416,20 +423,10 @@ def check_production_closure(g: Grammar, cert: InvariantCertificate,
                 return (f"base production for {prod.lhs} does not satisfy "
                         f"generator {f}")
         return None
-    ring, flat_names = _child_block_ring(g, prod)
-    gens: list[Poly] = []
-    offset = 0
-    for ci, r in enumerate(prod.rhs):
-        rename = {old: f"_w{ci}_{j}"
-                  for j, old in enumerate(g.coord_names(r))}
-        for f in cert.ideal_for(r).gens:
-            gens.append(f.convert(ring, rename))
-        offset += g.dim(r)
+    ring, gens, outputs = _child_block(g, prod, cert.ideal_for)
     if g.ambient is not None:
         gens.extend(gp.convert(ring) for gp in g.ambient.gens)
     J = Ideal(ring, gens)
-    slot_rename = dict(zip(prod.pmap.slots, flat_names))
-    outputs = [p.convert(ring, slot_rename) for p in prod.pmap.outputs]
     binding = dict(zip(lhs_coords, outputs))
     for f in lhs_ideal.gens:
         h = f.substitute(binding, target_ring=ring)
@@ -580,21 +577,11 @@ def _kleene_rounds(g: Grammar, rounds: int) -> Iterator[InvariantCertificate | N
             else:
                 if any(r not in V for r in prod.rhs):
                     continue
-                _, flat_names = _child_block_ring(g, prod)
-                block_ring = PolyRing(
-                    VarTable.make((n, VarKind.ORDINARY) for n in flat_names),
-                    g.ring.field, g.ring.mode)
-                gens: list[Poly] = []
-                for ci, r in enumerate(prod.rhs):
-                    rename = {old: f"_w{ci}_{j}"
-                              for j, old in enumerate(g.coord_names(r))}
-                    gens.extend(f.convert(block_ring, rename)
-                                for f in V[r].gens)
-                block_map = PolyMap(block_ring, tuple(flat_names),
-                                    tuple(p.convert(block_ring,
-                                                    dict(zip(prod.pmap.slots,
-                                                             flat_names)))
-                                          for p in prod.pmap.outputs))
+                # g has no variables, so the block ring holds only the
+                # child coordinates, as image_closure needs
+                block_ring, gens, outputs = _child_block(g, prod, V.__getitem__)
+                block_map = PolyMap(block_ring, block_ring.names(),
+                                    tuple(outputs))
                 img = image_closure(Ideal(block_ring, gens), block_map,
                                     g.coord_names(prod.lhs), alpha=prod.twist)
                 img = img.converted(out_ring)

@@ -7,6 +7,12 @@ fractional bar exponents are handled by rescaling every exponent with
 the lcm of its denominators first, which is a ring isomorphism onto an
 ordinary polynomial ring, and scaling back afterwards.
 
+Every basis is computed by :func:`buchberger`.  An :class:`Ideal`
+keeps one cache of reduced bases keyed by the monomial order and the
+exponent scaling; its basis, unit test, normal form, membership and
+equality tests all read that cache, so a basis is computed once per
+ideal, order and scaling.
+
 On top of the basis computation: ideal membership, radical membership
 (adjoining an inverse variable), intersection (one-tag-variable trick),
 elimination by block orders, images of varieties under polynomial maps
@@ -23,7 +29,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, StructureError
 from .poly import (
-    Coeff, Monomial, Poly, PolyMap, PolyRing, VarKind, VarTable,
+    Coeff, Monomial, Poly, PolyMap, PolyRing, VarKind, map_ring_over,
+    ordinary_ring,
 )
 
 # ---------------------------------------------------------------------------
@@ -42,7 +49,7 @@ class GrevLex:
 
 @dataclass(frozen=True)
 class BlockElim:
-    """Eliminination order: the front block dominates, grevlex inside blocks."""
+    """Elimination order: the front block dominates, grevlex inside blocks."""
 
     front: tuple[str, ...]
 
@@ -134,6 +141,12 @@ def _monic(p: Poly, key: KeyFn) -> Poly:
     return p.scale(one / lc)
 
 
+def _lead_triple(p: Poly, key: KeyFn) -> tuple[Monomial, Coeff, Poly]:
+    """(leading monomial, leading coefficient, p), as normal_form takes it."""
+    lm, lc = leading(p, key)
+    return lm, lc, p
+
+
 def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
                 key: KeyFn) -> Poly:
     """Fully reduced remainder of f modulo the basis (deterministic)."""
@@ -172,36 +185,25 @@ def buchberger(gens: Iterable[Poly], order: Order) -> tuple[Poly, ...]:
         if g.ring != ring:
             raise StructureError("generators over different rings")
     scales = _joint_scales(gens)
-    work = [_apply_scales(g, scales) for g in gens]
     key = order_key(order, ring)
-    basis = _buchberger_int(work, ring, key)
-    return tuple(_unapply_scales(p, scales) for p in basis)
-
-
-def _buchberger_int(gens: list[Poly], ring: PolyRing, key: KeyFn) -> list[Poly]:
     entries: list[tuple[Monomial, Coeff, Poly]] = []
     sugars: list[int] = []
-
-    def push(p: Poly) -> int:
-        p = _monic(p, key)
-        lm, lc = leading(p, key)
-        entries.append((lm, lc, p))
-        sugars.append(int(p.total_degree() or 0))
-        return len(entries) - 1
-
     pending: dict[tuple[int, int], tuple] = {}
 
-    def enqueue(i: int, j: int) -> None:
-        l = entries[i][0].lcm(entries[j][0])
-        deg_l = int(l.total_degree())
-        sugar = max(sugars[i] + deg_l - int(entries[i][0].total_degree()),
-                    sugars[j] + deg_l - int(entries[j][0].total_degree()))
-        pending[(i, j)] = (sugar, key(l), i, j)
+    def push(p: Poly) -> None:
+        p = _monic(p, key)
+        entries.append(_lead_triple(p, key))
+        sugars.append(int(p.total_degree() or 0))
+        k = len(entries) - 1
+        for i in range(k):
+            l = entries[i][0].lcm(entries[k][0])
+            deg_l = int(l.total_degree())
+            sugar = max(sugars[i] + deg_l - int(entries[i][0].total_degree()),
+                        sugars[k] + deg_l - int(entries[k][0].total_degree()))
+            pending[(i, k)] = (sugar, key(l), i, k)
 
     for g in gens:
-        k = push(g)
-        for i in range(k):
-            enqueue(i, k)
+        push(_apply_scales(g, scales))
 
     while pending:
         (i, j) = min(pending, key=lambda ij: pending[ij])
@@ -222,11 +224,8 @@ def _buchberger_int(gens: list[Poly], ring: PolyRing, key: KeyFn) -> list[Poly]:
         if skip:
             continue
         h = normal_form(s_polynomial(entries[i], entries[j], ring), entries, key)
-        if h.is_zero():
-            continue
-        k = push(h)
-        for i2 in range(k):
-            enqueue(i2, k)
+        if not h.is_zero():
+            push(h)
 
     # inter-reduce to the unique reduced basis
     polys = [e[2] for e in entries]
@@ -236,7 +235,7 @@ def _buchberger_int(gens: list[Poly], ring: PolyRing, key: KeyFn) -> list[Poly]:
         for idx in range(len(polys)):
             if polys[idx] is None:
                 continue
-            others = [(leading(q, key)[0], leading(q, key)[1], q)
+            others = [_lead_triple(q, key)
                       for k2, q in enumerate(polys) if q is not None and k2 != idx]
             r = normal_form(polys[idx], others, key)
             if r.is_zero():
@@ -247,7 +246,7 @@ def _buchberger_int(gens: list[Poly], ring: PolyRing, key: KeyFn) -> list[Poly]:
                 changed = True
     final = [p for p in polys if p is not None]
     final.sort(key=lambda p: key(leading(p, key)[0]), reverse=True)
-    return final
+    return tuple(_unapply_scales(p, scales) for p in final)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +263,27 @@ class Ideal:
             if g.ring != ring:
                 raise StructureError("ideal generator over a different ring")
         self.gens = gens
-        self._bases: dict[object, tuple[Poly, ...]] = {}
+        self._bases: dict[tuple, tuple[Poly, ...]] = {}
 
     def __repr__(self) -> str:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
+    def _basis(self, order: Order, scales: dict[int, int]) -> tuple[Poly, ...]:
+        """Reduced basis of the generators with their exponents scaled;
+        every basis of the ideal is computed here, once per order and
+        scaling."""
+        cache_key = (order, tuple(sorted(scales.items())))
+        if cache_key not in self._bases:
+            self._bases[cache_key] = buchberger(
+                [_apply_scales(g, scales) for g in self.gens], order)
+        return self._bases[cache_key]
+
     def groebner(self, order: Order | None = None) -> tuple[Poly, ...]:
         if order is None:
             order = GrevLex()
-        if order not in self._bases:
-            self._bases[order] = buchberger(self.gens, order)
-        return self._bases[order]
+        scales = _joint_scales(self.gens)
+        return tuple(_unapply_scales(b, scales)
+                     for b in self._basis(order, scales))
 
     def is_trivial(self) -> bool:
         """Whether this is the unit ideal."""
@@ -286,14 +295,9 @@ class Ideal:
         if f.is_zero() or not self.gens:
             return f
         order = GrevLex()
-        scales = _joint_scales(list(self.gens) + [f])
+        scales = _joint_scales(self.gens + (f,))
         key = order_key(order, self.ring)
-        cache_key = (order, tuple(sorted(scales.items())))
-        if cache_key not in self._bases:
-            work = [_apply_scales(g, scales) for g in self.gens]
-            self._bases[cache_key] = tuple(_buchberger_int(work, self.ring, key))
-        basis = [(leading(b, key)[0], leading(b, key)[1], b)
-                 for b in self._bases[cache_key]]
+        basis = [_lead_triple(b, key) for b in self._basis(order, scales)]
         nf = normal_form(_apply_scales(f, scales), basis, key)
         return _unapply_scales(nf, scales)
 
@@ -310,8 +314,7 @@ class Ideal:
         t = ext.var("_rad")
         gens = [g.convert(ext) for g in self.gens]
         gens.append(ext.one() - t * f.convert(ext))
-        gb = buchberger(gens, GrevLex())
-        return len(gb) == 1 and gb[0].is_constant()
+        return Ideal(ext, gens).is_trivial()
 
     def join(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
@@ -326,12 +329,8 @@ class Ideal:
         if other.ring != self.ring:
             raise StructureError("comparing ideals over different rings")
         scales = _joint_scales(self.gens + other.gens)
-        key = order_key(GrevLex(), self.ring)
-        a = _buchberger_int([_apply_scales(g, scales) for g in self.gens],
-                            self.ring, key)
-        b = _buchberger_int([_apply_scales(g, scales) for g in other.gens],
-                            self.ring, key)
-        return a == b
+        return (self._basis(GrevLex(), scales)
+                == other._basis(GrevLex(), scales))
 
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -339,14 +338,9 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise StructureError("intersecting ideals over different rings")
     ring = a.ring
-    if not a.gens:
+    if not a.gens or not b.gens:
         return Ideal(ring, [])
-    if not b.gens:
-        return Ideal(ring, [])
-    ext = PolyRing(
-        VarTable.make([("_mix", VarKind.ORDINARY)]).extended(
-            zip(ring.vartable.names, ring.vartable.kinds)),
-        ring.field, ring.mode)
+    ext = map_ring_over(ring, [("_mix", VarKind.ORDINARY)])
     t = ext.var("_mix")
     gens = [t * g.convert(ext) for g in a.gens]
     gens += [(ext.one() - t) * g.convert(ext) for g in b.gens]
@@ -382,9 +376,7 @@ def image_closure(I: Ideal, f: PolyMap, out_names: Sequence[str],
     out_names = tuple(out_names)
     if len(out_names) != f.n_outputs:
         raise StructureError("output name count does not match the map")
-    combined = PolyRing(
-        ring.vartable.extended((n, VarKind.ORDINARY) for n in out_names),
-        ring.field, ring.mode)
+    combined = ring.extended((n, VarKind.ORDINARY) for n in out_names)
     gens = []
     for g in I.gens:
         if alpha is not None:
@@ -395,9 +387,7 @@ def image_closure(I: Ideal, f: PolyMap, out_names: Sequence[str],
         gens.append(combined.var(yname) - out.convert(combined, rename))
     big = Ideal(combined, gens)
     elim = eliminate(big, ring.vartable.names)
-    out_ring = PolyRing(
-        VarTable.make((n, VarKind.ORDINARY) for n in out_names),
-        ring.field, ring.mode)
+    out_ring = ordinary_ring(out_names, ring.field, ring.mode)
     return elim.converted(out_ring)
 
 

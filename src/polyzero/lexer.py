@@ -125,6 +125,11 @@ class TokenStream:
             raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
 
+    def expect_eof(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+
     def error(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from .errors import DomainError, ParseError, StructureError
+from .errors import DomainError, StructureError
 from .lexer import TokenStream, tokenize
 
-Rat = Fraction
 Exponent = Union[int, Fraction]
 Coeff = Union[Fraction, "RatFunc"]
 
@@ -337,11 +336,6 @@ class PolyRing:
     def extended(self, pairs: Iterable[tuple[str, VarKind]]) -> "PolyRing":
         return PolyRing(self.vartable.extended(pairs), self.field, self.mode)
 
-    def restricted(self, keep: Iterable[str]) -> "PolyRing":
-        keep = tuple(keep)
-        pairs = [(n, self.vartable.kinds[self.vartable.index(n)]) for n in keep]
-        return PolyRing(VarTable.make(pairs), self.field, self.mode)
-
     def validate_exponent(self, i: int, e: Exponent) -> None:
         kind = self.vartable.kind_of(i)
         if kind is VarKind.ORDINARY:
@@ -369,6 +363,12 @@ def scalar_ring(field: Field) -> PolyRing:
 
 # ---------------------------------------------------------------------------
 # polynomials
+
+
+def _lex_key(ring: PolyRing) -> Callable[[Monomial], tuple[Exponent, ...]]:
+    """Sort key of the lex order in variable-table order."""
+    n = len(ring.vartable)
+    return lambda m: tuple(m.exp(i) for i in range(n))
 
 
 class Poly:
@@ -434,9 +434,7 @@ class Poly:
         """Coefficient of the lex-largest term (variable-table order)."""
         if not self.terms:
             return None
-        n = len(self.ring.vartable)
-        key = lambda m: tuple(Fraction(m.exp(i)) for i in range(n))
-        return self.terms[max(self.terms, key=key)]
+        return self.terms[max(self.terms, key=_lex_key(self.ring))]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -647,9 +645,9 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in descending lexicographic order (variable-table order)."""
-        n = len(self.ring.vartable)
-        key = lambda mc: tuple(Fraction(mc[0].exp(i)) for i in range(n))
-        return sorted(self.terms.items(), key=key, reverse=True)
+        key = _lex_key(self.ring)
+        return sorted(self.terms.items(), key=lambda mc: key(mc[0]),
+                      reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +793,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def substitute(self, mapping: dict[str, "RatFunc"]) -> "RatFunc":
         num = self.num.substitute_frac(mapping)
         den = self.den.substitute_frac(mapping)
@@ -849,9 +844,8 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly | None:
     if b.is_zero():
         raise DomainError("division by the zero polynomial")
     ring = a.ring
-    n = len(ring.vartable)
-    key = lambda m: tuple(Fraction(m.exp(i)) for i in range(n))
-    bm = max(b.terms, key=key) if b.terms else UNIT_MONOMIAL
+    key = _lex_key(ring)
+    bm = max(b.terms, key=key)
     bc = b.terms[bm]
     q_terms: dict[Monomial, Coeff] = {}
     rem = a
@@ -1111,9 +1105,7 @@ def parse_poly_tokens(ring: PolyRing, ts: TokenStream) -> Poly:
 def _parse_poly(ring: PolyRing, text: str) -> Poly:
     ts = TokenStream(tokenize(text))
     p = parse_poly_tokens(ring, ts)
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect_eof()
     return p
 
 

@@ -190,6 +190,10 @@ def test_unknown_flag_is_input_error():
     p = cli("equiv", _inp("rev.tr"), _inp("id.tr"), "--frobnicate")
     assert p.returncode == 3
     assert "usage error" in p.stderr
+    p = cli("zeroness", _inp("twist_demo.pg"), "--budget-iters", "-1")
+    assert p.returncode == 3
+    assert ("budget size and seconds must be positive, budget iters "
+            "nonnegative") in p.stderr
 
 
 def test_certificate_for_wrong_grammar_is_input_error(tmp_path):

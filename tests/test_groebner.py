@@ -200,3 +200,22 @@ def test_membership_of_random_combinations(c1, c2, e1, e2):
     I = Ideal(XYZ, [Xv * Yv - 1, Zv**2 - Xv])
     f = I.gens[0] * (Xv**e1).scale(Fraction(c1)) + I.gens[1] * (Yv**e2).scale(Fraction(c2))
     assert I.member(f)
+
+
+def test_each_ideal_computes_its_basis_once(monkeypatch):
+    from polyzero import groebner
+    calls = []
+    real = groebner.buchberger
+
+    def counting(gens, order):
+        gens = tuple(gens)
+        calls.append(gens)
+        return real(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    I = Ideal(XYZ, [Yv - Xv**2, Zv - Xv**3])
+    J = Ideal(XYZ, [Zv - Xv**3, Yv - Xv**2, Yv * Zv - Xv**5])
+    assert I.member(Yv**3 - Zv**2)
+    assert I.equal(J) and J.equal(I)
+    assert not I.is_trivial()
+    assert sorted(calls, key=len) == [I.gens, J.gens]
