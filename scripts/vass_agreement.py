@@ -16,8 +16,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from polyzero.vass import (apply_effect, compile_to_transducer, normalize,
-                           small_family)
+from polyzero.vass import (compile_to_transducer, normalize, run_endpoint,
+                           run_is_valid, small_family, word_of_run)
 
 
 @dataclass(frozen=True)
@@ -38,24 +38,13 @@ def run_experiment(cfg: Config) -> tuple[int, int, list[tuple[str, tuple]]]:
                           cfg.max_transitions):
         machines += 1
         acc = compile_to_transducer(normalize(v))
-        letters = v.letters()
-        by_letter = dict(zip(letters, v.transitions))
         for n in range(cfg.max_len + 1):
-            for word in itertools.product(letters, repeat=n):
+            for run in itertools.product(range(len(v.transitions)), repeat=n):
                 words += 1
-                state, vec = v.initial, (0,) * v.dim
-                valid, dipped = True, False
-                for letter in word:
-                    src, eff, tgt = by_letter[letter]
-                    if src != state:
-                        valid = False
-                        break
-                    state = tgt
-                    vec = apply_effect(eff, vec)
-                    if any(c < 0 for c in vec):
-                        dipped = True
-                hit = (valid and not dipped and state in v.accepting
-                       and all(c == 0 for c in vec))
+                word = word_of_run(v, run)
+                state, vec = run_endpoint(v, run)
+                hit = (run_is_valid(v, run) and state in v.accepting
+                       and not any(vec))
                 if acc.run(word).is_zero() == hit:
                     mismatches.append((v.name or "?", word))
     return machines, words, mismatches

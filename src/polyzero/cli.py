@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .dsl import (format_numeric_transducer, parse_grammar, parse_transducer,
                   parse_vass, parse_word_subst)
@@ -24,15 +26,16 @@ from .encoding import (WordSubst, com_injective_check, encode_ring,
                        encode_word, invert_substitution)
 from .errors import (DimensionError, DomainError, NotComInjective, ParseError,
                      PolyzeroError)
-from .grammar import (Budgets, InvariantCertificate, attach_polymap,
+from .grammar import (Budgets, Grammar, InvariantCertificate, attach_polymap,
                       chain_zeroness, indep_zeroness, to_field_view, zeroness)
 from .poly import PolyMap, VarKind, map_ring_over
 from .reports import (certificate_from_obj, certificate_to_obj, dump_json,
                       make_report, poly_to_str, read_json, witness_to_obj,
                       write_json)
-from .transducer import Transducer, equivalence_check, run, \
-    to_difference_grammar
+from .transducer import equivalence_check, run, to_difference_grammar
 from .vass import brute_force_reach, compile_to_transducer, normalize
+
+_T = TypeVar("_T")
 
 
 class UsageError(Exception):
@@ -63,38 +66,18 @@ def _base(path: str) -> str:
     return os.path.basename(path)
 
 
-def _reparse(path: str, exc: ParseError) -> ParseError:
-    return ParseError(f"{_base(path)}: {exc.message}", exc.line, exc.col)
-
-
-def _load_transducer(path: str) -> Transducer:
+def _load(parse: Callable[..., _T], path: str) -> _T:
+    """Parse a file, named after its stem; parse errors name the file."""
     try:
-        return parse_transducer(Path(path).read_text(), name=_stem(path))
+        return parse(Path(path).read_text(), name=_stem(path))
     except ParseError as e:
-        raise _reparse(path, e) from e
-
-
-def _load_grammar(path: str):
-    try:
-        return parse_grammar(Path(path).read_text(), name=_stem(path))
-    except ParseError as e:
-        raise _reparse(path, e) from e
-
-
-def _load_vass(path: str):
-    try:
-        return parse_vass(Path(path).read_text(), name=_stem(path))
-    except ParseError as e:
-        raise _reparse(path, e) from e
+        raise ParseError(f"{_base(path)}: {e.message}", e.line, e.col) from e
 
 
 def _load_subst(arg: str) -> tuple[WordSubst, list[str], str]:
     """The argument is inline substitution text, or a file holding it."""
     if os.path.exists(arg):
-        try:
-            ws, letters = parse_word_subst(Path(arg).read_text())
-        except ParseError as e:
-            raise _reparse(arg, e) from e
+        ws, letters = _load(lambda text, name: parse_word_subst(text), arg)
         return ws, letters, _base(arg)
     ws, letters = parse_word_subst(arg)
     return ws, letters, arg
@@ -115,24 +98,43 @@ def _alphabet(text: str | None) -> tuple[str, ...] | None:
 
 
 def _budgets(args: argparse.Namespace) -> Budgets:
+    # a NaN deadline would never pass, so seconds must be finite
     if args.budget_size < 1 or args.budget_iters < 0 or \
-            args.budget_seconds <= 0:
+            not 0 < args.budget_seconds < math.inf:
         raise DomainError("budget size and seconds must be positive, "
-                          "budget iters nonnegative")
+                          "budget iters nonnegative, budget seconds finite")
     return Budgets(args.budget_size, args.budget_iters, args.budget_seconds)
 
 
-def _budget_obj(b: Budgets, schedule: str = "rr") -> dict:
+def _budget_obj(b: Budgets) -> dict:
+    # "schedule" is kept for report compatibility; there is one schedule
     return {"size": b.size, "iters": b.iters, "seconds": b.seconds,
-            "schedule": schedule}
+            "schedule": "rr"}
 
 
 def _zero_exit(verdict: str) -> int:
     return {"zero": 0, "nonzero": 1}.get(verdict, 2)
 
 
-def _load_cert(g, path: str) -> list[InvariantCertificate]:
-    return [certificate_from_obj(g, read_json(path))]
+def _certified(args: argparse.Namespace, g: Grammar | None,
+               search: Callable[[list[InvariantCertificate]], _T],
+               found: Callable[[_T], InvariantCertificate | None]
+               = attrgetter("certificate")) -> tuple[_T, dict | None]:
+    """Run ``search`` on the --check-certificate certificate, read over
+    ``g``, if any; returns its result with the JSON form of the
+    certificate it found, also written to --emit-certificate."""
+    certs = []
+    if args.check_certificate and g is not None:
+        obj = read_json(args.check_certificate)
+        certs.append(certificate_from_obj(g, obj))
+    res = search(certs)
+    cert = found(res)
+    if cert is None:
+        return res, None
+    cert_obj = certificate_to_obj(g, cert)
+    if args.emit_certificate:
+        write_json(args.emit_certificate, cert_obj)
+    return res, cert_obj
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +157,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    t = _load_transducer(args.transducer)
+    t = _load(parse_transducer, args.transducer)
     word = tuple(args.word)
     for c in word:
         if c not in t.input_letters:
@@ -168,21 +170,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    t1 = _load_transducer(args.left)
-    t2 = _load_transducer(args.right)
+    t1 = _load(parse_transducer, args.left)
+    t2 = _load(parse_transducer, args.right)
     letters = _alphabet(args.alphabet)
     budgets = _budgets(args)
     comp = to_difference_grammar(t1, t2, letters)
-    certs: list[InvariantCertificate] = []
-    if args.check_certificate and comp.grammar is not None:
-        certs = _load_cert(comp.grammar, args.check_certificate)
-    v = equivalence_check(t1, t2, budgets, letters, certs, comp)
-    cert_obj = None
-    if v.certificate is not None:
-        assert comp.grammar is not None
-        cert_obj = certificate_to_obj(comp.grammar, v.certificate)
-        if args.emit_certificate:
-            write_json(args.emit_certificate, cert_obj)
+    v, cert_obj = _certified(
+        args, comp.grammar,
+        lambda certs: equivalence_check(t1, t2, budgets, letters, certs, comp))
     witness = None
     if v.witness_word is not None:
         o1, o2 = v.outputs if v.outputs is not None else (None, None)
@@ -192,58 +187,60 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     _print(make_report("equiv", [_base(args.left), _base(args.right)],
                        verdict=v.verdict, classification=v.classification,
                        detail=v.detail,
-                       budgets=_budget_obj(budgets, args.schedule),
+                       budgets=_budget_obj(budgets),
                        witness=witness, certificate=cert_obj))
     return {"equivalent": 0, "not-equivalent": 1}.get(v.verdict, 2)
 
 
 def cmd_zeroness(args: argparse.Namespace) -> int:
-    g = _load_grammar(args.grammar)
+    g = _load(parse_grammar, args.grammar)
     budgets = _budgets(args)
-    certs = _load_cert(g, args.check_certificate) \
-        if args.check_certificate else []
-    res = zeroness(g, budgets, certs)
-    cert_obj = None
-    if res.certificate is not None:
-        cert_obj = certificate_to_obj(g, res.certificate)
-        if args.emit_certificate:
-            write_json(args.emit_certificate, cert_obj)
+    res, cert_obj = _certified(args, g,
+                               lambda certs: zeroness(g, budgets, certs))
     wit = witness_to_obj(g, res.witness) if res.witness is not None else None
     _print(make_report("zeroness", [_base(args.grammar)],
                        verdict=res.verdict, detail=res.detail,
-                       budgets=_budget_obj(budgets, args.schedule),
+                       budgets=_budget_obj(budgets),
                        witness=wit, certificate=cert_obj))
     return _zero_exit(res.verdict)
 
 
 def cmd_indep(args: argparse.Namespace) -> int:
-    outer = _load_grammar(args.outer)
-    inner = _load_grammar(args.inner)
+    """``indep-zeroness``, and ``eqsat``, whose outer grammar is the
+    difference of the equations' two sides."""
+    outer = _load(parse_grammar, args.outer)
+    inner = _load(parse_grammar, args.inner)
     budgets = _budgets(args)
-    inner_view = to_field_view(inner) if inner.ring.names() else inner
-    certs = _load_cert(inner_view, args.check_certificate) \
-        if args.check_certificate else []
-    res = indep_zeroness(outer, inner, budgets, certs)
-    inv_obj = None
-    if res.invariant is not None:
-        inv_obj = certificate_to_obj(inner_view, res.invariant)
-        if args.emit_certificate:
-            write_json(args.emit_certificate, inv_obj)
+    labels, verdicts = ("outer", "inner"), {}
+    if args.kind == "eqsat":
+        if outer.dim(outer.initial) != 2:
+            raise DimensionError(
+                "the equations grammar must produce pairs (dimension 2)")
+        mring = map_ring_over(outer.ring, [("_s0", VarKind.ORDINARY),
+                                           ("_s1", VarKind.ORDINARY)])
+        f = PolyMap(mring, ("_s0", "_s1"),
+                    (mring.var("_s0") - mring.var("_s1"),))
+        outer = attach_polymap(f, outer)
+        labels = ("equation", "value")
+        verdicts = {"zero": "satisfied", "nonzero": "refuted"}
+    inner = to_field_view(inner)
+    res, inv_obj = _certified(
+        args, inner,
+        lambda certs: indep_zeroness(outer, inner, budgets, certs),
+        attrgetter("invariant"))
     wit = None
     if res.witness_pair is not None:
-        wo, wi = res.witness_pair
-        wit = {"outer": witness_to_obj(outer, wo),
-               "inner": witness_to_obj(inner_view, wi)}
-    _print(make_report("indep-zeroness",
-                       [_base(args.outer), _base(args.inner)],
-                       verdict=res.verdict, detail=res.detail,
-                       budgets=_budget_obj(budgets), witness=wit,
-                       invariant=inv_obj))
+        wit = {label: witness_to_obj(g, w) for label, g, w
+               in zip(labels, (outer, inner), res.witness_pair)}
+    _print(make_report(args.kind, [_base(args.outer), _base(args.inner)],
+                       verdict=verdicts.get(res.verdict, res.verdict),
+                       detail=res.detail, budgets=_budget_obj(budgets),
+                       witness=wit, invariant=inv_obj))
     return _zero_exit(res.verdict)
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    gs = [_load_grammar(p) for p in args.grammars]
+    gs = [_load(parse_grammar, p) for p in args.grammars]
     budgets = _budgets(args)
     res = chain_zeroness(gs, budgets)
     gens = [poly_to_str(f) for f in res.invariant_gens] \
@@ -291,14 +288,14 @@ def cmd_invert_subst(args: argparse.Namespace) -> int:
 
 
 def cmd_vass_compile(args: argparse.Namespace) -> int:
-    v = _load_vass(args.vass)
+    v = _load(parse_vass, args.vass)
     t = compile_to_transducer(normalize(v))
     sys.stdout.write(format_numeric_transducer(t))
     return 0
 
 
 def cmd_vass_reach(args: argparse.Namespace) -> int:
-    v = _load_vass(args.vass)
+    v = _load(parse_vass, args.vass)
     if args.max_len < 0:
         raise DomainError("--max-len must be nonnegative")
     res = brute_force_reach(v, args.max_len, args.min_steps)
@@ -307,41 +304,6 @@ def cmd_vass_reach(args: argparse.Namespace) -> int:
                        run=list(res.run) if res.reachable else None,
                        max_len=args.max_len, min_steps=args.min_steps))
     return 0 if res.reachable else 1
-
-
-def cmd_eqsat(args: argparse.Namespace) -> int:
-    eq = _load_grammar(args.equations)
-    tested = _load_grammar(args.tested)
-    budgets = _budgets(args)
-    if eq.dim(eq.initial) != 2:
-        raise DimensionError(
-            "the equations grammar must produce pairs (dimension 2)")
-    mring = map_ring_over(eq.ring, [("_s0", VarKind.ORDINARY),
-                                    ("_s1", VarKind.ORDINARY)])
-    f = PolyMap(mring, ("_s0", "_s1"),
-                (mring.var("_s0") - mring.var("_s1"),))
-    diff = attach_polymap(f, eq)
-    inner_view = to_field_view(tested) if tested.ring.names() else tested
-    certs = _load_cert(inner_view, args.check_certificate) \
-        if args.check_certificate else []
-    res = indep_zeroness(diff, tested, budgets, certs)
-    verdict = {"zero": "satisfied",
-               "nonzero": "refuted"}.get(res.verdict, "unknown")
-    inv_obj = None
-    if res.invariant is not None:
-        inv_obj = certificate_to_obj(inner_view, res.invariant)
-        if args.emit_certificate:
-            write_json(args.emit_certificate, inv_obj)
-    wit = None
-    if res.witness_pair is not None:
-        wo, wi = res.witness_pair
-        wit = {"equation": witness_to_obj(diff, wo),
-               "value": witness_to_obj(inner_view, wi)}
-    _print(make_report("eqsat", [_base(args.equations), _base(args.tested)],
-                       verdict=verdict, detail=res.detail,
-                       budgets=_budget_obj(budgets), witness=wit,
-                       invariant=inv_obj))
-    return {"satisfied": 0, "refuted": 1}.get(verdict, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +325,6 @@ def _add_cert_flags(sp: argparse.ArgumentParser) -> None:
                     help="write the found certificate as JSON")
     sp.add_argument("--check-certificate", metavar="PATH",
                     help="try this certificate before searching")
-
-
-def _add_schedule_flag(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--schedule", choices=("rr", "parallel"), default="rr",
-                    help="search schedule, echoed in the report; both "
-                         "run the one interleaved search ('parallel' is "
-                         "an alias of 'rr')")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,14 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alphabet", metavar="LETTERS",
                     help="restrict the input letters (comma separated)")
     _add_budget_flags(sp)
-    _add_schedule_flag(sp)
     _add_cert_flags(sp)
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("zeroness", help="zeroness of a polynomial grammar")
     sp.add_argument("grammar", metavar="FILE.pg")
     _add_budget_flags(sp)
-    _add_schedule_flag(sp)
     _add_cert_flags(sp)
     sp.set_defaults(func=cmd_zeroness)
 
@@ -448,11 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eqsat",
                         help="do all derivable values satisfy all "
                              "derivable equations")
-    sp.add_argument("equations", metavar="EQUATIONS.pg")
-    sp.add_argument("tested", metavar="TESTED.pg")
+    sp.add_argument("outer", metavar="EQUATIONS.pg")
+    sp.add_argument("inner", metavar="TESTED.pg")
     _add_budget_flags(sp)
     _add_cert_flags(sp)
-    sp.set_defaults(func=cmd_eqsat)
+    sp.set_defaults(func=cmd_indep)
 
     return p
 

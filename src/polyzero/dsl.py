@@ -4,24 +4,31 @@ transducers, reset VASS machines, and word substitutions.
 One object per file.  All formats share the tokenizer, so parse errors
 carry line and column positions.  ``#`` starts a comment; the padding
 letter must therefore be written quoted, as ``'#'``.
+
+Transducer and grammar files are read in two passes.  The first scans
+the declarations and records the token span of every statement body
+(register expressions, polynomial bodies, twist images), skipping it
+with :func:`_body_span`; the second parses the bodies, once the name
+sets they are parsed against are complete.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, TypeVar
 
 from .encoding import (Automorphism, PolySubst, WordSubst,
-                       invert_substitution, letter_var_names)
+                       invert_substitution, letter_pairs)
 from .errors import ParseError
 from .grammar import Grammar, Production
 from .lexer import Token, TokenStream, tokenize
-from .poly import (EMPTY_VARTABLE, QQ, FractionField, Mode, Poly, PolyMap,
-                   PolyRing, VarKind, VarTable, parse_poly_tokens,
-                   structure_poly)
+from .poly import (QQ, FractionField, Mode, Poly, PolyMap, PolyRing, VarKind,
+                   VarTable, flat_ring_for, parse_poly_tokens, structure_poly)
 from .transducer import (Concat, Letter, Reg, RegisterExpr, Subst,
                          Transducer, word_expr)
 from .vass import (AddVector, NumericTransducer, NAdd, NConst, NMul, NReg,
                    NSubstX, NumExpr, NX, ResetSet, ResetVass)
+
+_T = TypeVar("_T")
 
 
 def _check_name(tok: Token, what: str) -> str:
@@ -41,6 +48,17 @@ def _letter_token(ts: TokenStream) -> str:
         return tok.text
     raise ParseError(f"expected a single-character letter, found {tok.text!r}",
                      tok.line, tok.col)
+
+
+def _name_list(ts: TokenStream, what: str | None) -> list[str]:
+    """Declared entries up to and including ``;``: letters when ``what``
+    is None, otherwise names of that kind."""
+    names: list[str] = []
+    while not ts.at("sym", ";"):
+        names.append(_letter_token(ts) if what is None
+                     else _check_name(ts.expect("ident"), what))
+    ts.expect("sym", ";")
+    return names
 
 
 def _parse_state(ts: TokenStream, states: list[str], initial: str | None,
@@ -63,6 +81,39 @@ def _parse_state(ts: TokenStream, states: list[str], initial: str | None,
             accepting.append(sname)
     ts.expect("sym", ";")
     return initial
+
+
+Span = tuple[int, int]
+
+
+def _body_span(ts: TokenStream, unterminated: str) -> Span:
+    """Skip a statement body up to the ``;`` or ``}`` that ends it at
+    bracket depth 0 (left unconsumed); returns the body's token span."""
+    start, depth = ts.pos, 0
+    while True:
+        tok = ts.peek()
+        if tok.kind == "eof":
+            raise ts.error(unterminated)
+        if tok.kind == "sym":
+            if tok.text in ("(", "["):
+                depth += 1
+            elif tok.text in (")", "]"):
+                if depth == 0:
+                    raise ts.error("unbalanced bracket")
+                depth -= 1
+            elif depth == 0 and tok.text in (";", "}"):
+                return start, ts.pos
+        ts.next()
+
+
+def _parse_span(ts: TokenStream, span: Span, parse: Callable[[], _T]) -> _T:
+    """Run ``parse`` on a recorded body, which it must consume whole."""
+    ts.pos, end = span
+    out = parse()
+    if ts.pos != end:
+        raise ts.error(f"expected {ts.tokens[end].text!r}, "
+                       f"found {ts.peek().text!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,33 +244,15 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
     accepting: list[str] = []
 
     # the expression grammar needs the final name sets, so expressions are
-    # parsed from recorded positions in a second pass
-    update_spans: list[tuple[Token, str, str, str, list[tuple[str, int]]]] = []
-    output_spans: list[tuple[Token, str, int]] = []
-
-    def skip_expr() -> None:
-        depth = 0
-        while True:
-            tok = ts.peek()
-            if tok.kind == "eof":
-                raise ts.error("unterminated expression")
-            if tok.kind == "sym":
-                if tok.text in ("(", "["):
-                    depth += 1
-                elif tok.text in (")", "]"):
-                    if depth == 0:
-                        raise ts.error("unbalanced bracket")
-                    depth -= 1
-                elif depth == 0 and tok.text in (";", "}"):
-                    return
-            ts.next()
+    # parsed from recorded spans in a second pass
+    update_spans: list[tuple[Token, str, str, str,
+                             list[tuple[str, Span]]]] = []
+    output_spans: list[tuple[Token, str, Span]] = []
 
     while not ts.at("sym", "}"):
         tok = ts.peek()
         if ts.accept("ident", "alphabet"):
-            while not ts.at("sym", ";"):
-                alphabet.append(_letter_token(ts))
-            ts.expect("sym", ";")
+            alphabet += _name_list(ts, None)
         elif ts.accept("ident", "registers"):
             while True:
                 rtok = ts.expect("ident")
@@ -247,16 +280,16 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
             while not ts.at("sym", "}"):
                 rname = ts.expect("ident").text
                 ts.expect("sym", "=")
-                spans.append((rname, ts.pos))
-                skip_expr()
+                spans.append(
+                    (rname, _body_span(ts, "unterminated expression")))
                 ts.expect("sym", ";")
             ts.expect("sym", "}")
             update_spans.append((tok, letter, src, tgt, spans))
         elif ts.accept("ident", "output"):
             sname = ts.expect("ident").text
             ts.expect("sym", "=")
-            output_spans.append((tok, sname, ts.pos))
-            skip_expr()
+            output_spans.append((tok, sname,
+                                 _body_span(ts, "unterminated expression")))
             ts.expect("sym", ";")
         else:
             raise ts.error(f"unexpected {tok.text!r} in transducer body")
@@ -272,9 +305,9 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
         raise ParseError(f"names used as both letter and register: "
                          f"{sorted(clash)}", 1, 1)
 
-    def parse_at(pos: int) -> RegisterExpr:
-        ts.pos = pos
-        return _parse_register_expr(ts, aset, rset)
+    def parse_at(span: Span) -> RegisterExpr:
+        return _parse_span(ts, span,
+                           lambda: _parse_register_expr(ts, aset, rset))
 
     transitions: dict[tuple[str, str], tuple[str, dict[str, RegisterExpr]]] = {}
     for tok, letter, src, tgt, spans in update_spans:
@@ -288,23 +321,23 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
             raise ParseError(f"duplicate transition from {src!r} on "
                              f"{letter!r}", tok.line, tok.col)
         updates = {}
-        for rname, pos in spans:
+        for rname, span in spans:
             if rname not in rset:
                 raise ParseError(f"undeclared register {rname!r}",
                                  tok.line, tok.col)
             if rname in updates:
                 raise ParseError(f"register {rname!r} updated twice",
                                  tok.line, tok.col)
-            updates[rname] = parse_at(pos)
+            updates[rname] = parse_at(span)
         transitions[(src, letter)] = (tgt, updates)
     outputs = {}
-    for tok, sname, pos in output_spans:
+    for tok, sname, span in output_spans:
         if sname not in states:
             raise ParseError(f"undeclared state {sname!r}", tok.line, tok.col)
         if sname in outputs:
             raise ParseError(f"duplicate output for {sname!r}",
                              tok.line, tok.col)
-        outputs[sname] = parse_at(pos)
+        outputs[sname] = parse_at(span)
 
     return Transducer(alphabet, registers, init, states, initial, accepting,
                       transitions, outputs, name=name)
@@ -373,62 +406,32 @@ def parse_vass(text: str, name: str | None = None) -> ResetVass:
 # grammar files
 
 
+# declaration keyword -> what one entry names (None: a letter)
+_NAME_LISTS = {"letters": None, "paramletters": None,
+               "params": "parameter", "vars": "variable"}
+
+
 class _PgDecls:
     def __init__(self) -> None:
-        self.letters: list[str] = []
-        self.paramletters: list[str] = []
-        self.params: list[str] = []
-        self.vars: list[str] = []
+        self.names: dict[str, list[str]] = {kw: [] for kw in _NAME_LISTS}
         self.nonterminals: dict[str, int] = {}
-        # name -> (token, slots, body span start)
-        self.polymaps: dict[str, tuple[Token, tuple[str, ...], int]] = {}
-        # (token, lhs, rhs names or None, span start for constants)
-        self.productions: list[tuple[Token, str, tuple[str, ...] | None, int]] = []
-        # polymap name -> ("subst", mapping) | ("map", fwd spans, inv spans)
+        # name -> (token, slots, body span)
+        self.polymaps: dict[str, tuple[Token, tuple[str, ...], Span]] = {}
+        # (token, lhs, polymap call or None, body span of a constant)
+        self.productions: list[tuple[Token, str, tuple[str, ...] | None,
+                                     Span | None]] = []
+        # polymap name -> ("subst", token, mapping)
+        #               | ("map", token, fwd spans, inv spans)
         self.twists: dict[str, tuple] = {}
-
-    def declared(self) -> bool:
-        return bool(self.letters or self.paramletters or self.params
-                    or self.vars)
-
-
-def _skip_to_semicolon(ts: TokenStream) -> None:
-    depth = 0
-    while True:
-        tok = ts.peek()
-        if tok.kind == "eof":
-            raise ts.error("missing ';'")
-        if tok.kind == "sym":
-            if tok.text in ("(", "[", "{"):
-                depth += 1
-            elif tok.text in (")", "]", "}"):
-                depth -= 1
-            elif tok.text == ";" and depth == 0:
-                ts.next()
-                return
-        ts.next()
 
 
 def _scan_grammar(ts: TokenStream) -> _PgDecls:
     d = _PgDecls()
     while ts.peek().kind != "eof":
         tok = ts.peek()
-        if ts.accept("ident", "letters"):
-            while not ts.at("sym", ";"):
-                d.letters.append(_letter_token(ts))
-            ts.expect("sym", ";")
-        elif ts.accept("ident", "paramletters"):
-            while not ts.at("sym", ";"):
-                d.paramletters.append(_letter_token(ts))
-            ts.expect("sym", ";")
-        elif ts.accept("ident", "params"):
-            while not ts.at("sym", ";"):
-                d.params.append(_check_name(ts.expect("ident"), "parameter"))
-            ts.expect("sym", ";")
-        elif ts.accept("ident", "vars"):
-            while not ts.at("sym", ";"):
-                d.vars.append(_check_name(ts.expect("ident"), "variable"))
-            ts.expect("sym", ";")
+        if tok.kind == "ident" and tok.text in _NAME_LISTS:
+            ts.next()
+            d.names[tok.text] += _name_list(ts, _NAME_LISTS[tok.text])
         elif ts.accept("ident", "nonterminal"):
             ntok = ts.expect("ident")
             nname = _check_name(ntok, "nonterminal")
@@ -453,8 +456,9 @@ def _scan_grammar(ts: TokenStream) -> _PgDecls:
                         break
             ts.expect("sym", ")")
             ts.expect("sym", "=")
-            d.polymaps[nname] = (ntok, tuple(slots), ts.pos)
-            _skip_to_semicolon(ts)
+            d.polymaps[nname] = (ntok, tuple(slots),
+                                 _body_span(ts, "missing ';'"))
+            ts.expect("sym", ";")
         elif ts.accept("ident", "twist"):
             ptok = ts.expect("ident")
             pname = ptok.text
@@ -490,39 +494,26 @@ def _scan_grammar(ts: TokenStream) -> _PgDecls:
                         if not ts.accept("sym", ","):
                             break
                 ts.expect("sym", ")")
-                ts.expect("sym", ";")
-                d.productions.append((tok, lhs, (fname, *args), -1))
+                d.productions.append((tok, lhs, (fname, *args), None))
             else:
-                d.productions.append((tok, lhs, None, ts.pos))
-                _skip_to_semicolon(ts)
+                d.productions.append((tok, lhs, None,
+                                      _body_span(ts, "missing ';'")))
+            ts.expect("sym", ";")
         else:
             raise ts.error(f"unexpected {tok.text!r} in grammar file")
     return d
 
 
-def _scan_assignments(ts: TokenStream) -> list[tuple[Token, str, int]]:
+def _scan_assignments(ts: TokenStream) -> list[tuple[Token, Span]]:
+    """`{ NAME := body; ... }`: each assigned name with its body span."""
     ts.expect("sym", "{")
-    spans: list[tuple[Token, str, int]] = []
+    spans: list[tuple[Token, Span]] = []
     while not ts.at("sym", "}"):
         vtok = ts.expect("ident")
         ts.expect("sym", ":=")
-        spans.append((vtok, vtok.text, ts.pos))
-        depth = 0
-        while True:
-            tok = ts.peek()
-            if tok.kind == "eof":
-                raise ts.error("unterminated assignment")
-            if tok.kind == "sym":
-                if tok.text in ("(", "["):
-                    depth += 1
-                elif tok.text in (")", "]"):
-                    depth -= 1
-                elif tok.text == ";" and depth == 0:
-                    ts.next()
-                    break
-                elif tok.text == "}" and depth == 0:
-                    break
-            ts.next()
+        spans.append((vtok, _body_span(ts, "unterminated assignment")))
+        if not ts.accept("sym", ";"):
+            break
     ts.expect("sym", "}")
     return spans
 
@@ -530,57 +521,41 @@ def _scan_assignments(ts: TokenStream) -> list[tuple[Token, str, int]]:
 def _infer_vars(ts: TokenStream, d: _PgDecls) -> list[str]:
     """Undeclared files: non-slot identifiers in bodies become plain
     variables, in order of first appearance."""
-    seen: list[str] = []
-
-    def scan(pos: int, exclude: frozenset[str]) -> None:
-        ts.pos = pos
-        depth = 0
-        while True:
-            tok = ts.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "sym":
-                if tok.text in ("(", "["):
-                    depth += 1
-                elif tok.text in (")", "]"):
-                    depth -= 1
-                elif tok.text == ";" and depth == 0:
-                    return
-            if tok.kind == "ident" and tok.text not in exclude \
-                    and tok.text not in seen:
-                seen.append(tok.text)
-            ts.next()
-
-    for _, slots, pos in d.polymaps.values():
-        scan(pos, frozenset(slots))
-    for _, _, rhs, pos in d.productions:
-        if rhs is None:
-            scan(pos, frozenset())
-    return seen
+    bodies = [(slots, span) for _, slots, span in d.polymaps.values()]
+    bodies += [((), span) for _, _, rhs, span in d.productions
+               if rhs is None]
+    seen: dict[str, None] = {}
+    for slots, (start, end) in bodies:
+        for tok in ts.tokens[start:end]:
+            if tok.kind == "ident" and tok.text not in slots:
+                seen.setdefault(tok.text)
+    return list(seen)
 
 
-def _parse_tuple_body(ts: TokenStream, pos: int, ring: PolyRing,
-                      target: PolyRing | None) -> tuple[Poly, ...]:
-    """Body at ``pos``: a parenthesized tuple or a single expression.
-    Parsed over ``ring``; restructured into ``target`` when given."""
-    ts.pos = pos
-    outs: list[Poly] = []
-    if ts.accept("sym", "("):
-        while True:
-            outs.append(parse_poly_tokens(ring, ts))
-            if not ts.accept("sym", ","):
-                break
+def _parse_tuple_body(ts: TokenStream, span: Span,
+                      ring: PolyRing) -> tuple[Poly, ...]:
+    """A recorded body: a parenthesized tuple or a single expression.
+    Fraction-field bodies are parsed over the flat ring, with the
+    parameters as variables, and restructured into ``ring``."""
+    flat = flat_ring_for(ring)
+
+    def tuple_or_single() -> list[Poly]:
+        if not ts.accept("sym", "("):
+            return [parse_poly_tokens(flat, ts)]
+        outs = [parse_poly_tokens(flat, ts)]
+        while ts.accept("sym", ","):
+            outs.append(parse_poly_tokens(flat, ts))
         ts.expect("sym", ")")
         # a parenthesized single expression continuing with an operator
         # was really one expression; fall back to a full re-parse
-        if len(outs) == 1 and not ts.at("sym", ";"):
-            ts.pos = pos
-            outs = [parse_poly_tokens(ring, ts)]
-    else:
-        outs.append(parse_poly_tokens(ring, ts))
-    ts.expect("sym", ";")
-    if target is not None:
-        outs = [structure_poly(p, target) for p in outs]
+        if len(outs) == 1 and ts.pos != span[1]:
+            ts.pos = span[0]
+            outs = [parse_poly_tokens(flat, ts)]
+        return outs
+
+    outs = _parse_span(ts, span, tuple_or_single)
+    if flat != ring:
+        outs = [structure_poly(p, ring) for p in outs]
     return tuple(outs)
 
 
@@ -589,17 +564,13 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
     d = _scan_grammar(ts)
     if not d.nonterminals:
         raise ParseError("no nonterminal declared", 1, 1)
-    if not d.declared():
-        d.vars = _infer_vars(ts, d)
+    names = d.names
+    if not any(names.values()):
+        names["vars"] = _infer_vars(ts, d)
 
     # coefficient field
-    param_pairs: list[tuple[str, VarKind]] = []
-    for l in d.paramletters:
-        param_pairs.append((letter_var_names(l)[0], VarKind.ORDINARY))
-    for l in d.paramletters:
-        param_pairs.append((letter_var_names(l)[1], VarKind.BAR))
-    for n in d.params:
-        param_pairs.append((n, VarKind.ORDINARY))
+    param_pairs = letter_pairs(names["paramletters"])
+    param_pairs += [(n, VarKind.ORDINARY) for n in names["params"]]
     if param_pairs:
         param_ring = PolyRing(VarTable.make(param_pairs))
         field = FractionField(param_ring)
@@ -608,16 +579,10 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
         field = QQ
 
     # value ring
-    value_pairs: list[tuple[str, VarKind]] = []
-    for l in d.letters:
-        value_pairs.append((letter_var_names(l)[0], VarKind.ORDINARY))
-    for l in d.letters:
-        value_pairs.append((letter_var_names(l)[1], VarKind.BAR))
-    for n in d.vars:
-        value_pairs.append((n, VarKind.ORDINARY))
+    value_pairs = letter_pairs(names["letters"])
+    value_pairs += [(n, VarKind.ORDINARY) for n in names["vars"]]
     mode = Mode.FIELD if not value_pairs and param_pairs else Mode.RING
-    vring = PolyRing(VarTable.make(value_pairs) if value_pairs
-                     else EMPTY_VARTABLE, field, mode)
+    vring = PolyRing(VarTable.make(value_pairs), field, mode)
 
     clash = {n for n, _ in value_pairs} & {n for n, _ in param_pairs}
     if clash:
@@ -625,74 +590,59 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
                          f"{sorted(clash)}", 1, 1)
     taken = {n for n, _ in value_pairs} | {n for n, _ in param_pairs}
 
-    def body_rings(slots: Sequence[str]) -> tuple[PolyRing, PolyRing | None]:
-        """Ring to parse in and the structured target (None = direct)."""
-        slot_pairs = [(s, VarKind.ORDINARY) for s in slots]
+    def body_ring(slots: tuple[str, ...]) -> PolyRing:
         for s in slots:
             if s in taken:
                 raise ParseError(f"slot {s!r} shadows a declared name", 1, 1)
-        mring = PolyRing(VarTable.make(slot_pairs + value_pairs)
-                         if slot_pairs or value_pairs else EMPTY_VARTABLE,
-                         field, mode)
-        if param_ring is None:
-            return mring, None
-        flat = PolyRing(VarTable.make(slot_pairs + value_pairs + param_pairs))
-        return flat, mring
+        return PolyRing(VarTable.make(
+            [(s, VarKind.ORDINARY) for s in slots] + value_pairs), field, mode)
+
+    def images(spans: list[tuple[Token, Span]]) -> dict[str, Poly]:
+        out: dict[str, Poly] = {}
+        for vtok, span in spans:
+            if not param_ring.vartable.has(vtok.text):
+                raise ParseError(f"{vtok.text!r} is not a parameter",
+                                 vtok.line, vtok.col)
+            out[vtok.text] = _parse_span(
+                ts, span, lambda: parse_poly_tokens(param_ring, ts))
+        return out
 
     # twists, keyed by polymap name
     twists: dict[str, Automorphism] = {}
-    for pname, spec in d.twists.items():
+    for pname, (kind, tok, *spec) in d.twists.items():
         if pname not in d.polymaps:
-            tok = spec[1]
             raise ParseError(f"twist names unknown polymap {pname!r}",
                              tok.line, tok.col)
         if param_ring is None:
-            tok = spec[1]
             raise ParseError("twists need paramletters or params",
                              tok.line, tok.col)
-        if spec[0] == "subst":
-            _, tok, mapping = spec
+        if kind == "subst":
+            mapping = spec[0]
             for l in set(mapping) | {c for w in mapping.values() for c in w}:
-                if l not in d.paramletters:
+                if l not in names["paramletters"]:
                     raise ParseError(f"twist letter {l!r} is not a "
                                      "paramletter", tok.line, tok.col)
             twists[pname] = invert_substitution(
-                WordSubst(mapping), tuple(d.paramletters), ring=param_ring)
-        else:
-            _, tok, fwd_spans, inv_spans = spec
-            fwd_images: dict[str, Poly] = {}
-            for vtok, vname, pos in fwd_spans:
-                if not param_ring.vartable.has(vname):
-                    raise ParseError(f"{vname!r} is not a parameter",
-                                     vtok.line, vtok.col)
-                ts.pos = pos
-                fwd_images[vname] = parse_poly_tokens(param_ring, ts)
-            inv_images = {}
-            for vtok, vname, pos in inv_spans:
-                if not param_ring.vartable.has(vname):
-                    raise ParseError(f"{vname!r} is not a parameter",
-                                     vtok.line, vtok.col)
-                ts.pos = pos
-                inv_images[vname] = field.coerce(
-                    parse_poly_tokens(param_ring, ts))
-            auto = Automorphism(PolySubst(param_ring, fwd_images), inv_images)
-            if not auto.verify_roundtrip():
-                raise ParseError(f"twist on {pname!r}: inverse does not "
-                                 "invert the forward images",
-                                 tok.line, tok.col)
-            twists[pname] = auto
+                WordSubst(mapping), tuple(names["paramletters"]),
+                ring=param_ring)
+            continue
+        fwd, inv = (images(spans) for spans in spec)
+        auto = Automorphism(PolySubst(param_ring, fwd),
+                            {n: field.coerce(p) for n, p in inv.items()})
+        if not auto.verify_roundtrip():
+            raise ParseError(f"twist on {pname!r}: inverse does not "
+                             "invert the forward images", tok.line, tok.col)
+        twists[pname] = auto
 
     # polymaps
     pmaps: dict[str, PolyMap] = {}
-    for pname, (ptok, slots, pos) in d.polymaps.items():
-        ring, target = body_rings(slots)
-        outs = _parse_tuple_body(ts, pos, ring, target)
-        pmaps[pname] = PolyMap(target if target is not None else ring,
-                               slots, outs)
+    for pname, (ptok, slots, span) in d.polymaps.items():
+        ring = body_ring(slots)
+        pmaps[pname] = PolyMap(ring, slots, _parse_tuple_body(ts, span, ring))
 
     # productions
     productions: list[Production] = []
-    for tok, lhs, rhs, pos in d.productions:
+    for tok, lhs, rhs, span in d.productions:
         if lhs not in d.nonterminals:
             raise ParseError(f"undeclared nonterminal {lhs!r}",
                              tok.line, tok.col)
@@ -708,10 +658,8 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
             productions.append(Production(lhs, tuple(args), pmaps[fname],
                                           twist=twists.get(fname)))
         else:
-            ring, target = body_rings(())
-            outs = _parse_tuple_body(ts, pos, ring, target)
-            pmap = PolyMap(target if target is not None else ring, (), outs)
-            productions.append(Production(lhs, (), pmap))
+            outs = _parse_tuple_body(ts, span, vring)
+            productions.append(Production(lhs, (), PolyMap(vring, (), outs)))
 
     initial = next(iter(d.nonterminals))
     return Grammar(d.nonterminals, initial, productions, vring, name=name)

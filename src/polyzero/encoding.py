@@ -47,13 +47,19 @@ def letter_var_names(letter: str) -> tuple[str, str]:
     return f"{base}t", f"{base}b"
 
 
+def letter_pairs(letters: Sequence[str]) -> list[tuple[str, VarKind]]:
+    """Variables of the letters: all additive ones first, then all
+    multiplicative ones."""
+    names = [letter_var_names(l) for l in letters]
+    return ([(t, VarKind.ORDINARY) for t, _ in names]
+            + [(b, VarKind.BAR) for _, b in names])
+
+
 def encode_ring(letters: Sequence[str]) -> PolyRing:
-    """Ring with all additive variables first, then all multiplicative ones."""
+    """Ring over the variables of :func:`letter_pairs`."""
     if len(set(letters)) != len(letters):
         raise StructureError(f"duplicate letters in {letters}")
-    tildes = [(letter_var_names(l)[0], VarKind.ORDINARY) for l in letters]
-    bars = [(letter_var_names(l)[1], VarKind.BAR) for l in letters]
-    return PolyRing(VarTable.make(tildes + bars))
+    return PolyRing(VarTable.make(letter_pairs(letters)))
 
 
 def encode_word(word: Iterable[str] | str, ring: PolyRing) -> tuple[Poly, Poly]:

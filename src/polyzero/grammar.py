@@ -545,7 +545,11 @@ def low_degree_vanishing(value_ring: PolyRing, ambient: Ideal | None,
     return out
 
 
-def _kleene_rounds(g: Grammar, rounds: int) -> Iterator[InvariantCertificate | None]:
+# exact propagation rounds before the Kleene candidate is given up
+_KLEENE_ROUNDS = 4
+
+
+def _kleene_rounds(g: Grammar) -> Iterator[InvariantCertificate | None]:
     """Exact forward propagation; yields a candidate only on stabilization.
 
     Restricted to scalar-valued grammars without ambient ideal or slot
@@ -565,7 +569,7 @@ def _kleene_rounds(g: Grammar, rounds: int) -> Iterator[InvariantCertificate | N
         return
     productive = productive_nonterminals(g)
     V: dict[str, Ideal] = {}
-    for _ in range(rounds):
+    for _ in range(_KLEENE_ROUNDS):
         prev = dict(V)
         for prod in g.productions:
             if prod.lhs not in productive:
@@ -659,24 +663,22 @@ def _sampling_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]
         yield InvariantCertificate(ideals, g.name)
 
 
-def closure_rounds(table: ValueTable,
-                   kleene_limit: int = 4) -> Iterator[InvariantCertificate | None]:
+def closure_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
     """Candidate invariants, one per round: the whole exact propagation
     is the first round (it is cheap or bails), then sampling rounds with
     a growing degree/size schedule (never ends)."""
-    yield next(filter(None, _kleene_rounds(table.g, kleene_limit)), None)
+    yield next(filter(None, _kleene_rounds(table.g)), None)
     yield from _sampling_rounds(table)
 
 
-def forward_closure(g: Grammar, max_iterations: int = 8,
-                    kleene_limit: int = 4) -> InvariantCertificate | None:
+def forward_closure(g: Grammar,
+                    max_iterations: int = 8) -> InvariantCertificate | None:
     """Search for an invariant verified for base cases and closure.
 
     The conclusion (initial coordinates forced to zero) is *not*
     required here; callers decide what the invariant is for.
     """
-    rounds = itertools.islice(closure_rounds(ValueTable(g), kleene_limit),
-                              max_iterations)
+    rounds = itertools.islice(closure_rounds(ValueTable(g)), max_iterations)
     return next((cand for cand in rounds if cand is not None and
                  check_certificate(g, cand, require_conclusion=False).proved()),
                 None)
@@ -799,15 +801,15 @@ def to_field_view(g: Grammar) -> Grammar:
     Values become scalars of the fraction field, so invariant ideals
     live in the coordinates alone.  Membership certificates found here
     use radical reasoning, which is sound because a fraction field has
-    no nilpotents.  Requires plain rational coefficients and no ambient
-    ideal.
+    no nilpotents.  A grammar without value variables is its own view;
+    any other needs plain rational coefficients and no ambient ideal.
     """
+    if not g.ring.names():
+        return g
     if not isinstance(g.ring.field, RationalField):
         raise StructureError("field view needs plain rational coefficients")
     if g.ambient is not None:
         raise StructureError("field view of a quotient grammar")
-    if not g.ring.names():
-        return g
     field = FractionField(g.ring)
     vring = PolyRing(EMPTY_VARTABLE, field, Mode.FIELD)
     prods = []
@@ -857,8 +859,7 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
     inner grammar's field view when it has value variables) and are
     tried before any search.
     """
-    if inner.ring.names():
-        inner = to_field_view(inner)
+    inner = to_field_view(inner)
     if outer.ambient is not None:
         raise StructureError("outer grammar already has an ambient ideal")
     if outer.dim(outer.initial) != 1:

@@ -345,8 +345,15 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     gens = [t * g.convert(ext) for g in a.gens]
     gens += [(ext.one() - t) * g.convert(ext) for g in b.gens]
     gb = buchberger(gens, BlockElim(("_mix",)))
-    keep = [g.convert(ring) for g in gb if "_mix" not in g.vars_used()]
-    return Ideal(ring, keep)
+    out = Ideal(ring, [g.convert(ring) for g in gb
+                       if "_mix" not in g.vars_used()])
+    if not _joint_scales(a.gens + b.gens):
+        # the _mix-free part of the reduced block basis is the reduced
+        # grevlex basis of the intersection, in the same order; with
+        # fractional exponents the block basis was computed on scaled
+        # exponents, whose grevlex order differs, so it is not reused
+        out._bases[(GrevLex(), ())] = out.gens
+    return out
 
 
 def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:

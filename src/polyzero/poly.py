@@ -1113,6 +1113,15 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 # moving variables between coefficients and the monomial part
 
 
+def flat_ring_for(ring: PolyRing) -> PolyRing:
+    """Rational-coefficient ring whose variables are the ring's own plus
+    the coefficient-field parameters (identity when already flat)."""
+    if not isinstance(ring.field, FractionField):
+        return ring
+    pt = ring.field.param_ring.vartable
+    return PolyRing(ring.vartable.extended(zip(pt.names, pt.kinds)))
+
+
 def flatten_poly(p: Poly, flat_ring: PolyRing) -> Poly:
     """Push fraction-field coefficients into a flat rational-coefficient ring.
 

@@ -19,19 +19,10 @@ from typing import Any, Sequence
 from .errors import CertificateError, ParseError, PolyzeroError
 from .grammar import Grammar, InvariantCertificate, Witness
 from .groebner import Ideal
-from .poly import FractionField, Poly, PolyRing, flatten_poly, structure_poly
+from .poly import Poly, PolyRing, flat_ring_for, flatten_poly, structure_poly
 
 CERT_FORMAT = "polyzero-certificate-v1"
 REPORT_FORMAT = "polyzero-report-v1"
-
-
-def flat_ring_for(ring: PolyRing) -> PolyRing:
-    """Rational-coefficient ring whose variables are the ring's own plus
-    the coefficient-field parameters (identity when already flat)."""
-    if not isinstance(ring.field, FractionField):
-        return ring
-    pt = ring.field.param_ring.vartable
-    return PolyRing(ring.vartable.extended(zip(pt.names, pt.kinds)))
 
 
 def poly_to_str(p: Poly) -> str:
@@ -111,7 +102,7 @@ def make_report(kind: str, inputs: Sequence[str], **fields: Any) -> dict:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -63,16 +63,6 @@ def test_equiv_with_starved_budgets_is_unknown():
         assert rep["verdict"] == "unknown"
 
 
-def test_schedule_parallel_is_an_alias_of_rr():
-    reps = {}
-    for schedule in ("rr", "parallel"):
-        p = cli("zeroness", _inp("twist_demo.pg"), "--schedule", schedule)
-        assert p.returncode == 0
-        reps[schedule] = report_of(p)
-        assert reps[schedule]["budgets"].pop("schedule") == schedule
-    assert reps["rr"] == reps["parallel"]
-
-
 def test_cominj_verdicts_and_matrix():
     p = cli("cominj", "a -> ab; b -> babb")
     rep = report_of(p)
@@ -187,13 +177,16 @@ def test_missing_file_is_input_error():
 
 
 def test_unknown_flag_is_input_error():
-    p = cli("equiv", _inp("rev.tr"), _inp("id.tr"), "--frobnicate")
-    assert p.returncode == 3
-    assert "usage error" in p.stderr
-    p = cli("zeroness", _inp("twist_demo.pg"), "--budget-iters", "-1")
-    assert p.returncode == 3
-    assert ("budget size and seconds must be positive, budget iters "
-            "nonnegative") in p.stderr
+    for flag in ("--frobnicate", "--schedule=rr"):
+        p = cli("equiv", _inp("rev.tr"), _inp("id.tr"), flag)
+        assert p.returncode == 3
+        assert "usage error" in p.stderr
+    for budget in (("--budget-iters", "-1"), ("--budget-seconds", "nan"),
+                   ("--budget-seconds", "inf")):
+        p = cli("zeroness", _inp("twist_demo.pg"), *budget)
+        assert p.returncode == 3
+        assert ("budget size and seconds must be positive, budget iters "
+                "nonnegative") in p.stderr
 
 
 def test_certificate_for_wrong_grammar_is_input_error(tmp_path):

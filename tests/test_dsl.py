@@ -133,6 +133,50 @@ def test_grammar_rejects_unknown_nonterminal_in_production():
         parse_grammar("nonterminal A dim 1; A -> p(B); polymap p(v) = (v);")
 
 
+_TR_HEAD = ('transducer {\nalphabet a;\nregisters R = "";\n'
+            'state q0 initial accepting;\n')
+
+
+@pytest.mark.parametrize("parse, text, line, col", [
+    # update body cut off at end of file
+    (parse_transducer, _TR_HEAD + "on a from q0 to q0 { R = a . R", 5, 31),
+    # output body cut off at end of file
+    (parse_transducer, _TR_HEAD + "on a from q0 to q0 { R = a . R; }\n"
+     "output q0 = R . (a", 6, 19),
+    # stray closing bracket in an update
+    (parse_transducer, _TR_HEAD + "on a from q0 to q0 { R = a) . R; }\n"
+     "output q0 = R;\n}\n", 5, 27),
+    # polymap body with no ';'
+    (parse_grammar, "nonterminal A dim 1;\nA -> p(A);\nA -> (1);\n"
+     "polymap p(v) = (v + 1)\n", 5, 1),
+    # production body with no ';'
+    (parse_grammar, "vars y;\nnonterminal A dim 1;\nA -> (y + 1)\n", 4, 1),
+    # twist map assignment cut off at end of file
+    (parse_grammar, "params b;\nnonterminal S dim 1;\nS -> q(S);\nS -> (b);\n"
+     "polymap q(f) = (f);\ntwist q with map { b := (b + 1", 6, 31),
+])
+def test_unterminated_bodies_are_located_parse_errors(parse, text, line, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("parse, text, line, col", [
+    (parse_transducer, _TR_HEAD + "on a from q0 to q0 { R = a R; }\n"
+     "output q0 = R;\n}\n", 5, 28),
+    (parse_transducer, _TR_HEAD + "on a from q0 to q0 { R = a . R; }\n"
+     "output q0 = R a;\n}\n", 6, 15),
+    (parse_grammar, "params b;\nnonterminal S dim 1;\nS -> q(S);\nS -> (b);\n"
+     "polymap q(f) = (f);\n"
+     "twist q with map { b := b + 1 b; } inverse { b := b - 1; };\n", 6, 31),
+])
+def test_bodies_must_be_parsed_whole(parse, text, line, col):
+    # a body that parses as a prefix is rejected, not truncated
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_grammar_twist_map_must_roundtrip():
     text = ("params b;\nnonterminal S dim 1;\nS -> q(S);\nS -> (b);\n"
             "polymap q(f) = (f);\n"

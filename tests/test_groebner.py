@@ -76,6 +76,33 @@ def test_intersection():
     assert not Z.gens
 
 
+def test_intersection_keeps_its_grevlex_basis(monkeypatch):
+    from polyzero import groebner
+    ring = PolyRing(VarTable.make([("y", VarKind.ORDINARY),
+                                   ("ab", VarKind.BAR)]))
+    y, ab, half = ring.var("y"), ring.var("ab"), ring.var("ab", Fraction(1, 2))
+    cases = [
+        (Ideal(XYZ, [Yv - Xv**2, Zv - Xv**3]), Ideal(XYZ, [Xv * Yv - Zv])),
+        (Ideal(XYZ, [Xv - 1]), Ideal(XYZ, [Xv - 2, Yv])),
+        # integer-exponent intersection of a fractional-exponent input,
+        # whose block basis was computed with ab's degree doubled
+        (Ideal(ring, [ab - y * ab]), Ideal(ring, [y * half - ab * half])),
+    ]
+    for a, b in cases:
+        r = ideal_intersect(a, b)
+        assert r.groebner() == buchberger(r.gens, GrevLex())
+    calls = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda gens, order: calls.append(order)
+                        or real(gens, order))
+    for a, b in cases[:2]:
+        r = ideal_intersect(a, b)
+        calls.clear()
+        assert r.equal(r)
+        assert calls == []
+
+
 def test_eliminate_parabola():
     ring = ordinary_ring(["t", "x1", "x2"])
     I = Ideal(ring, [ring.var("x1") - ring.var("t"),

@@ -1,6 +1,8 @@
 """Transducer semantics, update analysis, and the reduction to
 difference grammars."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,14 +214,18 @@ def test_classify_sqrev_simultaneous():
     assert classify(t1, t2) == SIMULTANEOUS
 
 
-def test_classify_conflicting_substitutions_general():
+def conflicting_substitutions() -> Transducer:
     alphabet = ("a", "b", "#")
-    t = Transducer(
+    return Transducer(
         alphabet, ("R", "S"), {"R": "#", "S": "#"}, ("q",), "q", ("q",),
         {("q", s): ("q", {"R": Subst(Reg("R"), "#", word_expr("#a")),
                           "S": Subst(Reg("S"), "#", word_expr("#b"))})
          for s in ("a", "b")},
         {"q": Concat(Reg("R"), Reg("S"))})
+
+
+def test_classify_conflicting_substitutions_general():
+    t = conflicting_substitutions()
     assert classify(t, t) == GENERAL
 
 
@@ -389,6 +395,17 @@ def test_equivalence_general_fragment_refutation():
     assert verdict.verdict == "not-equivalent"
     assert verdict.witness_word == ("a",)
     assert verdict.outputs == (tuple("#a"), tuple("#b"))
+
+
+def test_general_fragment_keeps_the_deadline():
+    # enumeration up to size 8 takes far longer than the half-second
+    # deadline, which must end the run
+    t = conflicting_substitutions()
+    start = time.monotonic()
+    verdict = equivalence_check(t, t, Budgets(size=8, iters=8, seconds=0.5))
+    assert time.monotonic() - start < 5
+    assert verdict.verdict == "unknown"
+    assert verdict.classification == GENERAL
 
 
 def test_input_restriction_validation():
