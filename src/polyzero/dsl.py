@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 from .encoding import (Automorphism, PolySubst, WordSubst,
-                       invert_substitution, letter_pairs)
+                       invert_substitution, letter_pairs, letter_var_names)
 from .errors import ParseError
 from .grammar import Grammar, Production
 from .lexer import Token, TokenStream, tokenize
@@ -31,34 +31,31 @@ from .vass import (AddVector, NumericTransducer, NAdd, NConst, NMul, NReg,
 _T = TypeVar("_T")
 
 
-def _check_name(tok: Token, what: str) -> str:
+def _check_name(tok: Token, what: str) -> Token:
     if tok.text.startswith("_"):
         raise ParseError(f"{what} {tok.text!r} must not start with '_'",
                          tok.line, tok.col)
-    return tok.text
+    return tok
 
 
-def _letter_token(ts: TokenStream) -> str:
+def _letter_token(ts: TokenStream) -> Token:
     tok = ts.peek()
-    if tok.kind == "ident" and len(tok.text) == 1 and tok.text != "_":
-        ts.next()
-        return tok.text
-    if tok.kind == "string" and len(tok.text) == 1:
-        ts.next()
-        return tok.text
+    if len(tok.text) == 1 and (tok.kind == "string" or
+                               tok.kind == "ident" and tok.text != "_"):
+        return ts.next()
     raise ParseError(f"expected a single-character letter, found {tok.text!r}",
                      tok.line, tok.col)
 
 
-def _name_list(ts: TokenStream, what: str | None) -> list[str]:
-    """Declared entries up to and including ``;``: letters when ``what``
-    is None, otherwise names of that kind."""
-    names: list[str] = []
+def _name_list(ts: TokenStream, what: str | None) -> list[Token]:
+    """Tokens of the declared entries up to and including ``;``: letters
+    when ``what`` is None, otherwise names of that kind."""
+    toks: list[Token] = []
     while not ts.at("sym", ";"):
-        names.append(_letter_token(ts) if what is None
-                     else _check_name(ts.expect("ident"), what))
+        toks.append(_letter_token(ts) if what is None
+                    else _check_name(ts.expect("ident"), what))
     ts.expect("sym", ";")
-    return names
+    return toks
 
 
 def _parse_state(ts: TokenStream, states: list[str], initial: str | None,
@@ -66,7 +63,7 @@ def _parse_state(ts: TokenStream, states: list[str], initial: str | None,
     """`NAME [initial|accepting]*;` after the `state` keyword: records the
     state in states (and accepting) and returns the initial state."""
     stok = ts.expect("ident")
-    sname = _check_name(stok, "state")
+    sname = _check_name(stok, "state").text
     if sname in states:
         raise ParseError(f"state {sname!r} declared twice",
                          stok.line, stok.col)
@@ -149,7 +146,7 @@ def parse_subst_entries(ts: TokenStream,
     while not (ts.peek().kind == "eof"
                or (ts.peek().kind == "sym" and ts.peek().text in stop)):
         tok = ts.peek()
-        letter = _letter_token(ts)
+        letter = _letter_token(ts).text
         if letter in mapping:
             raise ParseError(f"duplicate image for letter {letter!r}",
                              tok.line, tok.col)
@@ -212,7 +209,7 @@ def _parse_register_expr(ts: TokenStream, alphabet: frozenset[str],
         e = primary()
         while ts.accept("sym", "["):
             tok = ts.peek()
-            letter = _letter_token(ts)
+            letter = _letter_token(ts).text
             if letter not in alphabet:
                 raise ParseError(f"letter {letter!r} is not in the alphabet",
                                  tok.line, tok.col)
@@ -237,7 +234,7 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
     ts.expect("sym", "{")
 
     alphabet: list[str] = []
-    registers: list[str] = []
+    registers: dict[str, Token] = {}
     init: dict[str, tuple[str, ...]] = {}
     states: list[str] = []
     initial: str | None = None
@@ -252,17 +249,17 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
     while not ts.at("sym", "}"):
         tok = ts.peek()
         if ts.accept("ident", "alphabet"):
-            alphabet += _name_list(ts, None)
+            alphabet += [t.text for t in _name_list(ts, None)]
         elif ts.accept("ident", "registers"):
             while True:
                 rtok = ts.expect("ident")
-                rname = _check_name(rtok, "register")
+                rname = _check_name(rtok, "register").text
                 if rname in init:
                     raise ParseError(f"register {rname!r} declared twice",
                                      rtok.line, rtok.col)
                 ts.expect("sym", "=")
                 wtok = ts.expect("string")
-                registers.append(rname)
+                registers[rname] = rtok
                 init[rname] = tuple(wtok.text)
                 if not ts.accept("sym", ","):
                     break
@@ -270,7 +267,7 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
         elif ts.accept("ident", "state"):
             initial = _parse_state(ts, states, initial, accepting)
         elif ts.accept("ident", "on"):
-            letter = _letter_token(ts)
+            letter = _letter_token(ts).text
             ts.expect("ident", "from")
             src = ts.expect("ident").text
             ts.expect("ident", "to")
@@ -297,13 +294,14 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
     ts.expect_eof()
 
     if initial is None:
-        raise ParseError("no initial state declared", 1, 1)
+        raise ts.error("no initial state declared")
     aset = frozenset(alphabet)
     rset = frozenset(registers)
     clash = aset & rset
     if clash:
+        rtok = next(t for r, t in registers.items() if r in clash)
         raise ParseError(f"names used as both letter and register: "
-                         f"{sorted(clash)}", 1, 1)
+                         f"{sorted(clash)}", rtok.line, rtok.col)
 
     def parse_at(span: Span) -> RegisterExpr:
         return _parse_span(ts, span,
@@ -339,8 +337,8 @@ def parse_transducer(text: str, name: str | None = None) -> Transducer:
                              tok.line, tok.col)
         outputs[sname] = parse_at(span)
 
-    return Transducer(alphabet, registers, init, states, initial, accepting,
-                      transitions, outputs, name=name)
+    return Transducer(alphabet, list(registers), init, states, initial,
+                      accepting, transitions, outputs, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +396,7 @@ def parse_vass(text: str, name: str | None = None) -> ResetVass:
     ts.expect("sym", "}")
     ts.expect_eof()
     if initial is None:
-        raise ParseError("no initial state declared", 1, 1)
+        raise ts.error("no initial state declared")
     return ResetVass(dim, states, initial, accepting, transitions, name=name)
 
 
@@ -414,9 +412,11 @@ _NAME_LISTS = {"letters": None, "paramletters": None,
 class _PgDecls:
     def __init__(self) -> None:
         self.names: dict[str, list[str]] = {kw: [] for kw in _NAME_LISTS}
+        # variable name -> token of its latest declaration
+        self.declared_at: dict[str, Token] = {}
         self.nonterminals: dict[str, int] = {}
-        # name -> (token, slots, body span)
-        self.polymaps: dict[str, tuple[Token, tuple[str, ...], Span]] = {}
+        # name -> (token, slot tokens, body span)
+        self.polymaps: dict[str, tuple[Token, tuple[Token, ...], Span]] = {}
         # (token, lhs, polymap call or None, body span of a constant)
         self.productions: list[tuple[Token, str, tuple[str, ...] | None,
                                      Span | None]] = []
@@ -431,10 +431,15 @@ def _scan_grammar(ts: TokenStream) -> _PgDecls:
         tok = ts.peek()
         if tok.kind == "ident" and tok.text in _NAME_LISTS:
             ts.next()
-            d.names[tok.text] += _name_list(ts, _NAME_LISTS[tok.text])
+            what = _NAME_LISTS[tok.text]
+            for ntok in _name_list(ts, what):
+                d.names[tok.text].append(ntok.text)
+                for v in (letter_var_names(ntok.text) if what is None
+                          else (ntok.text,)):
+                    d.declared_at[v] = ntok
         elif ts.accept("ident", "nonterminal"):
             ntok = ts.expect("ident")
-            nname = _check_name(ntok, "nonterminal")
+            nname = _check_name(ntok, "nonterminal").text
             if nname in d.nonterminals:
                 raise ParseError(f"nonterminal {nname!r} declared twice",
                                  ntok.line, ntok.col)
@@ -443,12 +448,12 @@ def _scan_grammar(ts: TokenStream) -> _PgDecls:
             ts.expect("sym", ";")
         elif ts.accept("ident", "polymap"):
             ntok = ts.expect("ident")
-            nname = _check_name(ntok, "polymap")
+            nname = _check_name(ntok, "polymap").text
             if nname in d.polymaps:
                 raise ParseError(f"polymap {nname!r} declared twice",
                                  ntok.line, ntok.col)
             ts.expect("sym", "(")
-            slots: list[str] = []
+            slots: list[Token] = []
             if not ts.at("sym", ")"):
                 while True:
                     slots.append(_check_name(ts.expect("ident"), "slot"))
@@ -521,7 +526,8 @@ def _scan_assignments(ts: TokenStream) -> list[tuple[Token, Span]]:
 def _infer_vars(ts: TokenStream, d: _PgDecls) -> list[str]:
     """Undeclared files: non-slot identifiers in bodies become plain
     variables, in order of first appearance."""
-    bodies = [(slots, span) for _, slots, span in d.polymaps.values()]
+    bodies = [({s.text for s in slots}, span)
+              for _, slots, span in d.polymaps.values()]
     bodies += [((), span) for _, _, rhs, span in d.productions
                if rhs is None]
     seen: dict[str, None] = {}
@@ -586,16 +592,21 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
 
     clash = {n for n, _ in value_pairs} & {n for n, _ in param_pairs}
     if clash:
+        # the first point at which a name is declared a second time
+        tok = min((d.declared_at[n] for n in clash),
+                  key=lambda t: (t.line, t.col))
         raise ParseError(f"names declared both as variable and parameter: "
-                         f"{sorted(clash)}", 1, 1)
+                         f"{sorted(clash)}", tok.line, tok.col)
     taken = {n for n, _ in value_pairs} | {n for n, _ in param_pairs}
 
-    def body_ring(slots: tuple[str, ...]) -> PolyRing:
+    def body_ring(slots: tuple[Token, ...]) -> PolyRing:
         for s in slots:
-            if s in taken:
-                raise ParseError(f"slot {s!r} shadows a declared name", 1, 1)
+            if s.text in taken:
+                raise ParseError(f"slot {s.text!r} shadows a declared name",
+                                 s.line, s.col)
         return PolyRing(VarTable.make(
-            [(s, VarKind.ORDINARY) for s in slots] + value_pairs), field, mode)
+            [(s.text, VarKind.ORDINARY) for s in slots] + value_pairs),
+            field, mode)
 
     def images(spans: list[tuple[Token, Span]]) -> dict[str, Poly]:
         out: dict[str, Poly] = {}
@@ -638,7 +649,8 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
     pmaps: dict[str, PolyMap] = {}
     for pname, (ptok, slots, span) in d.polymaps.items():
         ring = body_ring(slots)
-        pmaps[pname] = PolyMap(ring, slots, _parse_tuple_body(ts, span, ring))
+        pmaps[pname] = PolyMap(ring, tuple(s.text for s in slots),
+                               _parse_tuple_body(ts, span, ring))
 
     # productions
     productions: list[Production] = []

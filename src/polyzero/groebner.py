@@ -135,10 +135,10 @@ def _unapply_scales(p: Poly, scales: dict[int, int]) -> Poly:
 
 def _monic(p: Poly, key: KeyFn) -> Poly:
     _, lc = leading(p, key)
-    one = p.ring.field.one()
-    if lc == one:
+    field = p.ring.field
+    if lc == field.one():
         return p
-    return p.scale(one / lc)
+    return p.scale(field.div(field.one(), lc))
 
 
 def _lead_triple(p: Poly, key: KeyFn) -> tuple[Monomial, Coeff, Poly]:
@@ -158,7 +158,7 @@ def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
         for bm, bc, b in basis:
             if bm.divides(lm):
                 t = lm.div(bm)
-                work = work - b * ring.from_monomial(t, lc / bc)
+                work = work - b * ring.from_monomial(t, ring.field.div(lc, bc))
                 break
         else:
             out[lm] = lc
@@ -169,9 +169,9 @@ def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
 def s_polynomial(f: tuple[Monomial, Coeff, Poly], g: tuple[Monomial, Coeff, Poly],
                  ring: PolyRing) -> Poly:
     l = f[0].lcm(g[0])
-    one = ring.field.one()
-    tf = ring.from_monomial(l.div(f[0]), one / f[1])
-    tg = ring.from_monomial(l.div(g[0]), one / g[1])
+    field = ring.field
+    tf = ring.from_monomial(l.div(f[0]), field.div(field.one(), f[1]))
+    tg = ring.from_monomial(l.div(g[0]), field.div(field.one(), g[1]))
     return f[2] * tf - g[2] * tg
 
 

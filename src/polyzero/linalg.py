@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the package's coefficient fields.
 
-Matrices are lists of row lists whose entries support field arithmetic
-through operators (Fraction or RatFunc).  Every routine is a thin
+Matrices are lists of row lists of field elements, combined through
+``+ - *`` and divided through ``field.div``.  Every routine is a thin
 caller of one Gauss-Jordan elimination, whose pivoting always selects
 the first usable row, keeping every result deterministic.
 """
@@ -35,7 +35,7 @@ def _gauss_jordan(rows: Sequence[Sequence], ncols: int, field):
             a[row], a[piv] = a[piv], a[row]
             det = -det
         det = det * a[row][col]
-        inv = field.one() / a[row][col]
+        inv = field.div(field.one(), a[row][col])
         a[row] = [x * inv for x in a[row]]
         for r in range(len(a)):
             if r == row or field.is_zero(a[r][col]):

@@ -12,11 +12,17 @@ Bar variables model multiplicative quantities (word-length products)
 whose roots arise when word substitutions are inverted, e.g. the inverse
 of ``ab -> ab^2`` sends ``ab`` to ``ab^(1/2)``.
 
-Coefficients are either :class:`fractions.Fraction` (field ``QQ``) or
-:class:`RatFunc`, a reduced quotient of two polynomials over a parameter
-ring (field :class:`FractionField`).  The two are deliberately
-duck-compatible: all polynomial code manipulates coefficients through
-``+ - * /`` and the field object's ``coerce``/``is_zero``.
+Coefficients are rationals (field ``QQ``): ``int`` or, when not
+integral, :class:`fractions.Fraction`; or :class:`RatFunc`, a reduced
+quotient of two polynomials over a parameter ring (field
+:class:`FractionField`).  Polynomial code combines coefficients through
+``+ - *`` and the field's ``coerce``/``is_zero``, and divides them only
+through ``field.div``: a bare ``/`` of two ``int`` would give a float.
+
+:class:`Poly` validates every exponent on construction, except in the
+trusted ``Poly._raw`` behind sums, negations, products and scalings:
+sums of valid exponents over one ring are valid, so that check could
+never fail there.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import DomainError, StructureError
 from .lexer import TokenStream, tokenize
 
 Exponent = Union[int, Fraction]
-Coeff = Union[Fraction, "RatFunc"]
+Coeff = Union[int, Fraction, "RatFunc"]
 
 
 class VarKind(enum.Enum):
@@ -120,6 +126,14 @@ class Monomial:
         object.__setattr__(self, "exps", tuple(items))
         object.__setattr__(self, "_hash", hash(self.exps))
 
+    @classmethod
+    def _of(cls, exps: tuple[tuple[int, Exponent], ...]) -> "Monomial":
+        """Monomial of already sorted, normalised, nonzero exponents."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exps", exps)
+        object.__setattr__(m, "_hash", hash(exps))
+        return m
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Monomial is immutable")
 
@@ -142,10 +156,26 @@ class Monomial:
         return 0
 
     def mul(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for i, e in other.exps:
-            d[i] = d.get(i, 0) + e
-        return Monomial(d.items())
+        """Merge of the two sorted exponent tuples."""
+        a, b = self.exps, other.exps
+        if not a or not b:
+            return other if not a else self
+        if a[-1][0] < b[0][0] or b[-1][0] < a[0][0]:
+            return Monomial._of(a + b if a[-1][0] < b[0][0] else b + a)
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            (ia, ea), (ib, eb) = a[i], b[j]
+            if ia == ib:
+                if ea + eb:
+                    out.append((ia, _norm_exp(ea + eb)))
+                i, j = i + 1, j + 1
+            elif ia < ib:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return Monomial._of((*out, *a[i:], *b[j:]))
 
     def div(self, other: "Monomial") -> "Monomial":
         d = dict(self.exps)
@@ -195,20 +225,24 @@ UNIT_MONOMIAL = Monomial(())
 
 
 class RationalField:
-    """The field of rationals; elements are ``fractions.Fraction``."""
+    """The rationals: ``int`` elements, ``Fraction`` when not integral."""
 
-    def coerce(self, x: object) -> Fraction:
+    def coerce(self, x: object) -> int | Fraction:
         if isinstance(x, Fraction):
-            return x
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
-            return Fraction(x)
+            return x
         raise StructureError(f"cannot coerce {x!r} into the rational field")
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
+
+    def div(self, a: int | Fraction, b: int | Fraction) -> int | Fraction:
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def is_zero(self, c: Fraction) -> bool:
         return c == 0
@@ -265,6 +299,9 @@ class FractionField:
 
     def one(self) -> "RatFunc":
         return self.coerce(1)
+
+    def div(self, a: "RatFunc", b: "RatFunc") -> "RatFunc":
+        return a / b
 
     def is_zero(self, c: "RatFunc") -> bool:
         return c.num.is_zero()
@@ -388,8 +425,16 @@ class Poly:
             clean[m] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", hash((ring.vartable.names,
-                                                frozenset(clean.keys()))))
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _raw(cls, ring: PolyRing, terms: dict[Monomial, Coeff]) -> "Poly":
+        """Drops zero (in both fields, falsy) coefficients; no validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -439,7 +484,7 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise StructureError("polynomials over different rings")
 
     def __add__(self, other: object) -> "Poly":
@@ -453,12 +498,12 @@ class Poly:
                 terms[m] = terms[m] + c
             else:
                 terms[m] = c
-        return Poly(self.ring, terms)
+        return Poly._raw(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return Poly._raw(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "Poly":
         other = self._coerce(other)
@@ -478,15 +523,17 @@ class Poly:
             return NotImplemented
         self._check(other)
         terms: dict[Monomial, Coeff] = {}
+        others = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
+            mul = m1.mul
+            for m2, c2 in others:
+                m = mul(m2)
                 c = c1 * c2
                 if m in terms:
                     terms[m] = terms[m] + c
                 else:
                     terms[m] = c
-        return Poly(self.ring, terms)
+        return Poly._raw(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -504,7 +551,7 @@ class Poly:
 
     def scale(self, c: object) -> "Poly":
         c = self.ring.field.coerce(c)
-        return Poly(self.ring, {m: k * c for m, k in self.terms.items()})
+        return Poly._raw(self.ring, {m: k * c for m, k in self.terms.items()})
 
     def _coerce(self, other: object) -> "Poly":
         if isinstance(other, Poly):
@@ -524,6 +571,9 @@ class Poly:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ring.vartable.names,
+                                                    frozenset(self.terms))))
         return self._hash
 
     # -- structure-changing operations --------------------------------------
@@ -659,7 +709,8 @@ class RatFunc:
 
     Normal form: the numerator's and denominator's common monomial
     content is cancelled, exact division is attempted, and the
-    denominator is made monic (lex leading coefficient 1).  Equality is
+    denominator is made monic (lex leading coefficient 1); a constant
+    denominator ``c`` goes straight to that result, ``(num/c, 1)``.  Equality is
     decided by cross-multiplication, never by gcd computations, so two
     equal values may have different representations; for that reason
     RatFunc is deliberately unhashable.
@@ -687,6 +738,11 @@ class RatFunc:
         ring = num.ring
         if num.is_zero():
             return cls(ring.zero(), ring.one())
+        if den.is_constant():
+            c = den.terms[UNIT_MONOMIAL]
+            if c != 1:
+                num = num.scale(ring.field.div(ring.field.one(), c))
+            return cls(num, ring.one())
         content = _poly_content(num).gcd(_poly_content(den))
         if not content.is_unit():
             num = _poly_div_mono(num, content)
@@ -696,7 +752,7 @@ class RatFunc:
             num, den = q, ring.one()
         lc = den.leading_coeff_lex()
         if lc != ring.field.one():
-            inv = ring.field.one() / lc
+            inv = ring.field.div(ring.field.one(), lc)
             num = num.scale(inv)
             den = den.scale(inv)
         return cls(num, den)
@@ -863,7 +919,7 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly | None:
                 ring.validate_exponent(i, e)
         except DomainError:
             return None
-        c = rem.terms[am] / bc
+        c = ring.field.div(rem.terms[am], bc)
         q_terms[t] = q_terms.get(t, ring.field.zero()) + c
         rem = rem - ring.from_monomial(t, c) * b
     return Poly(ring, q_terms)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, StructureError
 from .poly import Poly, PolyRing, ordinary_ring
@@ -269,23 +270,27 @@ def num_sum(exprs: Sequence[NumExpr]) -> NumExpr:
     return out
 
 
-def eval_num(expr: NumExpr, valuation: Mapping[str, Poly],
-             ring: PolyRing) -> Poly:
+def compile_num(expr: NumExpr,
+                ring: PolyRing) -> Callable[[Mapping[str, Poly]], Poly]:
+    """The expression as a function of a register valuation."""
     if isinstance(expr, NConst):
-        return ring.const(expr.value)
+        c = ring.const(expr.value)
+        return lambda val: c
     if isinstance(expr, NX):
-        return ring.var("x")
+        x = ring.var("x")
+        return lambda val: x
     if isinstance(expr, NReg):
-        return valuation[expr.name]
+        return itemgetter(expr.name)
     if isinstance(expr, NAdd):
-        return (eval_num(expr.left, valuation, ring)
-                + eval_num(expr.right, valuation, ring))
+        left, right = compile_num(expr.left, ring), compile_num(expr.right, ring)
+        return lambda val: left(val) + right(val)
     if isinstance(expr, NMul):
-        return (eval_num(expr.left, valuation, ring)
-                * eval_num(expr.right, valuation, ring))
+        left, right = compile_num(expr.left, ring), compile_num(expr.right, ring)
+        return lambda val: left(val) * right(val)
     if isinstance(expr, NSubstX):
-        body = eval_num(expr.body, valuation, ring)
-        return body.substitute({"x": eval_num(expr.replacement, valuation, ring)})
+        body = compile_num(expr.body, ring)
+        repl = compile_num(expr.replacement, ring)
+        return lambda val: body(val).substitute({"x": repl(val)})
     raise StructureError(f"not a numeric expression: {expr!r}")
 
 
@@ -299,7 +304,8 @@ class NumericTransducer:
     Registers are exactly R1 (reachability test), R1aux (step counter),
     R2 (error flag), and S1..Sdim (counters).  The output substitutes
     the counter sum for x in R1 and multiplies by R2; substitution
-    appears nowhere else.
+    appears nowhere else.  Every update and output expression is compiled
+    once, on construction, into a function of the valuation.
     """
 
     def __init__(self, letters: Sequence[str], registers: Sequence[str],
@@ -332,14 +338,16 @@ class NumericTransducer:
                                          f"{q!r} on {a!r}")
         if set(self.outputs) != set(self.states):
             raise StructureError("numeric outputs must cover every state")
+        self._steps = {k: (tgt, {r: compile_num(e, ring) for r, e in upd.items()})
+                       for k, (tgt, upd) in self.transitions.items()}
+        self._outputs = {q: compile_num(e, ring) for q, e in self.outputs.items()}
 
     def step(self, state: str, letter: str,
              valuation: Mapping[str, Poly]) -> tuple[str, dict[str, Poly]]:
-        if (state, letter) not in self.transitions:
+        if (state, letter) not in self._steps:
             raise DomainError(f"no transition from {state!r} on {letter!r}")
-        target, updates = self.transitions[(state, letter)]
-        new = {r: (eval_num(updates[r], valuation, self.ring)
-                   if r in updates else valuation[r])
+        target, updates = self._steps[(state, letter)]
+        new = {r: (updates[r](valuation) if r in updates else valuation[r])
                for r in self.registers}
         return target, new
 
@@ -347,7 +355,7 @@ class NumericTransducer:
         state, vals = self.initial_state, dict(self.init)
         for letter in word:
             state, vals = self.step(state, letter, vals)
-        return eval_num(self.outputs[state], vals, self.ring)
+        return self._outputs[state](vals)
 
     def trace(self, word: Sequence[str]) -> list[tuple[str, dict[str, Poly]]]:
         """States and register valuations after every prefix."""

@@ -177,6 +177,30 @@ def test_bodies_must_be_parsed_whole(parse, text, line, col):
     assert (e.value.line, e.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("parse, text, line, col", [
+    # a polymap slot shadowing a declared variable: at the slot
+    (parse_grammar, "vars x;\nnonterminal S dim 1;\nS -> q(S);\nS -> (1);\n"
+     "polymap q(v, x) = (x);\n", 5, 14),
+    # a name declared as variable and parameter: at the later declaration
+    (parse_grammar, "params b y;\nnonterminal A dim 1;\nvars z y;\n"
+     "A -> (y);\n", 3, 8),
+    (parse_grammar, "letters a;\nnonterminal A dim 1;\nA -> (at);\n"
+     "paramletters c a;\n", 4, 16),
+    # a letter declared as a register: at the register's declaration
+    (parse_transducer, 'transducer {\nalphabet a b;\nregisters R = "",\n'
+     '  b = "";\nstate q0 initial accepting;\noutput q0 = R;\n}\n', 4, 3),
+    # no initial state: at end of input
+    (parse_transducer, _tr("alphabet a;\nstate q0 accepting;\n"
+                           "on a from q0 to q0 { }\noutput q0 = \"\";\n"), 7, 1),
+    (parse_vass, "vass dim 1 {\n  state q0 accepting;\n"
+     "  q0 -[+1 on 1]-> q0;\n}", 4, 2),
+])
+def test_declaration_errors_are_located(parse, text, line, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_grammar_twist_map_must_roundtrip():
     text = ("params b;\nnonterminal S dim 1;\nS -> q(S);\nS -> (b);\n"
             "polymap q(f) = (f);\n"

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from polyzero.errors import DomainError, ParseError, StructureError
 from polyzero.poly import (
-    FractionField, Mode, Poly, PolyMap, PolyRing, RatFunc, VarKind, VarTable,
-    flatten_poly, map_ring_over, ordinary_ring, poly_exact_div, rational_pow,
-    structure_poly,
+    QQ, FractionField, Mode, Monomial, Poly, PolyMap, PolyRing, RatFunc,
+    VarKind, VarTable, _poly_content, _poly_div_mono, flatten_poly,
+    map_ring_over, ordinary_ring, poly_exact_div, rational_pow, structure_poly,
 )
 
 XY = ordinary_ring(["x", "y"])
@@ -225,3 +225,149 @@ def test_substitution_evaluation_homomorphism(p, q):
     lhs = p.substitute({"x": q}).evaluate(pt)
     rhs = p.evaluate({"x": q.evaluate(pt), "y": pt["y"]})
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# trusted construction and exact rational coefficients
+
+# x ordinary, ab bar: exercises integer and fractional exponents
+XAB = PolyRing(VarTable.make([("x", VarKind.ORDINARY), ("ab", VarKind.BAR)]))
+PRING = ordinary_ring(["p"])
+QP = FractionField(PRING)
+XQP = PolyRing(VarTable.make([("x", VarKind.ORDINARY)]), QP)
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+halves = st.integers(min_value=0, max_value=3).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def qq_polys(draw):
+    terms = {Monomial([(0, draw(exps)), (1, draw(halves))]): draw(rationals)
+             for _ in range(draw(st.integers(0, 4)))}
+    return XAB.from_terms(terms)
+
+
+@st.composite
+def p_polys(draw, nonzero=False):
+    p = PRING.from_terms({Monomial([(0, draw(exps))]): draw(rationals)
+                          for _ in range(draw(st.integers(1, 3)))})
+    return p + 1 if nonzero and p.is_zero() else p
+
+
+@st.composite
+def qp_polys(draw):
+    terms = {Monomial([(0, draw(exps))]):
+             RatFunc.of(draw(p_polys()), draw(p_polys(nonzero=True)))
+             for _ in range(draw(st.integers(0, 3)))}
+    return XQP.from_terms(terms)
+
+
+poly_pairs = st.one_of(st.tuples(qq_polys(), qq_polys()),
+                       st.tuples(qp_polys(), qp_polys()))
+
+
+def _rational(c) -> bool:
+    return type(c) in (int, Fraction)
+
+
+def _exact(p: Poly) -> bool:
+    """Every coefficient is an int or a Fraction, inside RatFuncs too."""
+    if isinstance(p.ring.field, FractionField):
+        return all(_exact(c.num) and _exact(c.den) for c in p.terms.values())
+    return all(_rational(c) for c in p.terms.values())
+
+
+def _arithmetic(p: Poly, q: Poly, c: Fraction) -> list[Poly]:
+    return [p + q, p - q, p * q, -p, p.scale(c), p ** 2,
+            p.substitute({"x": q})]
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_pairs, rationals)
+def test_arithmetic_keeps_coefficients_exact(pq, c):
+    p, q = pq
+    assert all(_exact(r) for r in _arithmetic(p, q, c))
+    field = p.ring.field
+    for a, b in zip(p.terms.values(), q.terms.values()):
+        d = field.div(a, b)
+        assert d * b == a
+        if field is QQ:
+            assert _rational(d)
+            assert type(d) is int or d.denominator != 1
+        else:
+            assert _exact(d.num) and _exact(d.den)
+    if p.ring is XAB and not q.is_zero():
+        r = RatFunc.of(p, q)
+        assert _exact(r.num) and _exact(r.den)
+        assert r * q == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_pairs, rationals)
+def test_trusted_results_pass_validation(pq, c):
+    p, q = pq
+    for r in _arithmetic(p, q, c):
+        checked = Poly(r.ring, r.terms)
+        assert checked == r and checked.terms == r.terms
+        assert hash(checked) == hash(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), rationals), max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), rationals), max_size=4))
+def test_monomial_product_is_the_normalised_exponent_sum(a, b):
+    m1, m2 = Monomial(dict(a).items()), Monomial(dict(b).items())
+    sums = dict(m1.exps)
+    for i, e in m2.exps:
+        sums[i] = sums.get(i, 0) + e
+    prod = m1.mul(m2)
+    assert prod == Monomial(sums.items())
+    assert [type(e) for _, e in prod.exps] == [
+        type(e) for _, e in Monomial(sums.items()).exps]
+    assert all(e != 0 for _, e in prod.exps)
+
+
+def test_validating_constructor_rejects_bad_ordinary_exponents():
+    for bad in (-1, Fraction(1, 2), Fraction(-3, 2)):
+        with pytest.raises(DomainError):
+            Poly(XY, {Monomial([(0, bad)]): 1})
+        with pytest.raises(DomainError):
+            XY.from_terms({Monomial([(1, bad)]): 2})
+    with pytest.raises(DomainError):
+        Poly(XAB, {Monomial([(1, Fraction(-1, 2))]): 1})
+
+
+def test_rational_field_prefers_int():
+    assert type(QQ.coerce(Fraction(6, 3))) is int
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    assert type(QQ.div(6, 3)) is int
+    assert QQ.div(1, 3) == Fraction(1, 3)
+
+
+def _general_of(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """``RatFunc.of`` without its constant-denominator path."""
+    ring = num.ring
+    if num.is_zero():
+        return ring.zero(), ring.one()
+    content = _poly_content(num).gcd(_poly_content(den))
+    if not content.is_unit():
+        num = _poly_div_mono(num, content)
+        den = _poly_div_mono(den, content)
+    q = poly_exact_div(num, den)
+    if q is not None:
+        num, den = q, ring.one()
+    lc = den.leading_coeff_lex()
+    if lc != ring.field.one():
+        inv = ring.field.div(ring.field.one(), lc)
+        num = num.scale(inv)
+        den = den.scale(inv)
+    return num, den
+
+
+@settings(max_examples=80, deadline=None)
+@given(qq_polys(), rationals.filter(bool))
+def test_constant_denominator_matches_general_path(num, c):
+    r = RatFunc.of(num, XAB.const(c))
+    gnum, gden = _general_of(num, XAB.const(c))
+    assert r.num.terms == gnum.terms and r.den.terms == gden.terms
+    assert str(r) == str(RatFunc(gnum, gden))
