@@ -569,14 +569,25 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
     ts = TokenStream(tokenize(text))
     d = _scan_grammar(ts)
     if not d.nonterminals:
-        raise ParseError("no nonterminal declared", 1, 1)
+        raise ts.error("no nonterminal declared")
     names = d.names
     if not any(names.values()):
         names["vars"] = _infer_vars(ts, d)
-
-    # coefficient field
     param_pairs = letter_pairs(names["paramletters"])
     param_pairs += [(n, VarKind.ORDINARY) for n in names["params"]]
+    value_pairs = letter_pairs(names["letters"])
+    value_pairs += [(n, VarKind.ORDINARY) for n in names["vars"]]
+    all_names = [n for n, _ in value_pairs + param_pairs]
+    twice = {n for n in all_names if all_names.count(n) > 1}
+    if twice:
+        # the first point at which a name is declared a second time
+        tok = min((d.declared_at[n] for n in twice),
+                  key=lambda t: (t.line, t.col))
+        raise ParseError(f"names declared twice: {sorted(twice)}",
+                         tok.line, tok.col)
+    taken = set(all_names)
+
+    # coefficient field
     if param_pairs:
         param_ring = PolyRing(VarTable.make(param_pairs))
         field = FractionField(param_ring)
@@ -585,19 +596,8 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
         field = QQ
 
     # value ring
-    value_pairs = letter_pairs(names["letters"])
-    value_pairs += [(n, VarKind.ORDINARY) for n in names["vars"]]
     mode = Mode.FIELD if not value_pairs and param_pairs else Mode.RING
     vring = PolyRing(VarTable.make(value_pairs), field, mode)
-
-    clash = {n for n, _ in value_pairs} & {n for n, _ in param_pairs}
-    if clash:
-        # the first point at which a name is declared a second time
-        tok = min((d.declared_at[n] for n in clash),
-                  key=lambda t: (t.line, t.col))
-        raise ParseError(f"names declared both as variable and parameter: "
-                         f"{sorted(clash)}", tok.line, tok.col)
-    taken = {n for n, _ in value_pairs} | {n for n, _ in param_pairs}
 
     def body_ring(slots: tuple[Token, ...]) -> PolyRing:
         for s in slots:

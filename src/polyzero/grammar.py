@@ -8,13 +8,24 @@ derivable bottom-up; the zeroness problem asks whether every value of
 the initial nonterminal is zero (in quotient mode: zero modulo an
 ambient ideal).
 
-Zeroness is attacked from two sides, each a stream of bounded steps:
+Zeroness of a *unary* grammar, one whose productions each have at most
+one child and no slot wiring, is decided by the backward chain
+(:func:`_backward_chain`; Benedikt, Duff, Sharad & Worrell, LICS 2017;
+Seidl, Maneth & Kemper, JACM 2018).  Starting from the initial
+coordinates, every generator is pulled back through every production
+into an ideal per nonterminal; a pulled-back generator failing at a
+base value spells a *witness* (a derivation with a nonzero value), and
+the fixpoint, reached because the ideals ascend in a Noetherian ring,
+is an invariant certificate.  Every difference grammar that transducer
+equivalence builds outside the general fragment is unary.
 
-* refutation: derivation enumeration searches for a nonzero value, a
-  *witness*, one derivation size per step;
+Any other grammar is attacked from two sides, each a stream of bounded
+steps:
+
+* refutation: derivation enumeration searches for a witness, one
+  derivation size per step;
 * proof: algebraic invariants, per-nonterminal ideals whose varieties
-  contain every derivable value, verified production by production
-  (:func:`check_certificate`) and found either by exact forward
+  contain every derivable value, found either by exact forward
   propagation with image closures and intersections, or by a
   degree-capped widening, one candidate per step
   (:func:`closure_rounds`).  The widening proposes the low-degree
@@ -24,21 +35,29 @@ Zeroness is attacked from two sides, each a stream of bounded steps:
   value, so the rejection never drops a candidate the exact check
   would accept.
 
-One driver (:func:`_interleave`) steps the streams in turn, checking
-the deadline between steps, until one of them decides.  Both streams
-of a search read the values of a grammar from one shared
+Every certificate, the chain's included, is verified production by
+production (:func:`check_certificate`) before it proves anything.  One
+driver (:func:`_interleave`) steps enumeration and the proof side in
+turn, checking the deadline between steps, until one of them decides;
+on a unary grammar the whole chain is the proof side's single step.
+Both streams of a search read the values of a grammar from one shared
 :class:`ValueTable`, so every derivation is produced once per search.
+The inner search of :func:`indep_zeroness` and :func:`forward_closure`
+keep the invariant search; the quotient problems of
+:func:`indep_zeroness` and :func:`chain_zeroness` go through
+:func:`zeroness`, so they get the chain when unary.
 
 The exact propagation alone cannot terminate when reachable value sets
-form growing finite families (most interesting grammars), which is why
-the sampling widening exists; conversely sampling alone would never
-learn equalities that need radical reasoning on twisted coefficients.
+form growing finite families, which is why the sampling widening
+exists; conversely sampling alone would never learn equalities that
+need radical reasoning on twisted coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -408,6 +427,17 @@ def vanishes_at(g: Grammar, nt: str, f: Poly, value: Value) -> bool:
     return g.value_is_zero((res,))
 
 
+def _pull_back(prod: Production, f: Poly, binding: dict[str, Poly],
+               ring: PolyRing) -> Poly:
+    """alpha^-1(f o p): what a generator f of the production's lhs
+    demands of its children, with ``binding`` sending the lhs
+    coordinates to the production's outputs over ``ring``."""
+    h = f.substitute(binding, target_ring=ring)
+    if prod.twist is not None:
+        h = h.map_coefficients(prod.twist.apply_inverse)
+    return h
+
+
 def check_production_closure(g: Grammar, cert: InvariantCertificate,
                              prod: Production) -> str | None:
     """None if the production preserves the certificate, else a reason."""
@@ -429,9 +459,7 @@ def check_production_closure(g: Grammar, cert: InvariantCertificate,
     J = Ideal(ring, gens)
     binding = dict(zip(lhs_coords, outputs))
     for f in lhs_ideal.gens:
-        h = f.substitute(binding, target_ring=ring)
-        if prod.twist is not None:
-            h = h.map_coefficients(prod.twist.apply_inverse)
+        h = _pull_back(prod, f, binding, ring)
         if not _cert_membership(g, J, h):
             return (f"production {prod.lhs} -> {'.'.join(prod.rhs)} does not "
                     f"preserve generator {f}")
@@ -470,6 +498,82 @@ def check_certificate(g: Grammar, cert: InvariantCertificate,
                     "conclusion-violation",
                     f"coordinate {c} of {g.initial} is not forced to zero")
     return CertVerdict("zero-proved")
+
+
+# ---------------------------------------------------------------------------
+# the backward chain, for unary grammars
+
+
+def _is_unary(g: Grammar) -> bool:
+    """Every production has at most one child and no slot wiring."""
+    return all(p.arity() <= 1 and p.slot_sources is None
+               for p in g.productions)
+
+
+def _backward_chain(g: Grammar, deadline: float
+                    ) -> Witness | InvariantCertificate | None:
+    """Decide zeroness of a unary grammar by a chain of pre-image ideals.
+
+    ``J[initial]`` starts with the initial coordinates.  A new generator
+    f of ``J[X]`` and a production ``X -> p(Y)`` with twist alpha give
+    ``h = alpha^-1(f o p)`` over the certificate ring of Y, which joins
+    ``J[Y]`` unless it lies in ``J[Y]`` plus the ambient ideal.  Along
+    its path of productions h reads an initial coordinate, so h failing
+    at a base value of Y spells a witness.  The ideals ascend in a
+    Noetherian ring, so the chain reaches a fixpoint, which is an
+    invariant certificate.  Returns None when the deadline passes
+    between two pre-images.
+    """
+    productive = productive_nonterminals(g)
+    rings = {nt: g.cert_ring(nt) for nt in productive}
+    amb = {nt: [p.convert(rings[nt]) for p in g.ambient.gens]
+           if g.ambient is not None else [] for nt in productive}
+    bases: dict[str, list[Derivation]] = {nt: [] for nt in productive}
+    steps: dict[str, list[tuple[int, str, dict[str, Poly]]]] = {
+        nt: [] for nt in productive}
+    for idx, prod in enumerate(g.productions):
+        if prod.lhs not in productive or any(
+                r not in productive for r in prod.rhs):
+            continue
+        if not prod.rhs:
+            bases[prod.lhs].append(Derivation(idx, (), g.produce(prod, [])))
+            continue
+        (child,) = prod.rhs
+        rename = dict(zip(prod.pmap.slots, g.coord_names(child)))
+        outputs = [p.convert(rings[child], rename) for p in prod.pmap.outputs]
+        steps[prod.lhs].append(
+            (idx, child, dict(zip(g.coord_names(prod.lhs), outputs))))
+    J: dict[str, list[Poly]] = {nt: [] for nt in productive}
+    ideals = {nt: Ideal(rings[nt], amb[nt]) for nt in productive}
+    todo = deque((g.initial, rings[g.initial].var(c), ())
+                 for c in g.coord_names(g.initial))
+    while todo:
+        if time.monotonic() > deadline:
+            return None
+        nt, h, path = todo.popleft()
+        for base in bases[nt]:
+            if not vanishes_at(g, nt, h, base.value):
+                return _witness_along(g, path, base)
+        if ideals[nt].member(h):
+            continue
+        J[nt].append(h)
+        ideals[nt] = Ideal(rings[nt], amb[nt] + J[nt])
+        for idx, child, binding in steps[nt]:
+            todo.append((child, _pull_back(g.productions[idx], h, binding,
+                                           rings[child]), (*path, idx)))
+    return InvariantCertificate(
+        {nt: Ideal(rings[nt], J[nt]) for nt in productive}, g.name)
+
+
+def _witness_along(g: Grammar, path: Sequence[int],
+                   base: Derivation) -> Witness | None:
+    """The derivation applying the path's productions, innermost last,
+    to a base derivation; None if its value is zero after all."""
+    d = base
+    for idx in reversed(path):
+        d = Derivation(idx, (d,), g.produce(g.productions[idx], [d.value]))
+    value = d.replay(g)
+    return None if g.value_is_zero(value) else Witness(d, value)
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +795,10 @@ def forward_closure(g: Grammar,
 @dataclass(frozen=True)
 class Budgets:
     """Work bounds: enumeration tree size, closure rounds, and a
-    wall-clock deadline.  The deadline is checked between search steps,
-    never inside one, so a long step can overrun it; the two work bounds
-    keep results machine-independent."""
+    wall-clock deadline.  The deadline is checked between search steps
+    and, in the backward chain, between two pre-images; a long step of
+    the invariant search can overrun it.  The two work bounds keep
+    results machine-independent."""
 
     size: int = 12
     iters: int = 8
@@ -716,16 +821,15 @@ _R = TypeVar("_R")
 _DONE = object()
 
 
-def _interleave(streams: Sequence[Iterator[_R | None]], seconds: float,
+def _interleave(streams: Sequence[Iterator[_R | None]], deadline: float,
                 result: Callable[..., _R]) -> _R:
     """Step the streams in turn until one yields a result.
 
     Each stream is bounded and yields None for a step that decided
-    nothing.  The deadline is checked before every step; when it has
-    passed, or every stream is used up, ``result`` builds the unknown
-    verdict.
+    nothing.  The deadline (a ``time.monotonic`` instant) is checked
+    before every step; when it has passed, or every stream is used up,
+    ``result`` builds the unknown verdict.
     """
-    deadline = time.monotonic() + seconds
     live = list(streams)
     while live:
         for stream in list(live):
@@ -743,25 +847,34 @@ def zeroness(g: Grammar, budgets: Budgets = Budgets(),
              certificates: Sequence[InvariantCertificate] = ()
              ) -> ZeronessResult:
     """Decide zeroness within budgets: supplied certificates are checked
-    first, then witness enumeration and invariant search interleave."""
+    first, then witness enumeration and the proof side interleave.  On
+    a unary grammar the proof side is the backward chain, which decides
+    alone; on any other it is the invariant search."""
     if g.initial not in productive_nonterminals(g):
         return ZeronessResult("zero", detail="no derivable values")
     for cert in certificates:
         if check_certificate(g, cert, require_conclusion=True).proved():
             return ZeronessResult("zero", certificate=cert,
                                   detail="supplied certificate verified")
+    deadline = time.monotonic() + budgets.seconds
     table = ValueTable(g)
-    refute = (None if w is None else
-              ZeronessResult("nonzero", witness=w,
-                             detail="nonzero value derived")
-              for w in _enum_rounds(table, budgets.size))
-    prove = (ZeronessResult("zero", certificate=cand,
+
+    def nonzero(w: Witness | None) -> ZeronessResult | None:
+        return (None if w is None else ZeronessResult(
+            "nonzero", witness=w, detail="nonzero value derived"))
+
+    refute = map(nonzero, _enum_rounds(table, budgets.size))
+    # the chain is one lazy step, taken after enumeration's first
+    found = ((_backward_chain(g, deadline) for _ in range(1))
+             if _is_unary(g) else closure_rounds(table))
+    prove = (nonzero(cand) if isinstance(cand, Witness) else
+             ZeronessResult("zero", certificate=cand,
                             detail="invariant certificate found")
              if cand is not None and check_certificate(g, cand).proved()
              else None
-             for cand in closure_rounds(table))
+             for cand in found)
     return _interleave([refute, itertools.islice(prove, budgets.iters)],
-                       budgets.seconds, ZeronessResult)
+                       deadline, ZeronessResult)
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +1038,7 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
     prove = (None if cand is None else try_invariant(cand)
              for cand in closure_rounds(inner_table))
     return _interleave([refute(), itertools.islice(prove, budgets.iters)],
-                       budgets.seconds, IndepResult)
+                       time.monotonic() + budgets.seconds, IndepResult)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,4 +1161,4 @@ def chain_zeroness(grammars: Sequence[Grammar],
         return None
 
     return _interleave([map(one_round, range(budgets.iters))],
-                       budgets.seconds, ChainResult)
+                       time.monotonic() + budgets.seconds, ChainResult)

@@ -186,6 +186,11 @@ def test_bodies_must_be_parsed_whole(parse, text, line, col):
      "A -> (y);\n", 3, 8),
     (parse_grammar, "letters a;\nnonterminal A dim 1;\nA -> (at);\n"
      "paramletters c a;\n", 4, 16),
+    # a variable named like a letter's encoding: at the variable
+    (parse_grammar, "letters a;\nvars at;\nnonterminal A dim 1;\n"
+     "A -> (at);\n", 2, 6),
+    # no nonterminal: at end of input
+    (parse_grammar, "vars y;\nA -> (y);\n", 3, 1),
     # a letter declared as a register: at the register's declaration
     (parse_transducer, 'transducer {\nalphabet a b;\nregisters R = "",\n'
      '  b = "";\nstate q0 initial accepting;\noutput q0 = R;\n}\n', 4, 3),

@@ -1,5 +1,7 @@
 """Grammar model, enumeration, certificates, and the zeroness drivers."""
 
+import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from polyzero.errors import CertificateError, DimensionError, StructureError
 from polyzero.groebner import Ideal
 from polyzero.grammar import (
     Budgets, ChainResult, Derivation, Grammar, InvariantCertificate,
-    Production, ValueTable, attach_polymap, chain_zeroness, check_certificate,
+    Production, ValueTable, Witness, attach_polymap, chain_zeroness, check_certificate,
     closure_rounds, collect_samples, enumerate_values, forward_closure,
     indep_zeroness, low_degree_vanishing, nonzero_search,
     productive_nonterminals, strip_twists, to_field_view, vanishes_at,
@@ -95,7 +97,7 @@ def test_nonzero_witness_counter():
 
 
 def test_zeroness_scaling_stays_zero():
-    """Z -> 0; Z -> 2Z: the only value is 0, proved by exact propagation."""
+    """Z -> 0; Z -> 2Z: the only value is 0, proved by the backward chain."""
     vring = scalar_ring(QQ)
     m = slot_ring(vring, ["z"])
     g = Grammar(
@@ -589,3 +591,157 @@ def test_slot_wired_grammar_still_refuses_certificates():
         vring)
     with pytest.raises(CertificateError):
         zeroness(g, Budgets(size=6, iters=2, seconds=30.0))
+
+
+# --- the backward chain -----------------------------------------------------
+
+
+def random_unary_grammar(seed):
+    """A seeded unary QQ grammar with one to three nonterminals.
+
+    With one, S iterates a quadratic from a small base value.  With two
+    or more, S reads ``c*y0 + d - y1`` off a two-track Y whose second
+    track is the first one conjugated by ``t -> c*t + d``, so S is zero
+    unless a perturbation breaks the conjugacy at the base value, at
+    every step, or only after two steps.  With three, Y may also start
+    from a counter Z.
+    """
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    vring = scalar_ring(QQ)
+    m1, m2 = slot_ring(vring, ["s"]), slot_ring(vring, ["y0", "y1"])
+    s, y0, y1 = m1.var("s"), m2.var("y0"), m2.var("y1")
+    if k == 1:
+        step = (rng.choice([1, -1, 2]) * s * s + rng.choice([0, 1, -2]) * s
+                + rng.choice([0, 0, 1]))
+        return Grammar(
+            {"S": 1}, "S",
+            [Production("S", (), const_map(vring, [vring.const(
+                rng.choice([0, 0, 1]))])),
+             Production("S", ("S",), PolyMap(m1, ("s",), (step,)))], vring)
+    c, d = rng.choice([1, 2, -1, 3]), rng.choice([0, 1, -2])
+    a, b, e = rng.choice([1, -1, 2]), rng.choice([0, 1, 3]), rng.choice([0, 1, -1])
+
+    def lin(t):
+        return c * t + d
+
+    def p(t):
+        return a * t * t + b * t + e
+
+    q = lin(p((y1 - d) * Fraction(1, c)))
+    base = rng.choice([0, 1, 2, -1])
+    kind = rng.choice(["none", "none", "base", "step", "late"])
+    if kind == "step":
+        q = q + 1
+    elif kind == "late":
+        q = q + (y1 - lin(base)) * (y1 - lin(p(base)))
+    base_values = [base, lin(base) + (kind == "base")]
+    nts = {"S": 1, "Y": 2}
+    prods = [
+        Production("S", ("Y",), PolyMap(m2, ("y0", "y1"), (lin(y0) - y1,))),
+        Production("Y", (), const_map(vring, [vring.const(v)
+                                              for v in base_values])),
+        Production("Y", ("Y",), PolyMap(m2, ("y0", "y1"), (p(y0), q)))]
+    if k == 3:
+        nts["Z"] = 1
+        mz = slot_ring(vring, ["z"])
+        z = mz.var("z")
+        prods += [
+            Production("Z", (), const_map(vring, [vring.const(
+                rng.choice([0, 1]))])),
+            Production("Z", ("Z",), PolyMap(mz, ("z",), (
+                z + rng.choice([1, 2]),))),
+            Production("Y", ("Z",), PolyMap(mz, ("z",), (
+                z, lin(z) + rng.choice([0, 0, 0, 1]))))]
+    return Grammar(nts, "S", prods, vring)
+
+
+def test_chain_agrees_with_enumeration_on_seeded_grammars():
+    verdicts = []
+    for seed in range(40):
+        g = random_unary_grammar(seed)
+        found = grammar._backward_chain(g, time.monotonic() + 30.0)
+        all_zero = all(g.value_is_zero(v) for v, _ in enumerate_values(g, 6))
+        if isinstance(found, Witness):
+            assert found.derivation.replay(g) == found.value
+            assert not g.value_is_zero(found.value)
+            verdicts.append("nonzero")
+        else:
+            assert isinstance(found, InvariantCertificate), seed
+            assert check_certificate(g, found).proved(), seed
+            assert all_zero, seed
+            verdicts.append("zero")
+    assert verdicts.count("zero") >= 5 and verdicts.count("nonzero") >= 5
+
+
+def test_chain_decides_twisted_grammars():
+    # the exact check shares the pull-back with the chain, so the
+    # generators are also evaluated at derived values, where the twist
+    # is applied forwards
+    demo = parse_grammar((INPUTS / "twist_demo.pg").read_text(),
+                         name="twist_demo")
+    for g in (twisted_pair_grammar(), demo):
+        found = grammar._backward_chain(g, time.monotonic() + 30.0)
+        assert isinstance(found, InvariantCertificate)
+        assert check_certificate(g, found).proved()
+        table = ValueTable(g)
+        for nt in productive_nonterminals(g):
+            for value, _ in table.values(nt, 4):
+                assert all(vanishes_at(g, nt, f, value)
+                           for f in found.ideal_for(nt).gens)
+
+
+def ambient_grammar(offset):
+    """N -> x - 1; N -> n*x + offset, zero modulo (x - 1) iff offset is."""
+    xring = ordinary_ring(["x"])
+    m = slot_ring(xring, ["n"])
+    return Grammar(
+        {"N": 1}, "N",
+        [Production("N", (), const_map(xring, [xring.parse("x - 1")])),
+         Production("N", ("N",), PolyMap(
+             m, ("n",), (m.var("n") * m.var("x") + m.parse(offset),)))],
+        xring, ambient=Ideal(xring, [xring.parse("x - 1")]))
+
+
+def test_chain_decides_ambient_grammar():
+    g = ambient_grammar("x - 1")
+    found = grammar._backward_chain(g, time.monotonic() + 30.0)
+    assert isinstance(found, InvariantCertificate)
+    assert check_certificate(g, found).proved()
+    g = ambient_grammar("x")
+    found = grammar._backward_chain(g, time.monotonic() + 30.0)
+    assert isinstance(found, Witness)
+    assert found.derivation.size() == 2
+    assert not g.value_is_zero(found.derivation.replay(g))
+
+
+def test_chain_gives_up_at_a_passed_deadline():
+    g = reverse_vs_identity_grammar(["a"])
+    assert grammar._backward_chain(g, time.monotonic() - 1.0) is None
+
+
+def test_binary_grammar_keeps_the_invariant_search(monkeypatch):
+    # L -> 0; L -> L * L: not unary, so the chain must not run
+    vring = scalar_ring(QQ)
+    m = slot_ring(vring, ["u", "v"])
+    g = Grammar(
+        {"L": 1}, "L",
+        [Production("L", (), const_map(vring, [vring.zero()])),
+         Production("L", ("L", "L"),
+                    PolyMap(m, ("u", "v"), (m.var("u") * m.var("v"),)))],
+        vring)
+    rounds = []
+
+    def counting(table):
+        rounds.append(table.g)
+        return closure_rounds(table)
+
+    def refuse(*args):
+        raise AssertionError("backward chain run on a binary grammar")
+
+    monkeypatch.setattr(grammar, "closure_rounds", counting)
+    monkeypatch.setattr(grammar, "_backward_chain", refuse)
+    r = zeroness(g, SMALL)
+    assert r.verdict == "zero"
+    assert check_certificate(g, r.certificate).proved()
+    assert rounds == [g]
