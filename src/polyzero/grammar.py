@@ -19,38 +19,36 @@ the fixpoint, reached because the ideals ascend in a Noetherian ring,
 is an invariant certificate.  Every difference grammar that transducer
 equivalence builds outside the general fragment is unary.
 
+The same chain, run in two stages, decides :func:`indep_zeroness` (and
+``eqsat`` through it) and :func:`chain_zeroness` when their grammars
+are unary.  Stage one runs the chain on the outer grammar with its
+value variables symbolic, and keeps the outer values along the paths of
+its generators; stage two seeds the inner grammar's chain with them.
+A seed failing at an inner value spells a witness pair; the inner
+fixpoint, or the seeds themselves for a substitution chain, go through
+the ordinary certificate check and a quotient :func:`zeroness` proof.
+
 Any other grammar is attacked from two sides, each a stream of bounded
 steps:
 
 * refutation: derivation enumeration searches for a witness, one
   derivation size per step;
 * proof: algebraic invariants, per-nonterminal ideals whose varieties
-  contain every derivable value, found either by exact forward
-  propagation with image closures and intersections, or by a
-  degree-capped widening, one candidate per step
-  (:func:`closure_rounds`).  The widening proposes the low-degree
-  polynomials vanishing on sampled values, rejects a candidate that
-  fails at a fresh value of the next derivation size, and verifies the
-  survivors exactly.  A proved invariant vanishes at every derivable
-  value, so the rejection never drops a candidate the exact check
-  would accept.
+  contain every derivable value, found by a degree-capped widening,
+  one candidate per step (:func:`closure_rounds`).  The widening
+  proposes the low-degree polynomials vanishing on sampled values,
+  rejects a candidate that fails at a fresh value of the next
+  derivation size, and verifies the survivors exactly.  A proved
+  invariant vanishes at every derivable value, so the rejection never
+  drops a candidate the exact check would accept.
 
 Every certificate, the chain's included, is verified production by
 production (:func:`check_certificate`) before it proves anything.  One
 driver (:func:`_interleave`) steps enumeration and the proof side in
 turn, checking the deadline between steps, until one of them decides;
-on a unary grammar the whole chain is the proof side's single step.
+on unary grammars the whole chain is the proof side's single step.
 Both streams of a search read the values of a grammar from one shared
 :class:`ValueTable`, so every derivation is produced once per search.
-The inner search of :func:`indep_zeroness` and :func:`forward_closure`
-keep the invariant search; the quotient problems of
-:func:`indep_zeroness` and :func:`chain_zeroness` go through
-:func:`zeroness`, so they get the chain when unary.
-
-The exact propagation alone cannot terminate when reachable value sets
-form growing finite families, which is why the sampling widening
-exists; conversely sampling alone would never learn equalities that
-need radical reasoning on twisted coefficients.
 """
 
 from __future__ import annotations
@@ -59,16 +57,13 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .encoding import Automorphism, PolySubst
 from .errors import (
     CertificateError, DimensionError, EmptyLanguageError, StructureError,
 )
-from .groebner import (
-    Ideal, ideal_intersect, image_closure, vanishing_ideal_of_points,
-)
+from .groebner import Ideal
 from .linalg import kernel_basis
 from .poly import (
     Coeff, EMPTY_VARTABLE, FractionField, Mode, Monomial, Poly, PolyMap,
@@ -455,6 +450,13 @@ def check_production_closure(g: Grammar, cert: InvariantCertificate,
         return None
     ring, gens, outputs = _child_block(g, prod, cert.ideal_for)
     if g.ambient is not None:
+        # a child value zero modulo the ambient ideal is zero modulo its
+        # twist after the production, which must lie inside
+        if prod.twist is not None and not all(
+                g.ambient.member(a.map_coefficients(prod.twist.apply))
+                for a in g.ambient.gens):
+            return (f"the twist of {prod.lhs} -> {'.'.join(prod.rhs)} does "
+                    f"not preserve the ambient ideal")
         gens.extend(gp.convert(ring) for gp in g.ambient.gens)
     J = Ideal(ring, gens)
     binding = dict(zip(lhs_coords, outputs))
@@ -510,19 +512,30 @@ def _is_unary(g: Grammar) -> bool:
                for p in g.productions)
 
 
-def _backward_chain(g: Grammar, deadline: float
-                    ) -> Witness | InvariantCertificate | None:
-    """Decide zeroness of a unary grammar by a chain of pre-image ideals.
+_R = TypeVar("_R")
+_T = TypeVar("_T")
 
-    ``J[initial]`` starts with the initial coordinates.  A new generator
-    f of ``J[X]`` and a production ``X -> p(Y)`` with twist alpha give
-    ``h = alpha^-1(f o p)`` over the certificate ring of Y, which joins
-    ``J[Y]`` unless it lies in ``J[Y]`` plus the ambient ideal.  Along
-    its path of productions h reads an initial coordinate, so h failing
-    at a base value of Y spells a witness.  The ideals ascend in a
-    Noetherian ring, so the chain reaches a fixpoint, which is an
-    invariant certificate.  Returns None when the deadline passes
-    between two pre-images.
+
+def _chain(g: Grammar, seeds: Iterable[tuple[Poly, _T]], deadline: float,
+           at_base: Callable[[str, Poly, tuple[int, ...], _T, Derivation],
+                             _R | None]
+           ) -> _R | InvariantCertificate | None:
+    """The smallest family of ideals, one per nonterminal of a unary
+    grammar, that holds the seeds in ``J[initial]`` and is closed under
+    pre-images.
+
+    A seed is a polynomial over the certificate ring of the initial
+    nonterminal, with a tag.  A new generator f of ``J[X]`` and a
+    production ``X -> p(Y)`` with twist alpha give ``h = alpha^-1(f o
+    p)`` over the certificate ring of Y, which joins ``J[Y]`` unless it
+    lies in ``J[Y]`` plus the ambient ideal; a member vanishes wherever
+    the generators do.  Every joining generator, its production path
+    from the initial nonterminal and its seed's tag are shown to
+    ``at_base`` with each base derivation of its nonterminal, and the
+    first result that returns ends the chain.  The ideals ascend in a
+    Noetherian ring, so the chain reaches a fixpoint, which is returned
+    as a certificate.  Returns None when the deadline passes between two
+    pre-images.
     """
     productive = productive_nonterminals(g)
     rings = {nt: g.cert_ring(nt) for nt in productive}
@@ -545,35 +558,74 @@ def _backward_chain(g: Grammar, deadline: float
             (idx, child, dict(zip(g.coord_names(prod.lhs), outputs))))
     J: dict[str, list[Poly]] = {nt: [] for nt in productive}
     ideals = {nt: Ideal(rings[nt], amb[nt]) for nt in productive}
-    todo = deque((g.initial, rings[g.initial].var(c), ())
-                 for c in g.coord_names(g.initial))
+    todo = deque((g.initial, h, (), tag) for h, tag in seeds)
     while todo:
         if time.monotonic() > deadline:
             return None
-        nt, h, path = todo.popleft()
-        for base in bases[nt]:
-            if not vanishes_at(g, nt, h, base.value):
-                return _witness_along(g, path, base)
+        nt, h, path, tag = todo.popleft()
         if ideals[nt].member(h):
             continue
+        for base in bases[nt]:
+            found = at_base(nt, h, path, tag, base)
+            if found is not None:
+                return found
         J[nt].append(h)
         ideals[nt] = Ideal(rings[nt], amb[nt] + J[nt])
         for idx, child, binding in steps[nt]:
             todo.append((child, _pull_back(g.productions[idx], h, binding,
-                                           rings[child]), (*path, idx)))
+                                           rings[child]), (*path, idx), tag))
     return InvariantCertificate(
         {nt: Ideal(rings[nt], J[nt]) for nt in productive}, g.name)
 
 
-def _witness_along(g: Grammar, path: Sequence[int],
-                   base: Derivation) -> Witness | None:
+def _along(g: Grammar, path: Sequence[int], base: Derivation) -> Derivation:
     """The derivation applying the path's productions, innermost last,
-    to a base derivation; None if its value is zero after all."""
+    to a base derivation."""
     d = base
     for idx in reversed(path):
         d = Derivation(idx, (d,), g.produce(g.productions[idx], [d.value]))
-    value = d.replay(g)
-    return None if g.value_is_zero(value) else Witness(d, value)
+    return d
+
+
+def _backward_chain(g: Grammar, deadline: float
+                    ) -> Witness | InvariantCertificate | None:
+    """Decide zeroness of a unary grammar: the chain seeded with the
+    initial coordinates.  Along its path of productions a generator
+    reads an initial coordinate, so one failing at a base value spells
+    a witness, which is replayed before it is returned."""
+    def at_base(nt, h, path, _, base) -> Witness | None:
+        if vanishes_at(g, nt, h, base.value):
+            return None
+        d = _along(g, path, base)
+        value = d.replay(g)
+        return None if g.value_is_zero(value) else Witness(d, value)
+
+    ring = g.cert_ring(g.initial)
+    return _chain(g, ((ring.var(c), None) for c in g.coord_names(g.initial)),
+                  deadline, at_base)
+
+
+def _outer_seeds(g: Grammar, deadline: float) -> dict[Poly, Derivation] | None:
+    """Stage one of the two-stage chain, on a unary grammar whose value
+    variables stay symbolic: the nonzero initial-coordinate values of
+    the derivations along the path of each joining generator, from each
+    base derivation, with one such derivation each.  Without twists a
+    value is the generator evaluated at the base value, and every value
+    of the grammar lies in the ideal these values generate; with twists
+    the ideal may miss some, which a quotient proof then finds.  None
+    when the deadline passes."""
+    seeds: dict[Poly, Derivation] = {}
+
+    def at_base(nt, h, path, i, base) -> None:
+        d = _along(g, path, base)
+        if not d.value[i].is_zero():
+            seeds.setdefault(d.value[i], d)
+
+    ring = g.cert_ring(g.initial)
+    coords = g.coord_names(g.initial)
+    found = _chain(g, ((ring.var(c), i) for i, c in enumerate(coords)),
+                   deadline, at_base)
+    return None if found is None else seeds
 
 
 # ---------------------------------------------------------------------------
@@ -649,63 +701,6 @@ def low_degree_vanishing(value_ring: PolyRing, ambient: Ideal | None,
     return out
 
 
-# exact propagation rounds before the Kleene candidate is given up
-_KLEENE_ROUNDS = 4
-
-
-def _kleene_rounds(g: Grammar) -> Iterator[InvariantCertificate | None]:
-    """Exact forward propagation; yields a candidate only on stabilization.
-
-    Restricted to scalar-valued grammars without ambient ideal or slot
-    wiring (the image computation needs maps whose slots exactly cover
-    the child coordinates).  Bails out when the intermediate ideals grow
-    past crude size bounds, which signals an infinite ascending family
-    that only the sampling widening can catch.  Coefficient fields with
-    many parameters are skipped outright: without rational-function gcd
-    the repeated intersections swell far too quickly there.
-    """
-    if g.ring.names() or g.ambient is not None:
-        return
-    if any(p.slot_sources is not None for p in g.productions):
-        return
-    field = g.ring.field
-    if isinstance(field, FractionField) and len(field.param_ring.vartable) > 2:
-        return
-    productive = productive_nonterminals(g)
-    V: dict[str, Ideal] = {}
-    for _ in range(_KLEENE_ROUNDS):
-        prev = dict(V)
-        for prod in g.productions:
-            if prod.lhs not in productive:
-                continue
-            out_ring = g.cert_ring(prod.lhs)
-            if prod.arity() == 0:
-                point = tuple(c.constant_value() for c in g.produce(prod, []))
-                img = vanishing_ideal_of_points(out_ring, [point])
-            else:
-                if any(r not in V for r in prod.rhs):
-                    continue
-                # g has no variables, so the block ring holds only the
-                # child coordinates, as image_closure needs
-                block_ring, gens, outputs = _child_block(g, prod, V.__getitem__)
-                block_map = PolyMap(block_ring, block_ring.names(),
-                                    tuple(outputs))
-                img = image_closure(Ideal(block_ring, gens), block_map,
-                                    g.coord_names(prod.lhs), alpha=prod.twist)
-                img = img.converted(out_ring)
-            V[prod.lhs] = (img if prod.lhs not in V
-                           else ideal_intersect(V[prod.lhs], img))
-            gens_now = V[prod.lhs].gens
-            if len(gens_now) > 40 or any(
-                    Fraction(f.total_degree()) > 8 for f in gens_now):
-                return
-        if (set(V) == productive and set(prev) == productive
-                and all(V[nt].equal(prev[nt]) for nt in productive)):
-            yield InvariantCertificate(dict(V), g.name)
-            return
-        yield None
-
-
 def _widening_step(i: int) -> tuple[int, int, int]:
     """Candidate degree, sample size and sample cap of widening round i."""
     return (1 if i % 2 == 0 else 2), 2 + i // 2, 8 + 4 * (i // 2)
@@ -729,9 +724,10 @@ def _holds_on_fresh_values(g: Grammar, ideals: dict[str, Ideal],
     return True
 
 
-def _sampling_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
-    """Degree-capped widening: vanishing candidates from sampled values,
-    dropped when they fail on the values of the next derivation size."""
+def closure_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
+    """Candidate invariants, one per round, by a degree-capped widening
+    (never ends): vanishing candidates from sampled values, dropped when
+    they fail on the values of the next derivation size."""
     g = table.g
     productive = productive_nonterminals(g)
     # certificates are undefined there: leave the refusal to check_certificate
@@ -767,14 +763,6 @@ def _sampling_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]
         yield InvariantCertificate(ideals, g.name)
 
 
-def closure_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
-    """Candidate invariants, one per round: the whole exact propagation
-    is the first round (it is cheap or bails), then sampling rounds with
-    a growing degree/size schedule (never ends)."""
-    yield next(filter(None, _kleene_rounds(table.g)), None)
-    yield from _sampling_rounds(table)
-
-
 def forward_closure(g: Grammar,
                     max_iterations: int = 8) -> InvariantCertificate | None:
     """Search for an invariant verified for base cases and closure.
@@ -797,16 +785,21 @@ class Budgets:
     """Work bounds: enumeration tree size, closure rounds, and a
     wall-clock deadline.  The deadline is checked between search steps
     and, in the backward chain, between two pre-images; a long step of
-    the invariant search can overrun it.  The two work bounds keep
+    the invariant search can overrun it.  A nested search (a quotient
+    proof or a chain link) gets :meth:`inner` budgets, whose seconds end
+    no later than its caller's deadline.  The two work bounds keep
     results machine-independent."""
 
     size: int = 12
     iters: int = 8
     seconds: float = 60.0
 
-    def inner(self) -> "Budgets":
+    def inner(self, deadline: float) -> "Budgets":
+        """Halved bounds for a nested search started now, inside a
+        search that must end by ``deadline`` (a ``time.monotonic``
+        instant)."""
         return Budgets(max(4, self.size // 2), max(2, self.iters // 2),
-                       self.seconds / 2)
+                       min(self.seconds / 2, deadline - time.monotonic()))
 
 
 @dataclass
@@ -817,7 +810,6 @@ class ZeronessResult:
     detail: str = ""
 
 
-_R = TypeVar("_R")
 _DONE = object()
 
 
@@ -968,6 +960,16 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
     outer grammar zero modulo that variety's ideal.  Refutation side:
     enumerate value pairs and evaluate.
 
+    When both grammars are unary the invariant comes from the two-stage
+    chain: the outer grammar's values along its chain
+    (:func:`_outer_seeds`), renamed to the inner coordinates, seed the
+    inner grammar's chain.  A seed failing at an inner value along the
+    chain spells a witness pair, replayed and evaluated before it is
+    returned; the fixpoint is the candidate invariant, checked like any
+    other.  An outer value that the quotient proof finds outside it
+    (only twists allow one) joins the seeds, and stage two runs again.
+    Any other pair guesses candidates with :func:`closure_rounds`.
+
     Supplied certificates describe candidate inner invariants (over the
     inner grammar's field view when it has value variables) and are
     tried before any search.
@@ -986,8 +988,11 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
     if outer.initial not in productive_nonterminals(outer) or \
             inner.initial not in productive_nonterminals(inner):
         return IndepResult("zero", detail="no derivable values")
+    deadline = time.monotonic() + budgets.seconds
 
-    def try_invariant(cand: InvariantCertificate) -> IndepResult | None:
+    def quotient_proof(cand: InvariantCertificate) -> ZeronessResult | None:
+        """Zeroness of the outer grammar modulo the candidate's initial
+        ideal; None when the candidate is no inner invariant."""
         if not check_certificate(inner, cand,
                                  require_conclusion=False).proved():
             return None
@@ -998,18 +1003,22 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
                            outer.productions, outer.ring,
                            ambient=Ideal(outer.ring, gens),
                            name=outer.name)
-        qr = zeroness(quotient, budgets.inner())
-        if qr.verdict == "zero":
-            return IndepResult("zero", invariant=cand, quotient_result=qr,
-                               detail="inner invariant and quotient proof")
-        return None
+        return zeroness(quotient, budgets.inner(deadline))
+
+    def try_invariant(cand: InvariantCertificate,
+                      qr: ZeronessResult | None = None,
+                      detail: str = "inner invariant and quotient proof"
+                      ) -> IndepResult | None:
+        qr = quotient_proof(cand) if qr is None else qr
+        if qr is None or qr.verdict != "zero":
+            return None
+        return IndepResult("zero", invariant=cand, quotient_result=qr,
+                           detail=detail)
 
     for cand in certificates:
-        res = try_invariant(cand)
+        res = try_invariant(cand, detail="supplied certificate verified")
         if res is not None:
-            return IndepResult("zero", invariant=res.invariant,
-                               quotient_result=res.quotient_result,
-                               detail="supplied certificate verified")
+            return res
 
     outer_table = ValueTable(outer)
     inner_table = ValueTable(inner)
@@ -1024,21 +1033,58 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
             pairs += [(o, i) for o in outer_seen + new_outer
                       for i in new_inner]
             for (oval, oder), (ival, ider) in pairs:
-                binding = {x: outer.ring.const(c.constant_value())
-                           for x, c in zip(xnames, ival)}
-                if not oval[0].substitute(binding).is_zero():
-                    yield IndepResult("nonzero", witness_pair=(
-                        Witness(oder, oval), Witness(ider, ival)),
-                        detail="nonzero evaluation found")
+                found = nonzero_pair(oder, oval, ider, ival)
+                if found is not None:
+                    yield found
                     return
             outer_seen.extend(new_outer)
             inner_seen.extend(new_inner)
             yield None
 
-    prove = (None if cand is None else try_invariant(cand)
-             for cand in closure_rounds(inner_table))
+    def nonzero_pair(oder: Derivation, oval: Value, ider: Derivation,
+                     ival: Value) -> IndepResult | None:
+        binding = {x: outer.ring.const(c.constant_value())
+                   for x, c in zip(xnames, ival)}
+        if oval[0].substitute(binding).is_zero():
+            return None
+        return IndepResult("nonzero", witness_pair=(
+            Witness(oder, oval), Witness(ider, ival)),
+            detail="nonzero evaluation found")
+
+    def staged() -> IndepResult | None:
+        seeds = _outer_seeds(outer, deadline)
+        if seeds is None:
+            return None
+        ring = inner.cert_ring(inner.initial)
+        rename = dict(zip(xnames, inner.coord_names(inner.initial)))
+
+        def at_base(nt, h, path, oder, base) -> IndepResult | None:
+            if vanishes_at(inner, nt, h, base.value):
+                return None
+            ider = _along(inner, path, base)
+            return nonzero_pair(oder, oder.replay(outer), ider,
+                                ider.replay(inner))
+
+        while True:
+            found = _chain(inner, ((v.convert(ring, rename), d)
+                                   for v, d in seeds.items()),
+                           deadline, at_base)
+            if not isinstance(found, InvariantCertificate):
+                return found
+            qr = quotient_proof(found)
+            if qr is None or qr.witness is None:
+                return try_invariant(found, qr)
+            # an outer value outside the invariant, which the seeds miss
+            # only through twists: it joins them, and the ideal grows
+            seeds.setdefault(qr.witness.value[0], qr.witness.derivation)
+
+    if _is_unary(outer) and _is_unary(inner):
+        prove = (staged() for _ in range(1))
+    else:
+        prove = (None if cand is None else try_invariant(cand)
+                 for cand in closure_rounds(inner_table))
     return _interleave([refute(), itertools.islice(prove, budgets.iters)],
-                       time.monotonic() + budgets.seconds, IndepResult)
+                       deadline, IndepResult)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,17 +1134,25 @@ def chain_zeroness(grammars: Sequence[Grammar],
                    budgets: Budgets = Budgets()) -> ChainResult:
     """Zeroness of g1(g2(... gn ...)) over all derivable value chains.
 
-    Works outside-in: sample composed values of the tail, guess a
-    bounded-degree ideal vanishing on them, verify each generator
-    recursively as a zeroness problem of the shorter chain, then prove
-    the head grammar zero modulo the verified ideal.
+    Works outside-in: find generators of an ideal that holds every head
+    value, verify each generator recursively as a zeroness problem of
+    the shorter chain, then prove the head grammar zero modulo them.
+    When every grammar is unary the generators are the head's values
+    along its chain (:func:`_outer_seeds`), so a generator found nonzero
+    on the tail refutes the chain, and a head value that the quotient
+    proof finds outside them (only twists allow one) joins them.
+    Otherwise they are guessed: a bounded-degree ideal vanishing on
+    sampled composed values of the tail, one degree and sample size per
+    round.
     """
     gs = list(grammars)
     if not gs:
         raise StructureError("empty grammar chain")
     if len(gs) == 1:
         r = zeroness(gs[0], budgets)
-        return ChainResult(r.verdict, quotient_result=r, detail=r.detail)
+        return ChainResult(r.verdict, quotient_result=r, detail=r.detail,
+                           witness_value=None if r.witness is None
+                           else r.witness.value)
     head = gs[0]
     if head.ambient is not None:
         raise StructureError("head grammar already has an ambient ideal")
@@ -1112,11 +1166,13 @@ def chain_zeroness(grammars: Sequence[Grammar],
         raise StructureError("innermost chain grammar must be scalar-valued")
     if any(g.initial not in productive_nonterminals(g) for g in gs):
         return ChainResult("zero", detail="no derivable composed values")
+    deadline = time.monotonic() + budgets.seconds
     xnames = head.ring.names()
     coords = tuple(f"_t{i}" for i in range(len(xnames)))
     coordring = PolyRing(VarTable.make((c, VarKind.ORDINARY) for c in coords),
                          head.ring.field, head.ring.mode)
     sring = PolyRing(EMPTY_VARTABLE, head.ring.field, head.ring.mode)
+    rename = dict(zip(xnames, coords))
     head_table, *tail_tables = [ValueTable(g) for g in gs]
 
     def one_round(rnd: int) -> ChainResult | None:
@@ -1138,12 +1194,21 @@ def chain_zeroness(grammars: Sequence[Grammar],
                                     composed, degree)
         if gens is None or (not gens and rnd > 0):
             return None
+        return verify(gens, False)
+
+    def verify(gens: Sequence[Poly], decisive: bool) -> ChainResult | None:
+        """The links and the quotient proof; with ``decisive`` the
+        generators are head values, and a nonzero link is a refutation."""
         links = []
         for f in gens:
             fmap = PolyMap(coordring, coords, (f,))
             sub = chain_zeroness([attach_polymap(fmap, gs[1])] + gs[2:],
-                                 budgets.inner())
+                                 budgets.inner(deadline))
             links.append(sub)
+            if decisive and sub.verdict == "nonzero":
+                return ChainResult("nonzero", link_results=tuple(links),
+                                   witness_value=sub.witness_value,
+                                   detail="nonzero composed value found")
             if sub.verdict != "zero":
                 return None
         quotient = Grammar(head.nonterminals, head.initial, head.productions,
@@ -1153,12 +1218,25 @@ def chain_zeroness(grammars: Sequence[Grammar],
                                                     dict(zip(coords, xnames)))
                                           for f in gens]),
                            name=head.name)
-        qr = zeroness(quotient, budgets.inner())
+        qr = zeroness(quotient, budgets.inner(deadline))
         if qr.verdict == "zero":
             return ChainResult("zero", invariant_gens=tuple(gens),
                                link_results=tuple(links), quotient_result=qr,
                                detail="tail invariant and quotient proof")
+        if decisive and qr.witness is not None:
+            # a head value outside the ideal, which the generators miss
+            # only through twists: it joins them, and the ideal grows
+            return verify([*gens, *(c.convert(coordring, rename)
+                                    for c in qr.witness.value
+                                    if not c.is_zero())], True)
         return None
 
-    return _interleave([map(one_round, range(budgets.iters))],
-                       time.monotonic() + budgets.seconds, ChainResult)
+    def staged() -> ChainResult | None:
+        seeds = _outer_seeds(head, deadline)
+        return None if seeds is None else verify(
+            [v.convert(coordring, rename) for v in seeds], True)
+
+    rounds = ((staged() for _ in range(min(1, budgets.iters)))
+              if all(map(_is_unary, gs))
+              else map(one_round, range(budgets.iters)))
+    return _interleave([rounds], deadline, ChainResult)

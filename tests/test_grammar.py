@@ -430,6 +430,236 @@ def test_indep_dimension_mismatch():
         indep_zeroness(outer, inner, SMALL)
 
 
+# --- the two-stage chain ---------------------------------------------------
+
+
+def random_indep_pair(seed):
+    """A seeded unary (outer, inner) pair over QQ.
+
+    The inner values (x1, x2) lie on a curve r = 0: a line, a parabola
+    or a ray of powers.  The outer values are multiples of r, so the
+    pair is zero, unless a perturbation makes it nonzero at the base
+    value, after one step, or only at the third inner value.  With two
+    outer nonterminals, A reads the sum of a two-track S.
+    """
+    rng = random.Random(seed)
+    sring = scalar_ring(QQ)
+    mb = slot_ring(sring, ["b0", "b1"])
+    b0, b1 = mb.var("b0"), mb.var("b1")
+    c, d = rng.choice([1, 2, -1]), rng.choice([0, 1, 3])
+    curve = rng.choice(["line", "parabola", "powers"])
+    if curve == "line":
+        base, step = (0, d), (b0 + 1, b1 + c)
+        def rel(R):
+            return R.var("x2") - c * R.var("x1") - d
+        firsts = (0, 1)
+    elif curve == "parabola":
+        base, step = (0, 0), (b0 + 1, b1 + 2 * b0 + 1)
+        def rel(R):
+            return R.var("x1") ** 2 - R.var("x2")
+        firsts = (0, 1)
+    else:
+        base, step = (1, c), ((d + 2) * b0, (d + 2) * b1)
+        def rel(R):
+            return R.var("x2") - c * R.var("x1")
+        firsts = (1, d + 2)
+    inner = Grammar(
+        {"B": 2}, "B",
+        [Production("B", (), const_map(sring, [sring.const(v) for v in base])),
+         Production("B", ("B",), PolyMap(mb, ("b0", "b1"), step))], sring)
+    xring = ordinary_ring(["x1", "x2"])
+    kind = rng.choice(["none", "none", "base", "step", "late"])
+    pert = {"none": "0", "base": "0", "step": "1",
+            "late": f"(x1 - {firsts[0]})*(x1 - {firsts[1]})"}[kind]
+    base_val = (rel(xring) * xring.parse(rng.choice(["1", "x2 - 3", "x1 + 1"]))
+                + (kind == "base"))
+    m1 = slot_ring(xring, ["s"])
+    s = m1.var("s")
+    mult = m1.parse(rng.choice(["x1", "x2 + 1", "2", "x1*x2"]))
+    extra = rel(m1) * m1.parse(rng.choice(["0", "1", "x1"]))
+    if rng.random() < 0.5:
+        return Grammar(
+            {"A": 1}, "A",
+            [Production("A", (), const_map(xring, [base_val])),
+             Production("A", ("A",), PolyMap(
+                 m1, ("s",), (s * mult + extra + m1.parse(pert),)))],
+            xring), inner
+    m2 = slot_ring(xring, ["s", "t"])
+    s, t = m2.var("s"), m2.var("t")
+    return Grammar(
+        {"A": 1, "S": 2}, "A",
+        [Production("A", ("S",), PolyMap(m2, ("s", "t"), (s + t,))),
+         Production("S", (), const_map(xring, [base_val, rel(xring)])),
+         Production("S", ("S",), PolyMap(m2, ("s", "t"), (
+             s * m2.parse("x2") + t + m2.parse(pert), t * m2.parse("x1"))))],
+        xring), inner
+
+
+def evaluates_nonzero(outer, oval, ival):
+    binding = {x: outer.ring.const(c.constant_value())
+               for x, c in zip(outer.ring.names(), ival)}
+    return not oval[0].substitute(binding).is_zero()
+
+
+def quotient_by(outer, inner, invariant):
+    coords = inner.coord_names(inner.initial)
+    gens = [f.convert(outer.ring, dict(zip(coords, outer.ring.names())))
+            for f in invariant.ideal_for(inner.initial).gens]
+    return Grammar(outer.nonterminals, outer.initial, outer.productions,
+                   outer.ring, ambient=Ideal(outer.ring, gens))
+
+
+def assert_indep_result(r, outer, inner):
+    """A zero needs a proved inner invariant and a proved quotient; a
+    nonzero needs a witness pair that replays and evaluates nonzero."""
+    if r.verdict == "zero":
+        assert check_certificate(inner, r.invariant,
+                                 require_conclusion=False).proved()
+        assert r.quotient_result.verdict == "zero"
+        assert check_certificate(quotient_by(outer, inner, r.invariant),
+                                 r.quotient_result.certificate).proved()
+    else:
+        assert r.verdict == "nonzero"
+        wo, wi = r.witness_pair
+        assert wo.derivation.replay(outer) == wo.value
+        assert wi.derivation.replay(inner) == wi.value
+        assert evaluates_nonzero(outer, wo.value, wi.value)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("invariant guessed on a unary pair")
+
+
+def test_stages_agree_with_brute_force_on_seeded_pairs(monkeypatch):
+    # enumeration looks at derivations of size 1 only, so everything
+    # else is decided by the stages
+    monkeypatch.setattr(grammar, "closure_rounds", refuse)
+    budgets = Budgets(size=1, iters=6, seconds=30.0)
+    verdicts = []
+    for seed in range(40):
+        outer, inner = random_indep_pair(seed)
+        inner_vals = [v for v, _ in enumerate_values(inner, 5)]
+        truth = any(evaluates_nonzero(outer, ov, iv)
+                    for ov, _ in enumerate_values(outer, 5)
+                    for iv in inner_vals)
+        r = indep_zeroness(outer, inner, budgets)
+        assert r.verdict == ("nonzero" if truth else "zero"), seed
+        assert_indep_result(r, outer, inner)
+        verdicts.append(r.verdict)
+    assert verdicts.count("zero") >= 5 and verdicts.count("nonzero") >= 5
+
+
+def twisted_indep_pair(case):
+    """A twisted outer grammar over Q(c), alpha: c -> c+1, and an inner
+    grammar over Q(c).
+
+    * zero: S -> x1 - x2; S -> alpha(c*s), on the diagonal (c^n, c^n);
+    * nonzero: S -> x1 - x2; S -> alpha(c*s + x1 - c), whose second value
+      vanishes at (c, c) but not at (c^2, c^2);
+    * refined: S -> x1 - c*x2; S -> alpha(s), at (0, 0) only; the first
+      value seeds an ideal that the twist moves, so the second, outside
+      it, joins the seeds.
+    """
+    pring = ordinary_ring(["c"])
+    field = FractionField(pring)
+    xring = PolyRing(VarTable.make([("x1", VarKind.ORDINARY),
+                                    ("x2", VarKind.ORDINARY)]),
+                     field, Mode.RING)
+    m = slot_ring(xring, ["s"])
+    x1, x2, sv = m.var("x1"), m.var("x2"), m.var("s")
+    c = fc(m, pring.var("c"))
+    base, step = {"zero": (x1 - x2, c * sv),
+                  "nonzero": (x1 - x2, c * sv + x1 - c),
+                  "refined": (x1 - c * x2, sv)}[case]
+    outer = Grammar(
+        {"S": 1}, "S",
+        [Production("S", (), const_map(xring, [base.convert(xring)])),
+         Production("S", ("S",), PolyMap(m, ("s",), (step,)),
+                    twist=shift_automorphism(pring))],
+        xring)
+    vring = PolyRing(EMPTY_VARTABLE, field, Mode.FIELD)
+    mb = slot_ring(vring, ["b1", "b2"])
+    cb = fc(mb, pring.var("c"))
+    start = vring.zero() if case == "refined" else fc(vring, pring.var("c"))
+    inner = Grammar(
+        {"B": 2}, "B",
+        [Production("B", (), const_map(vring, [start, start])),
+         Production("B", ("B",), PolyMap(
+             mb, ("b1", "b2"), (cb * mb.var("b1"), cb * mb.var("b2"))))],
+        vring)
+    return outer, inner
+
+
+@pytest.mark.parametrize("case", ["zero", "nonzero", "refined"])
+def test_stages_decide_twisted_outer_grammars(monkeypatch, case):
+    # the inner grammar is scalar-valued, so the pair is also a
+    # substitution chain with the same answer
+    monkeypatch.setattr(grammar, "closure_rounds", refuse)
+    monkeypatch.setattr(grammar, "low_degree_vanishing", refuse)
+    outer, inner = twisted_indep_pair(case)
+    budgets = Budgets(size=1, iters=6, seconds=30.0)
+    r = indep_zeroness(outer, inner, budgets)
+    assert r.verdict == ("nonzero" if case == "nonzero" else "zero")
+    assert_indep_result(r, outer, inner)
+    rc = chain_zeroness([outer, inner], budgets)
+    assert rc.verdict == r.verdict
+    if rc.verdict == "nonzero":
+        assert not rc.witness_value[0].is_zero()
+    else:
+        assert all(lr.verdict == "zero" for lr in rc.link_results)
+        assert rc.quotient_result.verdict == "zero"
+
+
+@pytest.mark.parametrize("factor,verdict", [("x2 - 1", "zero"),
+                                            ("1", "nonzero")])
+def test_stages_read_every_base_production(monkeypatch, factor, verdict):
+    # inner values (n, 0) and (n, 1), outer values x2*factor*x1^(k+1):
+    # with factor 1 only (1, 1), of the second base production, refutes
+    monkeypatch.setattr(grammar, "closure_rounds", refuse)
+    sring = scalar_ring(QQ)
+    mb = slot_ring(sring, ["b0", "b1"])
+    inner = Grammar(
+        {"B": 2}, "B",
+        [Production("B", (), const_map(sring, [sring.zero(), sring.zero()])),
+         Production("B", (), const_map(sring, [sring.zero(), sring.one()])),
+         Production("B", ("B",), PolyMap(
+             mb, ("b0", "b1"), (mb.var("b0") + 1, mb.var("b1"))))], sring)
+    xring = ordinary_ring(["x1", "x2"])
+    m = slot_ring(xring, ["s"])
+    outer = Grammar(
+        {"A": 1}, "A",
+        [Production("A", (), const_map(xring, [
+            xring.parse(f"x2*x1*({factor})")])),
+         Production("A", ("A",), PolyMap(m, ("s",), (m.parse("s*x1"),)))],
+        xring)
+    r = indep_zeroness(outer, inner, Budgets(size=1, iters=6, seconds=30.0))
+    assert r.verdict == verdict
+    assert_indep_result(r, outer, inner)
+
+
+def test_twist_must_preserve_the_ambient_ideal():
+    # modulo x1 - c*x2 the values x1 - (c+k)*x2 are nonzero for k > 0,
+    # though the ideal (s) pulls back into itself through the twist
+    outer, _ = twisted_indep_pair("refined")
+    g = Grammar(outer.nonterminals, outer.initial, outer.productions,
+                outer.ring, ambient=Ideal(outer.ring, [
+                    outer.productions[0].pmap.outputs[0]]))
+    cert = InvariantCertificate({"S": Ideal(g.cert_ring("S"), [
+        g.cert_ring("S").var("_v0_0")])})
+    assert check_certificate(g, cert).kind == "closure-violation"
+    assert zeroness(g, SMALL).verdict == "nonzero"
+
+
+def test_stages_with_an_identically_zero_outer_grammar():
+    inner = diag_powers_inner()
+    outer = outer_on(FractionField(ordinary_ring(["u"])), "x1 - x1")
+    assert grammar._outer_seeds(outer, time.monotonic() + 30.0) == {}
+    r = indep_zeroness(outer, inner, SMALL)
+    assert r.verdict == "zero"
+    assert r.invariant.ideal_for("B").gens == ()
+    assert_indep_result(r, outer, to_field_view(inner))
+
+
 # --- substitution chains ----------------------------------------------------
 
 
@@ -456,19 +686,76 @@ def chain_links(head_expr):
     return [head, mid, inner]
 
 
-def test_chain_zeroness_three_links():
-    r = chain_zeroness(chain_links("x1 - x2"), SMALL)
+def composed_values(gs, size):
+    """Brute force: every g1(g2(... gn)) coordinate over derivations of
+    at most ``size`` nodes, as field elements."""
+    vals = [tuple(c.constant_value() for c in v)
+            for v, _ in enumerate_values(gs[-1], size)]
+    for g in reversed(gs[:-1]):
+        vals = [tuple(p.evaluate(dict(zip(g.ring.names(), iv)))
+                      for p in ov)
+                for ov, _ in enumerate_values(g, size) for iv in vals]
+    return vals
+
+
+def test_chain_zeroness_three_links(monkeypatch):
+    # every grammar is unary, so the stages find the generators
+    monkeypatch.setattr(grammar, "low_degree_vanishing", refuse)
+    gs = chain_links("x1 - x2")
+    r = chain_zeroness(gs, SMALL)
     assert r.verdict == "zero"
     assert [str(f) for f in r.invariant_gens] == ["_t0 - _t1"]
     assert all(lr.verdict == "zero" for lr in r.link_results)
     assert r.quotient_result.verdict == "zero"
+    head = gs[0]
+    quotient = Grammar(head.nonterminals, head.initial, head.productions,
+                       head.ring, ambient=Ideal(head.ring, [
+                           head.ring.parse("x1 - x2")]))
+    assert check_certificate(quotient, r.quotient_result.certificate).proved()
+    assert not any(any(v) for v in composed_values(gs, 5))
 
 
-def test_chain_zeroness_refuted():
-    r = chain_zeroness(chain_links("x1 + x2"), SMALL)
+def test_chain_zeroness_refuted(monkeypatch):
+    monkeypatch.setattr(grammar, "low_degree_vanishing", refuse)
+    gs = chain_links("x1 + x2")
+    r = chain_zeroness(gs, SMALL)
     assert r.verdict == "nonzero"
     assert r.witness_value is not None
     assert not r.witness_value[0].is_zero()
+    assert r.witness_value[0].constant_value() in {
+        c for v in composed_values(gs, 5) for c in v}
+
+
+@pytest.mark.parametrize("slow", ["check_certificate", "zeroness"])
+def test_nested_searches_end_by_the_callers_deadline(monkeypatch, slow):
+    # each nested search records when its budget would end; pausing after
+    # the slowed step makes the later ones start past half the budget
+    ends = []
+    real_zeroness = grammar.zeroness
+
+    def recording(g, budgets=Budgets(), certificates=()):
+        ends.append(time.monotonic() + budgets.seconds)
+        return real_zeroness(g, budgets, certificates)
+
+    def pause(f):
+        def slowed(*args, **kwargs):
+            result = f(*args, **kwargs)
+            time.sleep(0.7)
+            return result
+        return slowed
+
+    monkeypatch.setattr(grammar, "zeroness", recording)
+    monkeypatch.setattr(grammar, slow, pause(getattr(grammar, slow)))
+    budgets = Budgets(size=6, iters=6, seconds=1.0)
+    start = time.monotonic()
+    if slow == "zeroness":
+        chain_zeroness(chain_links("x1 - x2"), budgets)
+    else:
+        field = FractionField(ordinary_ring(["u"]))
+        indep_zeroness(outer_on(field, "x1 - x2"), diag_powers_inner(),
+                       budgets)
+    assert ends
+    assert max(ends) <= start + budgets.seconds + 0.05
 
 
 def test_chain_single_link_delegates():
