@@ -12,6 +12,7 @@ command line on the same files is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -327,7 +328,9 @@ def _add_cert_flags(sp: argparse.ArgumentParser) -> None:
                     help="try this certificate before searching")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     p = _Parser(prog="polyzero",
                 description="equivalence and zeroness toolkit for register "
                             "transducers and polynomial grammars")

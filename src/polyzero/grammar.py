@@ -763,19 +763,6 @@ def closure_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
         yield InvariantCertificate(ideals, g.name)
 
 
-def forward_closure(g: Grammar,
-                    max_iterations: int = 8) -> InvariantCertificate | None:
-    """Search for an invariant verified for base cases and closure.
-
-    The conclusion (initial coordinates forced to zero) is *not*
-    required here; callers decide what the invariant is for.
-    """
-    rounds = itertools.islice(closure_rounds(ValueTable(g)), max_iterations)
-    return next((cand for cand in rounds if cand is not None and
-                 check_certificate(g, cand, require_conclusion=False).proved()),
-                None)
-
-
 # ---------------------------------------------------------------------------
 # the zeroness driver
 

@@ -20,9 +20,9 @@ quotient of two polynomials over a parameter ring (field
 through ``field.div``: a bare ``/`` of two ``int`` would give a float.
 
 :class:`Poly` validates every exponent on construction, except in the
-trusted ``Poly._raw`` behind sums, negations, products and scalings:
-sums of valid exponents over one ring are valid, so that check could
-never fail there.
+trusted ``Poly._raw`` behind sums, negations, products, scalings and
+substitutions: sums of valid exponents over one ring are valid, so that
+check could never fail there.
 """
 
 from __future__ import annotations
@@ -617,32 +617,46 @@ class Poly:
 
         Variables not in the mapping stay themselves (they must exist in
         the target ring).  A variable raised to a fractional power may
-        only be bound to a coefficient-one monomial.
+        only be bound to a coefficient-one monomial.  The integer powers
+        of each image are built once per call, one product per power.
         """
         ring = target_ring if target_ring is not None else self.ring
         for name, img in mapping.items():
             if img.ring != ring:
                 raise StructureError(f"image of {name!r} lives in a different ring")
         names = self.ring.vartable.names
-        out = ring.zero()
+        coerce = ring.field.coerce
+        one = ring.one()
+        powers: dict[int, list[Poly]] = {}
+        terms: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
-            acc = ring.const(c)
+            acc = one
             for i, e in m.exps:
                 img = mapping.get(names[i])
                 if img is None:
-                    img = ring.var(names[i], e)
-                    acc = acc * img
+                    factor = ring.var(names[i], e)
                 elif isinstance(e, int) and e >= 0:
-                    acc = acc * img ** e
+                    table = powers.get(i)
+                    if table is None:
+                        table = powers[i] = [one, img]
+                    while len(table) <= e:
+                        table.append(table[-1] * img)
+                    factor = table[e]
                 else:
                     um = img.as_unit_monomial()
                     if um is None:
                         raise DomainError(
                             f"variable {names[i]!r} with fractional exponent {e} "
                             f"bound to non-monomial {img}")
-                    acc = acc * ring.from_monomial(um.pow_scalar(e))
-            out = out + acc
-        return out
+                    factor = ring.from_monomial(um.pow_scalar(e))
+                # ``acc is one`` until the first factor: skip that product
+                acc = factor if acc is one else acc * factor
+            c = coerce(c)
+            for mm, cc in acc.terms.items():
+                cc = c * cc
+                terms[mm] = terms[mm] + cc if mm in terms else cc
+        # sums and products of polynomials over ``ring`` are valid there
+        return Poly._raw(ring, terms)
 
     def substitute_frac(self, mapping: dict[str, "RatFunc"]) -> "RatFunc":
         """Replace variables by rational functions over the same ring.

@@ -306,6 +306,13 @@ class NumericTransducer:
     the counter sum for x in R1 and multiplies by R2; substitution
     appears nowhere else.  Every update and output expression is compiled
     once, on construction, into a function of the valuation.
+
+    The machine remembers the states and valuations after every prefix
+    of the last word it ran, and a new run or trace resumes from the
+    longest prefix it shares with that word, so memory stays bounded by
+    the length of the last word.  A word that raises (an unknown letter)
+    leaves that memory as it was.  Valuations are never mutated: each
+    step builds a fresh one.
     """
 
     def __init__(self, letters: Sequence[str], registers: Sequence[str],
@@ -341,6 +348,8 @@ class NumericTransducer:
         self._steps = {k: (tgt, {r: compile_num(e, ring) for r, e in upd.items()})
                        for k, (tgt, upd) in self.transitions.items()}
         self._outputs = {q: compile_num(e, ring) for q, e in self.outputs.items()}
+        self._last: tuple[tuple[str, ...], list[tuple[str, dict[str, Poly]]]] = (
+            (), [(self.initial_state, dict(self.init))])
 
     def step(self, state: str, letter: str,
              valuation: Mapping[str, Poly]) -> tuple[str, dict[str, Poly]]:
@@ -351,20 +360,31 @@ class NumericTransducer:
                for r in self.registers}
         return target, new
 
-    def run(self, word: Sequence[str]) -> Poly:
-        state, vals = self.initial_state, dict(self.init)
-        for letter in word:
+    def _prefixes(self, word: Sequence[str]) -> list[tuple[str, dict[str, Poly]]]:
+        """(state, valuation) after every prefix of ``word``, resumed
+        from the longest prefix shared with the last word run."""
+        word = tuple(word)
+        last_word, last = self._last
+        k = 0
+        for a, b in zip(word, last_word):
+            if a != b:
+                break
+            k += 1
+        out = last[:k + 1]
+        state, vals = out[-1]
+        for letter in word[k:]:
             state, vals = self.step(state, letter, vals)
+            out.append((state, vals))
+        self._last = (word, out)
+        return out
+
+    def run(self, word: Sequence[str]) -> Poly:
+        state, vals = self._prefixes(word)[-1]
         return self._outputs[state](vals)
 
     def trace(self, word: Sequence[str]) -> list[tuple[str, dict[str, Poly]]]:
         """States and register valuations after every prefix."""
-        state, vals = self.initial_state, dict(self.init)
-        out = [(state, dict(vals))]
-        for letter in word:
-            state, vals = self.step(state, letter, vals)
-            out.append((state, dict(vals)))
-        return out
+        return [(state, dict(vals)) for state, vals in self._prefixes(word)]
 
 
 ERROR_STATE = "_err"

@@ -371,3 +371,104 @@ def test_constant_denominator_matches_general_path(num, c):
     gnum, gden = _general_of(num, XAB.const(c))
     assert r.num.terms == gnum.terms and r.den.terms == gden.terms
     assert str(r) == str(RatFunc(gnum, gden))
+
+
+# ---------------------------------------------------------------------------
+# substitution against a naive reference
+
+# x, y ordinary and ab bar; the target ring drops x and adds z
+SUB = PolyRing(VarTable.make([("x", VarKind.ORDINARY), ("y", VarKind.ORDINARY),
+                              ("ab", VarKind.BAR)]))
+SUB_TARGET = PolyRing(VarTable.make([("y", VarKind.ORDINARY),
+                                     ("z", VarKind.ORDINARY),
+                                     ("ab", VarKind.BAR)]))
+
+
+@st.composite
+def sub_polys(draw, ring, max_terms=5):
+    """Few exponents per variable, so terms repeat a power of x."""
+    names = ring.vartable.names
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = [(i, draw(halves) if ring.vartable.kind_of(i) is VarKind.BAR
+                 else draw(st.integers(0, 4)))
+                for i in range(len(names))]
+        terms[Monomial(mono)] = draw(rationals)
+    return ring.from_terms(terms)
+
+
+@st.composite
+def sub_cases(draw):
+    target = draw(st.sampled_from([None, SUB_TARGET]))
+    ring = SUB if target is None else target
+    # the target ring has no x, so x is always mapped there
+    mapping = {"x": draw(sub_polys(ring, 3))}
+    ab = draw(st.sampled_from(["unmapped", "monomial", "general"]))
+    if ab == "monomial":
+        mono = Monomial([(ring.vartable.index("ab"), draw(halves)),
+                         (ring.vartable.index("y"), draw(st.integers(0, 2)))])
+        mapping["ab"] = ring.from_monomial(mono)
+    elif ab == "general":
+        mapping["ab"] = draw(sub_polys(ring, 3))
+    return draw(sub_polys(SUB)), mapping, target
+
+
+def naive_substitute(p: Poly, mapping: dict, target) -> Poly:
+    """Sum over terms of c * prod img**e, with repeated products for
+    integer exponents and scaled monomial exponents otherwise."""
+    ring = target if target is not None else p.ring
+    names = p.ring.vartable.names
+    out = ring.zero()
+    for m, c in p.terms.items():
+        acc = ring.const(c)
+        for i, e in m.exps:
+            img = mapping.get(names[i])
+            if img is None:
+                acc = acc * ring.from_monomial(
+                    Monomial([(ring.vartable.index(names[i]), e)]))
+            elif Fraction(e).denominator == 1:
+                for _ in range(e):
+                    acc = acc * img
+            else:
+                if list(img.terms.values()) != [1]:
+                    raise DomainError("fractional power of a non-monomial")
+                (mono,) = img.terms
+                acc = acc * ring.from_monomial(
+                    Monomial([(j, f * e) for j, f in mono.exps]))
+        out = out + acc
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(sub_cases())
+def test_substitute_matches_naive_reference(case):
+    p, mapping, target = case
+    try:
+        expected = naive_substitute(p, mapping, target)
+    except DomainError:
+        with pytest.raises(DomainError):
+            p.substitute(mapping, target)
+        return
+    got = p.substitute(mapping, target)
+    assert got == expected
+    assert got.ring == expected.ring
+    # the trusted result passes the validating constructor unchanged
+    assert Poly(got.ring, got.terms).terms == got.terms
+
+
+def test_substitute_reference_cases():
+    """The property test's corner cases, each pinned once."""
+    x, y, ab = SUB.var("x"), SUB.var("y"), SUB.var("ab", Fraction(1, 2))
+    z, y_target = SUB_TARGET.var("z"), SUB_TARGET.var("y")
+    # repeated exponents of x, and an unmapped y kept in the target ring
+    p = x**3 + 2 * x**3 * y + x**2 - y
+    img = z + 1
+    assert p.substitute({"x": img}, SUB_TARGET) == (
+        img**3 * (1 + 2 * y_target) + img**2 - y_target)
+    # a fractional bar exponent bound to a monomial
+    q = ab * x
+    assert q.substitute({"ab": SUB.var("ab") ** 2 * y**2, "x": y}) \
+        == SUB.var("ab") * y**2
+    # a non-monomial image of a fractional power
+    with pytest.raises(DomainError):
+        q.substitute({"ab": y + 1})

@@ -329,3 +329,70 @@ def test_family_is_deterministic():
     b = small_family(count=6, seed=11)
     assert [m.transitions for m in a] == [m.transitions for m in b]
     assert [m.states for m in a] == [m.states for m in b]
+
+
+# ---------------------------------------------------------------------------
+# runs resumed from the last word's prefix
+
+
+def test_resumed_runs_agree_with_fresh_machines():
+    # shuffled words diverge at every depth; traces and raising words
+    # are interleaved with the runs
+    rng = random.Random(5)
+    for v in FAMILY[:5]:
+        t = compile_to_transducer(v)
+        words = [word_of_run(v, w) for w in all_words(len(v.transitions), 3)]
+        rng.shuffle(words)
+        for n, word in enumerate(words):
+            fresh = compile_to_transducer(v)
+            if n % 3 == 0:
+                assert t.trace(word) == fresh.trace(word), (v.name, word)
+            else:
+                assert t.run(word) == fresh.run(word), (v.name, word)
+            if n % 4 == 0 and word:
+                bad = word[:-1] + ("zz",) + word[-1:]
+                for _ in range(2):  # the same bad word raises again
+                    with pytest.raises(DomainError):
+                        t.run(bad)
+
+
+def test_failed_run_keeps_the_resume_point():
+    v = loop_machine(1, [up(1, 1), down(1, 1)])
+    t = compile_to_transducer(v)
+    four = t.ring.const(4)  # R1 = (x-1)(x-2) at x = 0, times R2 = 2 * 1
+    assert t.run(["t0", "t1"]) == four
+    with pytest.raises(DomainError):
+        t.run(["t0", "zz"])
+    assert t.run(["t0", "t1"]) == four
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            t.trace(["t0", "zz", "t1"])
+    with pytest.raises(DomainError):
+        t.run(["t0", "zz"])
+    with pytest.raises(DomainError):
+        t.trace(["t0", "t1", "zz"])
+    assert t.run(["t0", "t1"]) == four
+    # trace hands out copies: editing them does not reach later runs
+    steps = t.trace(["t0", "t1"])
+    steps[-1][1]["R2"] = t.ring.zero()
+    steps[1][1]["S1"] = t.ring.const(7)
+    assert t.run(["t0", "t1"]) == four
+    assert t.trace(["t0"]) == compile_to_transducer(v).trace(["t0"])
+
+
+def test_run_resumes_from_the_last_word():
+    v = loop_machine(1, [up(1, 1), down(1, 1)])
+    t = compile_to_transducer(v)
+    letters = []
+    step = t.step
+
+    def counted(state, letter, vals):
+        letters.append(letter)
+        return step(state, letter, vals)
+
+    t.step = counted
+    t.run(["t0", "t0", "t1"])
+    t.run(["t0", "t0", "t1", "t1"])
+    t.trace(["t0", "t1"])
+    t.run(["t0"])
+    assert letters == ["t0", "t0", "t1", "t1", "t1"]
