@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -147,22 +148,66 @@ def _lead_triple(p: Poly, key: KeyFn) -> tuple[Monomial, Coeff, Poly]:
     return lm, lc, p
 
 
+def _reversed_key(k: tuple) -> tuple:
+    """Elementwise negation: reverses the comparison of order keys."""
+    return tuple(_reversed_key(x) if isinstance(x, tuple) else -x for x in k)
+
+
 def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
                 key: KeyFn) -> Poly:
-    """Fully reduced remainder of f modulo the basis (deterministic)."""
+    """Fully reduced remainder of f modulo the basis (deterministic).
+
+    The remainder is one mutable term dict.  Its leading term comes off
+    a heap of reversed order keys, each computed once per call; a
+    monomial that cancels leaves a stale heap entry, skipped when
+    popped.  A leading term divisible by the leading monomial of a
+    basis entry (the first one, in basis order) is reduced by
+    subtracting ``q * t * b`` term by term, ``work[m] + (-(c * q))``;
+    the leading term itself cancels exactly in both fields, so it is
+    dropped.  Any other leading term moves to the output.
+    """
     ring = f.ring
+    div = ring.field.div
+    work = dict(f.terms)
+    rkeys: dict[Monomial, tuple] = {}
+    monos: dict[tuple, Monomial] = {}
+
+    def rkey(m: Monomial) -> tuple:
+        k = rkeys.get(m)
+        if k is None:
+            k = rkeys[m] = _reversed_key(key(m))
+            monos[k] = m
+        return k
+
+    heap = [rkey(m) for m in work]
+    heapify(heap)
     out: dict[Monomial, Coeff] = {}
-    work = f
-    while not work.is_zero():
-        lm, lc = leading(work, key)
+    while heap:
+        lm = monos[heappop(heap)]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
         for bm, bc, b in basis:
             if bm.divides(lm):
                 t = lm.div(bm)
-                work = work - b * ring.from_monomial(t, ring.field.div(lc, bc))
+                q = div(lc, bc)
+                for m, c in b.terms.items():
+                    if m == bm:
+                        continue
+                    m = m.mul(t)
+                    c = -(c * q)
+                    if m in work:
+                        c = work[m] + c
+                        if c:
+                            work[m] = c
+                        else:
+                            del work[m]
+                    else:
+                        work[m] = c
+                        heappush(heap, rkey(m))
                 break
         else:
             out[lm] = lc
-            work = work - ring.from_monomial(lm, lc)
     return Poly(ring, out)
 
 

@@ -661,28 +661,100 @@ class Poly:
     def substitute_frac(self, mapping: dict[str, "RatFunc"]) -> "RatFunc":
         """Replace variables by rational functions over the same ring.
 
-        Defined for polynomials with rational coefficients only; the
-        result is a rational function.  Fractional exponents require the
-        image to be a quotient of coefficient-one monomials.
+        Defined for polynomials with rational coefficients only.  The
+        result is built over one common denominator ``D``, the product
+        over the variables of ``n**N * d**P * L`` for an image ``n/d``
+        (an unmapped variable is its own image): ``P`` is the largest
+        positive exponent of the variable, ``N`` the largest absolute
+        negative one, and ``L`` the lcm of the monomial denominators of
+        its fractional powers, which need the image to be a quotient of
+        coefficient-one monomials.  Each term adds its numerator times
+        ``D / d_term`` into one dict, from powers of ``n`` and ``d``
+        built once per call; the sum is normalised once,
+        ``RatFunc.of(N, D)``.  A negative power of a zero image, and a
+        fractional power of a non-monomial one, raise ``DomainError``.
         """
         if not isinstance(self.ring.field, RationalField):
             raise StructureError("substitute_frac needs rational coefficients")
         ring = self.ring
-        one = RatFunc.of(ring.one(), ring.one())
-        out = RatFunc.of(ring.zero(), ring.one())
         names = ring.vartable.names
-        for m, c in self.terms.items():
-            acc = RatFunc.of(ring.const(c), ring.one())
+        one = ring.one()
+
+        def times(a: Poly, b: Poly) -> Poly:
+            """Product that skips the factor ``one``."""
+            return b if a is one else a if b is one else a * b
+
+        # per variable index: [image numerator, image denominator, P, N, L]
+        shares: dict[int, list] = {}
+        fracs: dict[tuple[int, Fraction], RatFunc] = {}
+        for m in self.terms:
             for i, e in m.exps:
-                img = mapping.get(names[i])
-                if img is None:
-                    img = RatFunc.of(ring.var(names[i]), ring.one())
-                if isinstance(e, int):
-                    acc = acc * img ** e
+                share = shares.get(i)
+                if share is None:
+                    img = mapping.get(names[i])
+                    if img is None:
+                        n, d = ring.var(names[i]), one
+                    elif img.ring != ring:
+                        raise StructureError(
+                            f"image of {names[i]!r} lives in a different ring")
+                    else:
+                        n, d = img.num, (one if img.den == one else img.den)
+                    share = shares[i] = [n, d, 0, 0, UNIT_MONOMIAL]
+                if not isinstance(e, int):
+                    if (i, e) not in fracs:
+                        f = fracs[i, e] = RatFunc(share[0], share[1]).pow_frac(e)
+                        (neg,) = f.den.terms
+                        share[4] = share[4].lcm(neg)
+                elif e > 0:
+                    share[2] = max(share[2], e)
                 else:
-                    acc = acc * img.pow_frac(e)
-            out = out + acc
-        return out
+                    if share[0].is_zero():
+                        raise DomainError("negative power of zero")
+                    share[3] = max(share[3], -e)
+        # (variable index, 0 for the numerator or 1 for the denominator)
+        # -> [1, base, base**2, ...]
+        powers: dict[tuple[int, int], list[Poly]] = {}
+
+        def power(i: int, which: int, k: int) -> Poly:
+            table = powers.setdefault((i, which), [one])
+            while len(table) <= k:
+                table.append(times(table[-1], shares[i][which]))
+            return table[k]
+
+        factors: dict[tuple[int, Exponent], Poly] = {}
+
+        def factor(i: int, e: Exponent) -> Poly:
+            """The image's power ``e`` times the rest of the variable's
+            share of ``D``: ``n**a * d**b * mono``."""
+            f = factors.get((i, e))
+            if f is None:
+                _, _, top, bottom, lcm_den = shares[i]
+                if isinstance(e, int):
+                    a, b, mono = bottom + e, top - e, lcm_den
+                else:
+                    frac = fracs[i, e]
+                    (pos,), (neg,) = frac.num.terms, frac.den.terms
+                    a, b, mono = bottom, top, pos.mul(lcm_den.div(neg))
+                f = times(power(i, 0, a), power(i, 1, b))
+                if not mono.is_unit():
+                    f = times(f, ring.from_monomial(mono))
+                factors[i, e] = f
+            return f
+
+        terms: dict[Monomial, Coeff] = {}
+        for m, c in self.terms.items():
+            exps = dict(m.exps)
+            acc = one
+            for i in shares:
+                acc = times(acc, factor(i, exps.get(i, 0)))
+            for mm, cc in acc.terms.items():
+                cc = c * cc
+                terms[mm] = terms[mm] + cc if mm in terms else cc
+        den = one
+        for i in shares:
+            den = times(den, factor(i, 0))
+        # sums and products of polynomials over ``ring`` are valid there
+        return RatFunc.of(Poly._raw(ring, terms), den)
 
     def evaluate(self, point: dict[str, Fraction]) -> Fraction:
         """Evaluate at a rational point; roots must exist exactly."""

@@ -286,7 +286,15 @@ def compile_num(expr: NumExpr,
         return lambda val: left(val) + right(val)
     if isinstance(expr, NMul):
         left, right = compile_num(expr.left, ring), compile_num(expr.right, ring)
-        return lambda val: left(val) * right(val)
+
+        def mul(val: Mapping[str, Poly]) -> Poly:
+            # a zero right factor, such as the output's R2, makes the left
+            # one (the output's R1[x := sum]) unneeded; over Z[x] it cannot
+            # raise, so skipping it changes no result
+            r = right(val)
+            return r if r.is_zero() else left(val) * r
+
+        return mul
     if isinstance(expr, NSubstX):
         body = compile_num(expr.body, ring)
         repl = compile_num(expr.replacement, ring)

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from polyzero.errors import DomainError
 from polyzero.groebner import (
     BlockElim, GrevLex, Ideal, Lex, buchberger, eliminate, ideal_intersect,
-    image_closure, order_key, vanishing_ideal_of_points,
+    image_closure, leading, normal_form, order_key, vanishing_ideal_of_points,
 )
 from polyzero.poly import (
-    FractionField, Monomial, PolyMap, PolyRing, VarKind, VarTable,
-    ordinary_ring,
+    FractionField, Monomial, Poly, PolyMap, PolyRing, RatFunc, VarKind,
+    VarTable, ordinary_ring,
 )
 
 XYZ = ordinary_ring(["x", "y", "z"])
@@ -246,3 +246,75 @@ def test_each_ideal_computes_its_basis_once(monkeypatch):
     assert I.equal(J) and J.equal(I)
     assert not I.is_trivial()
     assert sorted(calls, key=len) == [I.gens, J.gens]
+
+
+# ---------------------------------------------------------------------------
+# normal forms against the rebuild-per-step reference
+
+C_RING = ordinary_ring(["c"])
+Y12 = PolyRing(VarTable.make([("y1", VarKind.ORDINARY), ("y2", VarKind.ORDINARY)]),
+               FractionField(C_RING))
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def c_polys(draw, nonzero=False):
+    p = C_RING.from_terms({Monomial([(0, draw(st.integers(0, 1)))]):
+                           draw(small_rationals) for _ in range(draw(st.integers(1, 2)))})
+    return p + 1 if nonzero and p.is_zero() else p
+
+
+@st.composite
+def nf_polys(draw, ring, max_terms, max_deg):
+    n = len(ring.vartable)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = Monomial([(i, draw(st.integers(0, max_deg))) for i in range(n)])
+        if ring is Y12:
+            terms[mono] = RatFunc.of(draw(c_polys()), draw(c_polys(nonzero=True)))
+        else:
+            terms[mono] = draw(small_rationals)
+    return ring.from_terms(terms)
+
+
+@st.composite
+def nf_cases(draw):
+    ring = draw(st.sampled_from([XYZ, Y12]))
+    gens = draw(st.lists(nf_polys(ring, 3, 2), min_size=1, max_size=2))
+    order = draw(st.sampled_from([GrevLex(), Lex()]))
+    return draw(nf_polys(ring, 5, 3)), gens, order
+
+
+def rebuild_normal_form(f: Poly, basis, key) -> Poly:
+    """Normal form that rebuilds the remainder polynomial at every step
+    and finds its leading term by scanning every term."""
+    ring = f.ring
+    out = {}
+    work = f
+    while not work.is_zero():
+        lm, lc = leading(work, key)
+        for bm, bc, b in basis:
+            if bm.divides(lm):
+                t = lm.div(bm)
+                work = work - b * ring.from_monomial(t, ring.field.div(lc, bc))
+                break
+        else:
+            out[lm] = lc
+            work = work - ring.from_monomial(lm, lc)
+    return Poly(ring, out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nf_cases())
+def test_normal_form_matches_rebuild_reference(case):
+    f, gens, order = case
+    ring = f.ring
+    key = order_key(order, ring)
+    basis = [(*leading(b, key), b) for b in buchberger(gens, order)]
+    nf = normal_form(f, basis, key)
+    expected = rebuild_normal_form(f, basis, key)
+    assert nf == expected
+    # the same coefficients as printed, RatFunc numerators and denominators too
+    assert str(nf) == str(expected)
+    assert all(not bm.divides(m) for m in nf.terms for bm, _, _ in basis)
+    assert Ideal(ring, gens).member(f - nf)

@@ -472,3 +472,128 @@ def test_substitute_reference_cases():
     # a non-monomial image of a fractional power
     with pytest.raises(DomainError):
         q.substitute({"ab": y + 1})
+
+
+# ---------------------------------------------------------------------------
+# rational-function substitution against the term-by-term reference
+
+# x, y ordinary and ab, bb bar; field mode lets bar exponents be negative
+FRAC = PolyRing(VarTable.make([("x", VarKind.ORDINARY), ("y", VarKind.ORDINARY),
+                               ("ab", VarKind.BAR), ("bb", VarKind.BAR)]),
+                mode=Mode.FIELD)
+
+
+@st.composite
+def frac_polys(draw, max_terms=4, negative=True):
+    """x to 0..3, y to 0..1, ab to a half and bb to an integer, both
+    negative too unless ``negative`` is false."""
+    low = -3 if negative else 0
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = [(0, draw(st.integers(0, 3))), (1, draw(st.integers(0, 1))),
+                (2, Fraction(draw(st.integers(low, 3)), 2)),
+                (3, draw(st.integers(max(low, -2), 2)))]
+        terms[Monomial(mono)] = draw(rationals)
+    return FRAC.from_terms(terms)
+
+
+@st.composite
+def frac_images(draw):
+    """A quotient of two small polynomials over ``FRAC``."""
+    num = draw(frac_polys(2, negative=False))
+    den = draw(frac_polys(2, negative=False))
+    return RatFunc.of(num, den if not den.is_zero() else FRAC.var("y") + 1)
+
+
+@st.composite
+def frac_cases(draw):
+    mapping = {"x": draw(frac_images())}
+    bb = draw(st.sampled_from(["unmapped", "general", "zero"]))
+    if bb == "general":
+        mapping["bb"] = draw(frac_images())
+    elif bb == "zero":
+        mapping["bb"] = RatFunc.of(FRAC.zero(), FRAC.one())
+    ab = draw(st.sampled_from(["unmapped", "monomial", "general"]))
+    if ab == "monomial":
+        pos = Monomial([(1, draw(st.integers(0, 2))),
+                        (2, Fraction(draw(st.integers(0, 3)), 2))])
+        neg = Monomial([(3, draw(st.integers(0, 2)))])
+        mapping["ab"] = RatFunc(FRAC.from_monomial(pos), FRAC.from_monomial(neg))
+    elif ab == "general":
+        mapping["ab"] = draw(frac_images())
+    return draw(frac_polys()), mapping
+
+
+def stepwise_substitute_frac(p: Poly, mapping: dict) -> RatFunc:
+    """Sum over terms of c * prod img**e, each product and sum
+    normalised by ``RatFunc.of`` as it is formed."""
+    ring = p.ring
+    out = RatFunc.of(ring.zero(), ring.one())
+    names = ring.vartable.names
+    for m, c in p.terms.items():
+        acc = RatFunc.of(ring.const(c), ring.one())
+        for i, e in m.exps:
+            img = mapping.get(names[i])
+            if img is None:
+                img = RatFunc.of(ring.var(names[i]), ring.one())
+            acc = acc * (img ** e if isinstance(e, int) else img.pow_frac(e))
+        out = out + acc
+    return out
+
+
+def _assert_same_substitution(p: Poly, mapping: dict) -> None:
+    try:
+        expected = stepwise_substitute_frac(p, mapping)
+    except DomainError:
+        with pytest.raises(DomainError):
+            p.substitute_frac(mapping)
+        return
+    got = p.substitute_frac(mapping)
+    assert got == expected
+    if expected.den == p.ring.one():
+        # a polynomial value: reports print this pair as it stands
+        assert got.num.terms == expected.num.terms
+        assert got.den.terms == expected.den.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(frac_cases())
+def test_substitute_frac_matches_stepwise_reference(case):
+    _assert_same_substitution(*case)
+
+
+def test_substitute_frac_reference_cases():
+    """The property test's corner cases, each pinned once."""
+    x, y, bb = FRAC.var("x"), FRAC.var("y"), FRAC.var("bb")
+    ab_half = FRAC.var("ab", Fraction(1, 2))
+    x_img = RatFunc.of(x + 1, y + 2)
+    # non-constant denominators, with a polynomial value
+    p = (x**2 - x * bb) * (y + 2) ** 2
+    images = {"x": x_img, "bb": RatFunc.of(y, y + 2)}
+    assert p.substitute_frac(images) == (x + 1) ** 2 - (x + 1) * y
+    _assert_same_substitution(p, images)
+    _assert_same_substitution(x * (y + 2) - bb, images)
+    # negative integer exponents of a general and of an unmapped image
+    q = FRAC.var("bb", -2) + x * FRAC.var("bb", -1)
+    got = q.substitute_frac({"bb": x_img})
+    assert got == RatFunc.of((y + 2) ** 2 + x * (y + 2) * (x + 1), (x + 1) ** 2)
+    _assert_same_substitution(q, {"bb": x_img})
+    _assert_same_substitution(q, {"x": x_img})
+    # fractional exponents of a quotient of monomials
+    r = ab_half * x + FRAC.var("ab", Fraction(-3, 2))
+    ab_img = RatFunc(FRAC.var("ab") * y**2, bb**2)
+    assert r.substitute_frac({"ab": ab_img}) == RatFunc.of(
+        x * FRAC.var("ab") ** 2 * y**4 + bb**4,
+        FRAC.var("ab", Fraction(3, 2)) * y**3 * bb)
+    _assert_same_substitution(r, {"ab": ab_img, "x": x_img})
+    # a fractional power of a non-monomial image
+    with pytest.raises(DomainError):
+        r.substitute_frac({"ab": x_img})
+    # a negative power of a zero image
+    with pytest.raises(DomainError):
+        q.substitute_frac({"bb": RatFunc.of(FRAC.zero(), FRAC.one())})
+    assert (x * bb).substitute_frac({"bb": RatFunc.of(FRAC.zero(), FRAC.one())}) \
+        == RatFunc.of(FRAC.zero(), FRAC.one())
+    # an image over another ring
+    with pytest.raises(StructureError):
+        x.substitute_frac({"x": RatFunc.of(X, XY.one())})
