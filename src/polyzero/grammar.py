@@ -21,15 +21,22 @@ equivalence builds outside the general fragment is unary.
 
 The same chain, run in two stages, decides :func:`indep_zeroness` (and
 ``eqsat`` through it) and :func:`chain_zeroness` when their grammars
-are unary.  Stage one runs the chain on the outer grammar with its
-value variables symbolic, and keeps the outer values along the paths of
-its generators; stage two seeds the inner grammar's chain with them.
-A seed failing at an inner value spells a witness pair; the inner
-fixpoint, or the seeds themselves for a substitution chain, go through
-the ordinary certificate check and a quotient :func:`zeroness` proof.
+are unary, and the same refinement serves every other substitution
+chain and every pair whose inner grammar is unary.  Stage one keeps
+outer (head) values: those along the outer grammar's chain when it is
+unary, none to start otherwise.  Stage two proves them zero on the
+inner grammar, by seeding its chain with them or, for a substitution
+chain, by the shorter chain; a value failing there spells a witness.
+Then the outer grammar is proved zero modulo their ideal by a quotient
+:func:`zeroness`, and any outer value that this proof finds outside the
+ideal joins them.  The ideal that the outer values generate is finitely
+generated (Hilbert's basis theorem), so this refinement ends.
 
-Any other grammar is attacked from two sides, each a stream of bounded
-steps:
+Sampling serves only what is left: :func:`zeroness` on a grammar that
+is not unary (a quotient proof of a non-unary outer grammar included),
+and the invariant of a non-unary inner grammar of
+:func:`indep_zeroness`.  Such a grammar is attacked from two sides,
+each a stream of bounded steps:
 
 * refutation: derivation enumeration searches for a witness, one
   derivation size per step;
@@ -313,24 +320,19 @@ def enumerate_values(g: Grammar, max_size: int,
     return ValueTable(g).values(nt, max_size)
 
 
-def _dedup_values(pairs: Iterable[tuple[Value, Derivation]],
-                  cap: int) -> list[Value]:
-    seen: dict[Value, None] = {}
-    for v, _ in pairs:
-        seen.setdefault(v, None)
-        if len(seen) >= cap:
-            break
-    return list(seen)
-
-
 def collect_samples(table: ValueTable, max_size: int,
                     cap: int) -> dict[str, list[Value]]:
-    """Deduplicated value samples per productive nonterminal."""
+    """Deduplicated value samples per productive nonterminal, at most
+    ``cap`` each."""
     out: dict[str, list[Value]] = {}
     for nt in table.g.nonterminals:
-        vals = _dedup_values(table.values(nt, max_size), cap)
-        if vals:
-            out[nt] = vals
+        seen: dict[Value, None] = {}
+        for v, _ in table.values(nt, max_size):
+            seen.setdefault(v, None)
+            if len(seen) >= cap:
+                break
+        if seen:
+            out[nt] = list(seen)
     return out
 
 
@@ -646,15 +648,16 @@ def _monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 def low_degree_vanishing(value_ring: PolyRing, ambient: Ideal | None,
                          cring: PolyRing, coord_names: Sequence[str],
-                         samples: Sequence[Value], degree: int,
-                         kernel_cap: int = 12) -> list[Poly] | None:
+                         samples: Sequence[Value],
+                         degree: int) -> list[Poly] | None:
     """Polynomials over cring of bounded degree vanishing on the samples.
 
     Coordinate variables are bound to the sample components; the
     remaining cring variables stay symbolic, so a candidate vanishes
     when its expansion is zero as a polynomial over the value ring
     (reduced by the ambient ideal first when one is given).  Returns
-    None when the solution space is too large to be a useful invariant.
+    None when more than 12 independent polynomials vanish, too many to
+    be a useful invariant.
     """
     coord_pos = {n: j for j, n in enumerate(coord_names)}
     names = cring.names()
@@ -688,7 +691,7 @@ def low_degree_vanishing(value_ring: PolyRing, ambient: Ideal | None,
         for xm in xmonos:
             rows.append([p.coeff_of(xm) for p in row_polys])
     kernel = kernel_basis(rows, len(monos), field)
-    if len(kernel) > kernel_cap:
+    if len(kernel) > 12:
         return None
     out = []
     for vec in kernel:
@@ -699,11 +702,6 @@ def low_degree_vanishing(value_ring: PolyRing, ambient: Ideal | None,
             terms[Monomial((i, e) for i, e in enumerate(monos[j]) if e)] = c
         out.append(cring.from_terms(terms))
     return out
-
-
-def _widening_step(i: int) -> tuple[int, int, int]:
-    """Candidate degree, sample size and sample cap of widening round i."""
-    return (1 if i % 2 == 0 else 2), 2 + i // 2, 8 + 4 * (i // 2)
 
 
 def _holds_on_fresh_values(g: Grammar, ideals: dict[str, Ideal],
@@ -733,7 +731,9 @@ def closure_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
     # certificates are undefined there: leave the refusal to check_certificate
     filtered = all(p.slot_sources is None for p in g.productions)
     for i in itertools.count():
-        degree, size, cap = _widening_step(i)
+        # candidate degree, sample size and sample cap of round i
+        degree, size, cap = ((1 if i % 2 == 0 else 2), 2 + i // 2,
+                             8 + 4 * (i // 2))
         samples = collect_samples(table, size, cap)
         if any(nt not in samples for nt in productive):
             yield None
@@ -947,15 +947,18 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
     outer grammar zero modulo that variety's ideal.  Refutation side:
     enumerate value pairs and evaluate.
 
-    When both grammars are unary the invariant comes from the two-stage
-    chain: the outer grammar's values along its chain
-    (:func:`_outer_seeds`), renamed to the inner coordinates, seed the
-    inner grammar's chain.  A seed failing at an inner value along the
-    chain spells a witness pair, replayed and evaluated before it is
-    returned; the fixpoint is the candidate invariant, checked like any
-    other.  An outer value that the quotient proof finds outside it
-    (only twists allow one) joins the seeds, and stage two runs again.
-    Any other pair guesses candidates with :func:`closure_rounds`.
+    When the inner grammar is unary the invariant comes from the
+    two-stage chain: outer values, renamed to the inner coordinates,
+    seed the inner grammar's chain.  They start as the outer grammar's
+    values along its chain (:func:`_outer_seeds`) when it is unary, and
+    as none otherwise.  A seed failing at an inner value along the chain
+    spells a witness pair, replayed and evaluated before it is returned;
+    the fixpoint is the candidate invariant, checked like any other.  An
+    outer value that the quotient proof finds outside it (twists or a
+    non-unary outer grammar allow one) joins the seeds, and stage two
+    runs again.  Only a non-unary inner grammar, whose certificate must
+    be an inner invariant, has its candidates guessed by
+    :func:`closure_rounds`.
 
     Supplied certificates describe candidate inner invariants (over the
     inner grammar's field view when it has value variables) and are
@@ -1039,7 +1042,7 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
             detail="nonzero evaluation found")
 
     def staged() -> IndepResult | None:
-        seeds = _outer_seeds(outer, deadline)
+        seeds = _outer_seeds(outer, deadline) if _is_unary(outer) else {}
         if seeds is None:
             return None
         ring = inner.cert_ring(inner.initial)
@@ -1062,10 +1065,11 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
             if qr is None or qr.witness is None:
                 return try_invariant(found, qr)
             # an outer value outside the invariant, which the seeds miss
-            # only through twists: it joins them, and the ideal grows
+            # through twists or a non-unary outer grammar: it joins them,
+            # and the ideal grows
             seeds.setdefault(qr.witness.value[0], qr.witness.derivation)
 
-    if _is_unary(outer) and _is_unary(inner):
+    if _is_unary(inner):
         prove = (staged() for _ in range(1))
     else:
         prove = (None if cand is None else try_invariant(cand)
@@ -1088,49 +1092,21 @@ class ChainResult:
     detail: str = ""
 
 
-def _composed_tail_values(tail: Sequence[ValueTable], size: int,
-                          cap: int) -> list[Value]:
-    """Sampled values of the innermost grammar pushed outwards through
-    the substitution chain; always scalar tuples over a variable-free
-    ring (deduplicated and capped at each stage)."""
-    last = tail[-1].g
-    sring = PolyRing(EMPTY_VARTABLE, last.ring.field, last.ring.mode)
-    vals = [tuple(sring.const(c.constant_value()) for c in v)
-            for v in _dedup_values(tail[-1].values(last.initial, size), cap)]
-    for table in reversed(tail[:-1]):
-        g = table.g
-        outer_vals = _dedup_values(table.values(g.initial, size), cap)
-        xnames = g.ring.names()
-        acc: dict[Value, None] = {}
-        for ov in outer_vals:
-            for iv in vals:
-                binding = {x: g.ring.const(c.constant_value())
-                           for x, c in zip(xnames, iv)}
-                comp = tuple(sring.const(p.substitute(binding).constant_value())
-                             for p in ov)
-                acc.setdefault(comp, None)
-                if len(acc) >= cap:
-                    break
-            if len(acc) >= cap:
-                break
-        vals = list(acc)
-    return vals
-
-
 def chain_zeroness(grammars: Sequence[Grammar],
                    budgets: Budgets = Budgets()) -> ChainResult:
     """Zeroness of g1(g2(... gn ...)) over all derivable value chains.
 
-    Works outside-in: find generators of an ideal that holds every head
-    value, verify each generator recursively as a zeroness problem of
-    the shorter chain, then prove the head grammar zero modulo them.
-    When every grammar is unary the generators are the head's values
-    along its chain (:func:`_outer_seeds`), so a generator found nonzero
-    on the tail refutes the chain, and a head value that the quotient
-    proof finds outside them (only twists allow one) joins them.
-    Otherwise they are guessed: a bounded-degree ideal vanishing on
-    sampled composed values of the tail, one degree and sample size per
-    round.
+    Works outside-in by refining on head values.  The generators are
+    values of the head grammar: its values along its chain
+    (:func:`_outer_seeds`) when the head is unary, otherwise none to
+    start.  Each generator is proved zero on the tail by the shorter
+    chain, and one found nonzero there refutes the chain.  Then the head
+    grammar is proved zero modulo the generators (plain zeroness while
+    there are none); a head value that this proof finds outside their
+    ideal joins them, and only the new generators go to the tail.  The
+    ideal grows in a Noetherian ring, so the refinement ends.  Sampling
+    enters only where a nested :func:`zeroness` meets a grammar that is
+    not unary.
     """
     gs = list(grammars)
     if not gs:
@@ -1158,72 +1134,43 @@ def chain_zeroness(grammars: Sequence[Grammar],
     coords = tuple(f"_t{i}" for i in range(len(xnames)))
     coordring = PolyRing(VarTable.make((c, VarKind.ORDINARY) for c in coords),
                          head.ring.field, head.ring.mode)
-    sring = PolyRing(EMPTY_VARTABLE, head.ring.field, head.ring.mode)
     rename = dict(zip(xnames, coords))
-    head_table, *tail_tables = [ValueTable(g) for g in gs]
 
-    def one_round(rnd: int) -> ChainResult | None:
-        degree, size, cap = _widening_step(rnd)
-        composed = _composed_tail_values(tail_tables, size, cap)
-        head_vals = _dedup_values(head_table.values(
-            head.initial, min(budgets.size, 2 + rnd)), 4 * cap)
-        for hv in head_vals:
-            for cv in composed:
-                binding = {x: head.ring.const(c.constant_value())
-                           for x, c in zip(xnames, cv)}
-                evaluated = tuple(p.substitute(binding) for p in hv)
-                if any(not p.is_zero() for p in evaluated):
-                    value = tuple(sring.const(p.constant_value())
-                                  for p in evaluated)
-                    return ChainResult("nonzero", witness_value=value,
-                                       detail="nonzero composed value found")
-        gens = low_degree_vanishing(sring, None, coordring, coords,
-                                    composed, degree)
-        if gens is None or (not gens and rnd > 0):
+    def refine() -> ChainResult | None:
+        new = _outer_seeds(head, deadline) if _is_unary(head) else {}
+        if new is None:
             return None
-        return verify(gens, False)
-
-    def verify(gens: Sequence[Poly], decisive: bool) -> ChainResult | None:
-        """The links and the quotient proof; with ``decisive`` the
-        generators are head values, and a nonzero link is a refutation."""
-        links = []
-        for f in gens:
-            fmap = PolyMap(coordring, coords, (f,))
-            sub = chain_zeroness([attach_polymap(fmap, gs[1])] + gs[2:],
-                                 budgets.inner(deadline))
-            links.append(sub)
-            if decisive and sub.verdict == "nonzero":
-                return ChainResult("nonzero", link_results=tuple(links),
-                                   witness_value=sub.witness_value,
-                                   detail="nonzero composed value found")
-            if sub.verdict != "zero":
+        proved: list[Poly] = []  # head values proved zero on the tail
+        links: list[ChainResult] = []
+        while True:
+            for v in new:
+                fmap = PolyMap(coordring, coords,
+                               (v.convert(coordring, rename),))
+                sub = chain_zeroness([attach_polymap(fmap, gs[1])] + gs[2:],
+                                     budgets.inner(deadline))
+                links.append(sub)
+                if sub.verdict == "nonzero":
+                    return ChainResult("nonzero", link_results=tuple(links),
+                                       witness_value=sub.witness_value,
+                                       detail="nonzero composed value found")
+                if sub.verdict != "zero":
+                    return None
+                proved.append(v)
+            quotient = Grammar(head.nonterminals, head.initial,
+                               head.productions, head.ring,
+                               Ideal(head.ring, proved) if proved else None,
+                               head.name)
+            qr = zeroness(quotient, budgets.inner(deadline))
+            if qr.verdict == "zero":
+                return ChainResult("zero", invariant_gens=tuple(
+                    v.convert(coordring, rename) for v in proved),
+                    link_results=tuple(links), quotient_result=qr,
+                    detail="tail invariant and quotient proof")
+            if qr.witness is None:
                 return None
-        quotient = Grammar(head.nonterminals, head.initial, head.productions,
-                           head.ring,
-                           ambient=Ideal(head.ring,
-                                         [f.convert(head.ring,
-                                                    dict(zip(coords, xnames)))
-                                          for f in gens]),
-                           name=head.name)
-        qr = zeroness(quotient, budgets.inner(deadline))
-        if qr.verdict == "zero":
-            return ChainResult("zero", invariant_gens=tuple(gens),
-                               link_results=tuple(links), quotient_result=qr,
-                               detail="tail invariant and quotient proof")
-        if decisive and qr.witness is not None:
-            # a head value outside the ideal, which the generators miss
-            # only through twists: it joins them, and the ideal grows
-            return verify([*gens, *(c.convert(coordring, rename)
-                                    for c in qr.witness.value
-                                    if not c.is_zero())], True)
-        return None
+            # a head value outside the ideal of the generators joins them,
+            # so the ideal grows; the links proved so far stay proved
+            new = [c for c in qr.witness.value if not c.is_zero()]
 
-    def staged() -> ChainResult | None:
-        seeds = _outer_seeds(head, deadline)
-        return None if seeds is None else verify(
-            [v.convert(coordring, rename) for v in seeds], True)
-
-    rounds = ((staged() for _ in range(min(1, budgets.iters)))
-              if all(map(_is_unary, gs))
-              else map(one_round, range(budgets.iters)))
-    return _interleave([rounds], deadline, ChainResult)
+    return _interleave([(refine() for _ in range(min(1, budgets.iters)))],
+                       deadline, ChainResult)

@@ -272,26 +272,27 @@ def buchberger(gens: Iterable[Poly], order: Order) -> tuple[Poly, ...]:
         if not h.is_zero():
             push(h)
 
-    # inter-reduce to the unique reduced basis
-    polys = [e[2] for e in entries]
+    # inter-reduce to the unique reduced basis; only the triple of the
+    # polynomial that changed is rebuilt
+    triples: list[tuple[Monomial, Coeff, Poly] | None] = list(entries)
     changed = True
     while changed:
         changed = False
-        for idx in range(len(polys)):
-            if polys[idx] is None:
+        for idx, own in enumerate(triples):
+            if own is None:
                 continue
-            others = [_lead_triple(q, key)
-                      for k2, q in enumerate(polys) if q is not None and k2 != idx]
-            r = normal_form(polys[idx], others, key)
+            others = [t for k2, t in enumerate(triples)
+                      if t is not None and k2 != idx]
+            r = normal_form(own[2], others, key)
             if r.is_zero():
-                polys[idx] = None
+                triples[idx] = None
                 changed = True
-            elif r != polys[idx]:
-                polys[idx] = _monic(r, key)
+            elif r != own[2]:
+                triples[idx] = _lead_triple(_monic(r, key), key)
                 changed = True
-    final = [p for p in polys if p is not None]
-    final.sort(key=lambda p: key(leading(p, key)[0]), reverse=True)
-    return tuple(_unapply_scales(p, scales) for p in final)
+    final = sorted((t for t in triples if t is not None),
+                   key=lambda t: key(t[0]), reverse=True)
+    return tuple(_unapply_scales(p, scales) for _, _, p in final)
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +309,22 @@ class Ideal:
             if g.ring != ring:
                 raise StructureError("ideal generator over a different ring")
         self.gens = gens
-        self._bases: dict[tuple, tuple[Poly, ...]] = {}
+        self._bases: dict[tuple, tuple[tuple[Monomial, Coeff, Poly], ...]] = {}
 
     def __repr__(self) -> str:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
-    def _basis(self, order: Order, scales: dict[int, int]) -> tuple[Poly, ...]:
-        """Reduced basis of the generators with their exponents scaled;
-        every basis of the ideal is computed here, once per order and
-        scaling."""
+    def _basis(self, order: Order, scales: dict[int, int]
+               ) -> tuple[tuple[Monomial, Coeff, Poly], ...]:
+        """Reduced basis of the generators with their exponents scaled,
+        as the (lm, lc, p) triples that normal_form takes; every basis
+        of the ideal is computed here, once per order and scaling."""
         cache_key = (order, tuple(sorted(scales.items())))
         if cache_key not in self._bases:
-            self._bases[cache_key] = buchberger(
-                [_apply_scales(g, scales) for g in self.gens], order)
+            key = order_key(order, self.ring)
+            self._bases[cache_key] = tuple(
+                _lead_triple(b, key) for b in buchberger(
+                    [_apply_scales(g, scales) for g in self.gens], order))
         return self._bases[cache_key]
 
     def groebner(self, order: Order | None = None) -> tuple[Poly, ...]:
@@ -328,7 +332,7 @@ class Ideal:
             order = GrevLex()
         scales = _joint_scales(self.gens)
         return tuple(_unapply_scales(b, scales)
-                     for b in self._basis(order, scales))
+                     for _, _, b in self._basis(order, scales))
 
     def is_trivial(self) -> bool:
         """Whether this is the unit ideal."""
@@ -341,9 +345,8 @@ class Ideal:
             return f
         order = GrevLex()
         scales = _joint_scales(self.gens + (f,))
-        key = order_key(order, self.ring)
-        basis = [_lead_triple(b, key) for b in self._basis(order, scales)]
-        nf = normal_form(_apply_scales(f, scales), basis, key)
+        nf = normal_form(_apply_scales(f, scales), self._basis(order, scales),
+                         order_key(order, self.ring))
         return _unapply_scales(nf, scales)
 
     def member(self, f: Poly) -> bool:
@@ -397,7 +400,9 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
         # grevlex basis of the intersection, in the same order; with
         # fractional exponents the block basis was computed on scaled
         # exponents, whose grevlex order differs, so it is not reused
-        out._bases[(GrevLex(), ())] = out.gens
+        key = order_key(GrevLex(), ring)
+        out._bases[(GrevLex(), ())] = tuple(_lead_triple(g, key)
+                                            for g in out.gens)
     return out
 
 

@@ -20,8 +20,9 @@ quotient of two polynomials over a parameter ring (field
 through ``field.div``: a bare ``/`` of two ``int`` would give a float.
 
 :class:`Poly` validates every exponent on construction, except in the
-trusted ``Poly._raw`` behind sums, negations, products, scalings and
-substitutions: sums of valid exponents over one ring are valid, so that
+trusted ``Poly._raw`` behind sums, negations, products, scalings,
+substitutions and the ring constants: sums of valid exponents over one
+ring are valid, and a constant has only the unit monomial, so that
 check could never fail there.
 """
 
@@ -344,13 +345,13 @@ class PolyRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._raw(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {UNIT_MONOMIAL: self.field.one()})
+        return Poly._raw(self, {UNIT_MONOMIAL: self.field.one()})
 
     def const(self, c: object) -> "Poly":
-        return Poly(self, {UNIT_MONOMIAL: self.field.coerce(c)})
+        return Poly._raw(self, {UNIT_MONOMIAL: self.field.coerce(c)})
 
     def var(self, name: str, exp: Exponent = 1) -> "Poly":
         i = self.vartable.index(name)

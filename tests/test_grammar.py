@@ -437,16 +437,11 @@ def test_indep_dimension_mismatch():
 # --- the two-stage chain ---------------------------------------------------
 
 
-def random_indep_pair(seed):
-    """A seeded unary (outer, inner) pair over QQ.
-
-    The inner values (x1, x2) lie on a curve r = 0: a line, a parabola
-    or a ray of powers.  The outer values are multiples of r, so the
-    pair is zero, unless a perturbation makes it nonzero at the base
-    value, after one step, or only at the third inner value.  With two
-    outer nonterminals, A reads the sum of a two-track S.
-    """
-    rng = random.Random(seed)
+def seeded_curve(rng):
+    """A unary scalar inner grammar whose values (x1, x2) lie on a curve
+    r = 0: a line, a parabola or a ray of powers.  Returns the grammar,
+    r (built over a given ring with x1 and x2) and the x1 of its first
+    two values."""
     sring = scalar_ring(QQ)
     mb = slot_ring(sring, ["b0", "b1"])
     b0, b1 = mb.var("b0"), mb.var("b1")
@@ -471,12 +466,36 @@ def random_indep_pair(seed):
         {"B": 2}, "B",
         [Production("B", (), const_map(sring, [sring.const(v) for v in base])),
          Production("B", ("B",), PolyMap(mb, ("b0", "b1"), step))], sring)
+    return inner, rel, firsts
+
+
+def random_indep_pair(seed, nonunary=False):
+    """A seeded (outer, inner) pair over QQ, unary unless ``nonunary``.
+
+    The inner values lie on a seeded curve r = 0.  The outer values are
+    multiples of r, so the pair is zero, unless a perturbation makes it
+    nonzero at the base value, after one step, or only at the third
+    inner value.  With two outer nonterminals, A reads the sum of a
+    two-track S.  The non-unary outer grammar is A -> base;
+    A -> A A, the first A times a multiplier plus the second.
+    """
+    rng = random.Random(seed)
+    inner, rel, firsts = seeded_curve(rng)
     xring = ordinary_ring(["x1", "x2"])
     kind = rng.choice(["none", "none", "base", "step", "late"])
     pert = {"none": "0", "base": "0", "step": "1",
             "late": f"(x1 - {firsts[0]})*(x1 - {firsts[1]})"}[kind]
     base_val = (rel(xring) * xring.parse(rng.choice(["1", "x2 - 3", "x1 + 1"]))
                 + (kind == "base"))
+    if nonunary:
+        m = slot_ring(xring, ["s", "t"])
+        step = (m.var("s") * m.parse(rng.choice(["x1", "2", "x2 + 1"]))
+                + m.var("t") + m.parse(pert))
+        return Grammar(
+            {"A": 1}, "A",
+            [Production("A", (), const_map(xring, [base_val])),
+             Production("A", ("A", "A"), PolyMap(m, ("s", "t"), (step,)))],
+            xring), inner
     m1 = slot_ring(xring, ["s"])
     s = m1.var("s")
     mult = m1.parse(rng.choice(["x1", "x2 + 1", "2", "x1*x2"]))
@@ -534,6 +553,19 @@ def refuse(*args, **kwargs):
     raise AssertionError("invariant guessed on a unary pair")
 
 
+def recording(monkeypatch, name):
+    """Patch grammar.<name> to record the first argument of every call."""
+    seen = []
+    real = getattr(grammar, name)
+
+    def wrapper(first, *args):
+        seen.append(first)
+        return real(first, *args)
+
+    monkeypatch.setattr(grammar, name, wrapper)
+    return seen
+
+
 def test_stages_agree_with_brute_force_on_seeded_pairs(monkeypatch):
     # enumeration looks at derivations of size 1 only, so everything
     # else is decided by the stages
@@ -551,6 +583,27 @@ def test_stages_agree_with_brute_force_on_seeded_pairs(monkeypatch):
         assert_indep_result(r, outer, inner)
         verdicts.append(r.verdict)
     assert verdicts.count("zero") >= 5 and verdicts.count("nonzero") >= 5
+
+
+def test_refinement_decides_non_unary_outer_grammars(monkeypatch):
+    # the inner grammar is unary, so its invariant comes from the stages
+    # and sampling serves only the quotient proofs of the outer grammar
+    sampled = recording(monkeypatch, "closure_rounds")
+    budgets = Budgets(size=1, iters=6, seconds=30.0)
+    verdicts = []
+    for seed in range(20):
+        outer, inner = random_indep_pair(seed, nonunary=True)
+        truth = composed_values([outer, inner], 5)
+        expected = "nonzero" if any(any(v) for v in truth) else "zero"
+        r = indep_zeroness(outer, inner, budgets)
+        assert r.verdict == expected, seed
+        assert_indep_result(r, outer, inner)
+        rc = chain_zeroness([outer, inner], budgets)
+        assert rc.verdict == expected, seed
+        assert_chain_result(rc, [outer, inner])
+        verdicts.append(expected)
+    assert verdicts.count("zero") >= 5 and verdicts.count("nonzero") >= 5
+    assert sampled and all(set(t.g.nonterminals) == {"A"} for t in sampled)
 
 
 def twisted_indep_pair(case):
@@ -667,7 +720,9 @@ def test_stages_with_an_identically_zero_outer_grammar():
 # --- substitution chains ----------------------------------------------------
 
 
-def chain_links(head_expr):
+def chain_links(head_expr, step=None):
+    """Head A -> head_expr, and A -> A A with map ``step`` over (s, t)
+    when given; mid (u1^2, u2^2); inner (n, n)."""
     sring = scalar_ring(QQ)
     mc = slot_ring(sring, ["t1", "t2"])
     inner = Grammar(
@@ -683,11 +738,12 @@ def chain_links(head_expr):
             uring, [uring.parse("u1^2"), uring.parse("u2^2")]))],
         uring)
     xring = ordinary_ring(["x1", "x2"])
-    head = Grammar(
-        {"A": 1}, "A",
-        [Production("A", (), const_map(xring, [xring.parse(head_expr)]))],
-        xring)
-    return [head, mid, inner]
+    prods = [Production("A", (), const_map(xring, [xring.parse(head_expr)]))]
+    if step is not None:
+        m = slot_ring(xring, ["s", "t"])
+        prods.append(Production("A", ("A", "A"),
+                                PolyMap(m, ("s", "t"), (m.parse(step),))))
+    return [Grammar({"A": 1}, "A", prods, xring), mid, inner]
 
 
 def composed_values(gs, size):
@@ -700,6 +756,71 @@ def composed_values(gs, size):
                       for p in ov)
                 for ov, _ in enumerate_values(g, size) for iv in vals]
     return vals
+
+
+def assert_chain_result(r, gs):
+    """A zero needs every link zero and a proved quotient certificate;
+    a nonzero needs a witness value among the brute-force values."""
+    truth = composed_values(gs, 5)
+    if r.verdict == "zero":
+        assert all(lr.verdict == "zero" for lr in r.link_results)
+        head = gs[0]
+        coords = [f"_t{i}" for i in range(len(head.ring.names()))]
+        quotient = head if not r.invariant_gens else Grammar(
+            head.nonterminals, head.initial, head.productions, head.ring,
+            ambient=Ideal(head.ring, [
+                f.convert(head.ring, dict(zip(coords, head.ring.names())))
+                for f in r.invariant_gens]))
+        assert check_certificate(quotient,
+                                 r.quotient_result.certificate).proved()
+        assert not any(any(v) for v in truth)
+    else:
+        assert r.verdict == "nonzero"
+        assert tuple(c.constant_value() for c in r.witness_value) in truth
+
+
+
+
+@pytest.mark.parametrize("step,verdict", [("s*x1 + t", "zero"),
+                                          ("s*t + x1*x2", "nonzero")])
+def test_chain_with_a_non_unary_head(monkeypatch, step, verdict):
+    # no seeds: the head values that the quotient proofs find become the
+    # generators, each proved on the two-link tail
+    seeded = recording(monkeypatch, "_outer_seeds")
+    gs = chain_links("x1 - x2", step)
+    r = chain_zeroness(gs, SMALL)
+    assert r.verdict == verdict
+    assert_chain_result(r, gs)
+    assert r.link_results and gs[0] not in seeded
+
+
+@pytest.mark.parametrize("head_expr,verdict", [("x1 - x2", "zero"),
+                                               ("x1 - 2*x2", "nonzero")])
+def test_chain_with_a_unary_head_over_a_non_unary_tail(monkeypatch, head_expr,
+                                                      verdict):
+    # inner values (n, n) from C -> C C; the head's values seed the
+    # generators, each proved on the tail by a sampled invariant
+    seeded = recording(monkeypatch, "_outer_seeds")
+    sring = scalar_ring(QQ)
+    mc = slot_ring(sring, ["s1", "s2", "t1", "t2"])
+    tail = Grammar(
+        {"C": 2}, "C",
+        [Production("C", (), const_map(sring, [sring.zero(), sring.zero()])),
+         Production("C", ("C", "C"), PolyMap(
+             mc, ("s1", "s2", "t1", "t2"),
+             (mc.parse("s1 + t1 + 1"), mc.parse("s2 + t2 + 1"))))],
+        sring)
+    xring = ordinary_ring(["x1", "x2"])
+    m = slot_ring(xring, ["s"])
+    head = Grammar(
+        {"A": 1}, "A",
+        [Production("A", (), const_map(xring, [xring.parse(head_expr)])),
+         Production("A", ("A",), PolyMap(m, ("s",), (m.parse("s*(x1 + 1)"),)))],
+        xring)
+    r = chain_zeroness([head, tail], SMALL)
+    assert r.verdict == verdict
+    assert_chain_result(r, [head, tail])
+    assert seeded[0] is head
 
 
 def test_chain_zeroness_three_links(monkeypatch):
@@ -799,7 +920,7 @@ def test_low_degree_vanishing_really_vanishes(pts, degree):
     cring = ordinary_ring(["p", "q"])
     samples = [(sring.const(a), sring.const(b)) for a, b in pts]
     gens = low_degree_vanishing(sring, None, cring, ("p", "q"),
-                                samples, degree, kernel_cap=50)
+                                samples, degree)
     assert gens is not None
     for f in gens:
         assert not f.is_zero()
