@@ -795,7 +795,8 @@ class RatFunc:
     """Quotient of two polynomials over a rational-coefficient ring.
 
     Normal form: the numerator's and denominator's common monomial
-    content is cancelled, exact division is attempted, and the
+    content is cancelled, exact division is attempted (over a
+    one-parameter ring the whole gcd is cancelled), and the
     denominator is made monic (lex leading coefficient 1); a constant
     denominator ``c`` goes straight to that result, ``(num/c, 1)``.  Equality is
     decided by cross-multiplication, never by gcd computations, so two
@@ -837,6 +838,8 @@ class RatFunc:
         q = poly_exact_div(num, den)
         if q is not None:
             num, den = q, ring.one()
+        elif ring.vartable.kinds == (VarKind.ORDINARY,):
+            num, den = _cancel_univariate(num, den)
         lc = den.leading_coeff_lex()
         if lc != ring.field.one():
             inv = ring.field.div(ring.field.one(), lc)
@@ -975,6 +978,55 @@ def _poly_content(p: Poly) -> Monomial:
 
 def _poly_div_mono(p: Poly, m: Monomial) -> Poly:
     return Poly(p.ring, {t.div(m): c for t, c in p.terms.items()})
+
+
+def _dense(p: Poly) -> list[Fraction]:
+    """Coefficients of a one-variable polynomial, lowest degree first."""
+    out = [Fraction(0)] * (max(m.exps[0][1] if m.exps else 0
+                               for m in p.terms) + 1)
+    for m, c in p.terms.items():
+        out[m.exps[0][1] if m.exps else 0] = Fraction(c)
+    return out
+
+
+def _dense_divmod(a: list[Fraction], b: list[Fraction]
+                  ) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of dense ``a`` by dense ``b`` (nonzero top
+    coefficient); the remainder has no trailing zeros."""
+    a = list(a)
+    db = len(b) - 1
+    inv = Fraction(1, b[-1])
+    q = [Fraction(0)] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db] * inv
+        if c:
+            q[k] = c
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    r = a[:db]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _cancel_univariate(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """``num`` and ``den`` over a one-variable ring divided by their
+    monic gcd (Euclid over QQ with monic remainders); unchanged when
+    they are coprime."""
+    a, b = _dense(den), _dense(num)
+    while b:
+        inv = Fraction(1, b[-1])
+        b = [c * inv for c in b]
+        a, b = b, _dense_divmod(a, b)[1]
+    if len(a) == 1:
+        return num, den
+    ring = num.ring
+
+    def div(p: Poly) -> Poly:
+        q = _dense_divmod(_dense(p), a)[0]
+        return Poly._raw(ring, {Monomial._of(((0, k),) if k else ()):
+                                ring.field.coerce(c) for k, c in enumerate(q)})
+    return div(num), div(den)
 
 
 def poly_exact_div(a: Poly, b: Poly) -> Poly | None:

@@ -373,6 +373,34 @@ def test_constant_denominator_matches_general_path(num, c):
     assert str(r) == str(RatFunc(gnum, gden))
 
 
+def test_one_parameter_ratfunc_cancels_common_factors():
+    p = PRING.var("p")
+    r = RatFunc.of((p - 1) * (p + 2), (2 * p - 2) * (p + 3))
+    assert r.num == (p + 2).scale(Fraction(1, 2)) and r.den == p + 3
+    assert str(r) == "((1/2*p + 1)/(p + 3))"
+    # sums keep denominators reduced instead of multiplying them out
+    s = RatFunc.of(PRING.one(), p**2 - 1) + RatFunc.of(PRING.one(), p + 1)
+    assert s.num == p and s.den == p**2 - 1
+
+
+def one_param_polys(max_deg=3):
+    return st.lists(rationals, min_size=1, max_size=max_deg + 1).map(
+        lambda cs: sum((PRING.var("p") ** k * PRING.const(c)
+                        for k, c in enumerate(cs)), PRING.zero()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_param_polys(), one_param_polys().filter(lambda q: not q.is_zero()),
+       one_param_polys(2).filter(lambda g: not g.is_constant()))
+def test_one_parameter_ratfunc_is_canonical(a, b, g):
+    # a quotient and the same quotient times g/g are stored identically:
+    # coprime parts, monic denominator
+    r, s = RatFunc.of(a, b), RatFunc.of(a * g, b * g)
+    assert r.num.terms == s.num.terms and r.den.terms == s.den.terms
+    assert r.den.leading_coeff_lex() == 1
+    assert r.num * b == a * r.den
+
+
 # ---------------------------------------------------------------------------
 # substitution against a naive reference
 
