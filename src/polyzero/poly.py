@@ -18,6 +18,9 @@ quotient of two polynomials over a parameter ring (field
 :class:`FractionField`).  Polynomial code combines coefficients through
 ``+ - *`` and the field's ``coerce``/``is_zero``, and divides them only
 through ``field.div``: a bare ``/`` of two ``int`` would give a float.
+Over ``QQ`` an ``int`` operand of ``+`` or ``*`` is added into the
+constant coefficient or scales every coefficient directly, without a
+constant :class:`Poly`; over a fraction field it is coerced first.
 
 :class:`Poly` validates every exponent on construction, except in the
 trusted ``Poly._raw`` behind sums, negations, products, scalings,
@@ -229,10 +232,10 @@ class RationalField:
     """The rationals: ``int`` elements, ``Fraction`` when not integral."""
 
     def coerce(self, x: object) -> int | Fraction:
-        if isinstance(x, Fraction):
-            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
             return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         raise StructureError(f"cannot coerce {x!r} into the rational field")
 
     def zero(self) -> int:
@@ -489,6 +492,10 @@ class Poly:
             raise StructureError("polynomials over different rings")
 
     def __add__(self, other: object) -> "Poly":
+        if type(other) is int and isinstance(self.ring.field, RationalField):
+            terms = dict(self.terms)
+            terms[UNIT_MONOMIAL] = terms.get(UNIT_MONOMIAL, 0) + other
+            return Poly._raw(self.ring, terms)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -519,6 +526,8 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other: object) -> "Poly":
+        if type(other) is int and isinstance(self.ring.field, RationalField):
+            return self.scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -270,11 +270,35 @@ def num_sum(exprs: Sequence[NumExpr]) -> NumExpr:
     return out
 
 
+Value = int | Poly
+
+
+def _lower(p: Poly) -> Value:
+    """An initial register value as the machine holds it."""
+    c = p.constant_value() if p.is_constant() else None
+    return c if type(c) is int else p
+
+
+def _at(p: Poly, v: Value) -> Value:
+    """``p[x := v]`` by Horner's rule, for ``p`` in ``x`` alone: an
+    ``int`` for an ``int`` ``v`` with integer coefficients."""
+    coeffs = {m.exp(0): c for m, c in p.terms.items()}
+    acc = 0
+    for e in range(max(coeffs, default=0), -1, -1):
+        acc = acc * v + coeffs.get(e, 0)
+    return acc
+
+
 def compile_num(expr: NumExpr,
-                ring: PolyRing) -> Callable[[Mapping[str, Poly]], Poly]:
-    """The expression as a function of a register valuation."""
+                ring: PolyRing) -> Callable[[Mapping[str, Value]], Value]:
+    """The expression as a function of a register valuation whose
+    constant values are ``int``.  Constants compile to ``int``, and a sum
+    or product stays an ``int`` while both operands are; only ``x`` and
+    what it meets are :class:`Poly`.  ``body[x := replacement]`` is
+    evaluated by Horner's rule, so an ``int`` replacement gives the
+    body's value there without :meth:`Poly.substitute`."""
     if isinstance(expr, NConst):
-        c = ring.const(expr.value)
+        c = expr.value
         return lambda val: c
     if isinstance(expr, NX):
         x = ring.var("x")
@@ -287,18 +311,24 @@ def compile_num(expr: NumExpr,
     if isinstance(expr, NMul):
         left, right = compile_num(expr.left, ring), compile_num(expr.right, ring)
 
-        def mul(val: Mapping[str, Poly]) -> Poly:
+        def mul(val: Mapping[str, Value]) -> Value:
             # a zero right factor, such as the output's R2, makes the left
             # one (the output's R1[x := sum]) unneeded; over Z[x] it cannot
             # raise, so skipping it changes no result
             r = right(val)
-            return r if r.is_zero() else left(val) * r
+            zero = r.is_zero() if isinstance(r, Poly) else r == 0
+            return r if zero else left(val) * r
 
         return mul
     if isinstance(expr, NSubstX):
         body = compile_num(expr.body, ring)
         repl = compile_num(expr.replacement, ring)
-        return lambda val: body(val).substitute({"x": repl(val)})
+
+        def subst(val: Mapping[str, Value]) -> Value:
+            b = body(val)
+            return _at(b, repl(val)) if isinstance(b, Poly) else b
+
+        return subst
     raise StructureError(f"not a numeric expression: {expr!r}")
 
 
@@ -315,12 +345,20 @@ class NumericTransducer:
     appears nowhere else.  Every update and output expression is compiled
     once, on construction, into a function of the valuation.
 
+    Inside, a register holds a plain ``int`` while its value is constant,
+    so S1..Sdim, R1aux and R2 never become :class:`Poly`; only R1 and
+    ``x - (R1aux + 1)`` do, and the output's substitution is R1's value
+    at the integer counter sum.  ``run`` and ``trace`` lift every ``int``
+    to the ring's constant, so they return :class:`Poly` values only;
+    ``init`` keeps the :class:`Poly` initial values.
+
     The machine remembers the states and valuations after every prefix
     of the last word it ran, and a new run or trace resumes from the
     longest prefix it shares with that word, so memory stays bounded by
     the length of the last word.  A word that raises (an unknown letter)
-    leaves that memory as it was.  Valuations are never mutated: each
-    step builds a fresh one.
+    leaves that memory as it was.  Valuations are never mutated: a step
+    that updates registers builds a fresh one, and a step that updates
+    none (into and inside the error state) returns the one it was given.
     """
 
     def __init__(self, letters: Sequence[str], registers: Sequence[str],
@@ -353,22 +391,35 @@ class NumericTransducer:
                                          f"{q!r} on {a!r}")
         if set(self.outputs) != set(self.states):
             raise StructureError("numeric outputs must cover every state")
+        if ring.names() != ("x",):
+            raise StructureError("numeric transducers run over Z[x]")
         self._steps = {k: (tgt, {r: compile_num(e, ring) for r, e in upd.items()})
                        for k, (tgt, upd) in self.transitions.items()}
         self._outputs = {q: compile_num(e, ring) for q, e in self.outputs.items()}
-        self._last: tuple[tuple[str, ...], list[tuple[str, dict[str, Poly]]]] = (
-            (), [(self.initial_state, dict(self.init))])
+        start = {r: _lower(p) for r, p in self.init.items()}
+        self._last: tuple[tuple[str, ...], list[tuple[str, dict[str, Value]]]] = (
+            (), [(self.initial_state, start)])
 
     def step(self, state: str, letter: str,
-             valuation: Mapping[str, Poly]) -> tuple[str, dict[str, Poly]]:
+             valuation: Mapping[str, Value]) -> tuple[str, Mapping[str, Value]]:
+        """Target state and valuation after one letter.  This works on
+        the internal valuation, where a constant register is an ``int``
+        (a :class:`Poly` is accepted too); ``run`` and ``trace`` lift it.
+        Every run and trace goes through this method, one letter at a
+        time."""
         if (state, letter) not in self._steps:
             raise DomainError(f"no transition from {state!r} on {letter!r}")
         target, updates = self._steps[(state, letter)]
+        if not updates:
+            return target, valuation
         new = {r: (updates[r](valuation) if r in updates else valuation[r])
                for r in self.registers}
         return target, new
 
-    def _prefixes(self, word: Sequence[str]) -> list[tuple[str, dict[str, Poly]]]:
+    def _lift(self, v: Value) -> Poly:
+        return v if isinstance(v, Poly) else self.ring.const(v)
+
+    def _prefixes(self, word: Sequence[str]) -> list[tuple[str, dict[str, Value]]]:
         """(state, valuation) after every prefix of ``word``, resumed
         from the longest prefix shared with the last word run."""
         word = tuple(word)
@@ -388,11 +439,12 @@ class NumericTransducer:
 
     def run(self, word: Sequence[str]) -> Poly:
         state, vals = self._prefixes(word)[-1]
-        return self._outputs[state](vals)
+        return self._lift(self._outputs[state](vals))
 
     def trace(self, word: Sequence[str]) -> list[tuple[str, dict[str, Poly]]]:
         """States and register valuations after every prefix."""
-        return [(state, dict(vals)) for state, vals in self._prefixes(word)]
+        return [(state, {r: self._lift(v) for r, v in vals.items()})
+                for state, vals in self._prefixes(word)]
 
 
 ERROR_STATE = "_err"

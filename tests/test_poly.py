@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from polyzero.errors import DomainError, ParseError, StructureError
 from polyzero.poly import (
-    QQ, FractionField, Mode, Monomial, Poly, PolyMap, PolyRing, RatFunc,
-    VarKind, VarTable, _poly_content, _poly_div_mono, flatten_poly,
+    QQ, UNIT_MONOMIAL, FractionField, Mode, Monomial, Poly, PolyMap, PolyRing,
+    RatFunc, VarKind, VarTable, _poly_content, _poly_div_mono, flatten_poly,
     map_ring_over, ordinary_ring, poly_exact_div, rational_pow, structure_poly,
 )
 
@@ -342,6 +342,34 @@ def test_rational_field_prefers_int():
     assert type(QQ.zero()) is int and type(QQ.one()) is int
     assert type(QQ.div(6, 3)) is int
     assert QQ.div(1, 3) == Fraction(1, 3)
+
+
+def _assert_identical(got: Poly, want: Poly) -> None:
+    """Same terms, same coefficient types, same hash."""
+    assert got.ring == want.ring
+    assert got.terms == want.terms
+    assert {m: type(c) for m, c in got.terms.items()} == \
+        {m: type(c) for m, c in want.terms.items()}
+    assert hash(got) == hash(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(qq_polys(), qp_polys()), st.integers(-4, 4), st.booleans())
+def test_int_operands_match_constant_polys(p, k, cancel):
+    ring = p.ring
+    if cancel:  # make the constant term -k, so that p + k has none
+        p = p - ring.const(p.coeff_of(UNIT_MONOMIAL)) - ring.const(k)
+    for j in (k, 0):
+        c = ring.const(j)
+        for got, want in ((p + j, p + c), (j + p, c + p),
+                          (p * j, p * c), (j * p, c * p)):
+            _assert_identical(got, want)
+            assert all(not ring.field.is_zero(v) for v in got.terms.values())
+            if isinstance(ring.field, FractionField):
+                assert all(isinstance(v, RatFunc) for v in got.terms.values())
+    if cancel:
+        assert UNIT_MONOMIAL not in (p + k).terms
+    assert (p * 0).is_zero() and (0 * p).is_zero()
 
 
 def _general_of(num: Poly, den: Poly) -> tuple[Poly, Poly]:

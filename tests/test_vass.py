@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyzero.errors import DomainError, StructureError
-from polyzero.vass import (AddVector, ResetSet, ResetVass, brute_force_reach,
-                           compile_to_transducer, counters_of, normalize,
-                           run_endpoint, run_is_valid, small_family,
-                           word_of_run)
+from polyzero.poly import Poly, ordinary_ring
+from polyzero.vass import (AddVector, NAdd, NConst, NMul, NReg, NSubstX, NX,
+                           NumericTransducer, ResetSet, ResetVass,
+                           brute_force_reach, compile_num, compile_to_transducer,
+                           counters_of, normalize, run_endpoint, run_is_valid,
+                           small_family, word_of_run)
 
 
 def loop_machine(dim: int, effects, accepting=("q0",)) -> ResetVass:
@@ -322,6 +324,86 @@ def test_end_to_end_agreement_with_oracle():
             state, vec = run_endpoint(v, word)
             hit = valid and state in v.accepting and not any(vec)
             assert out.is_zero() != hit, (v.name, word)
+
+
+def reference_value(expr, vals, ring) -> Poly:
+    """Every value a Poly, substitution through Poly.substitute."""
+    if isinstance(expr, NConst):
+        return ring.const(expr.value)
+    if isinstance(expr, NX):
+        return ring.var("x")
+    if isinstance(expr, NReg):
+        return vals[expr.name]
+    if isinstance(expr, NAdd):
+        return (reference_value(expr.left, vals, ring)
+                + reference_value(expr.right, vals, ring))
+    if isinstance(expr, NMul):
+        return (reference_value(expr.left, vals, ring)
+                * reference_value(expr.right, vals, ring))
+    if isinstance(expr, NSubstX):
+        body = reference_value(expr.body, vals, ring)
+        return body.substitute(
+            {"x": reference_value(expr.replacement, vals, ring)})
+    raise TypeError(expr)
+
+
+def reference_run(t, word):
+    """Per-prefix (state, valuation), and the output, interpreted afresh."""
+    state, vals = t.initial_state, dict(t.init)
+    steps = [(state, vals)]
+    for letter in word:
+        state, upd = t.transitions[(state, letter)]
+        vals = {r: reference_value(upd[r], vals, t.ring) if r in upd else vals[r]
+                for r in t.registers}
+        steps.append((state, vals))
+    return steps, reference_value(t.outputs[state], vals, t.ring)
+
+
+def assert_identical(got: Poly, want: Poly, ring) -> None:
+    assert isinstance(got, Poly) and got.ring is ring
+    assert got.terms == want.terms and hash(got) == hash(want)
+    assert all(type(c) is int for c in got.terms.values())
+
+
+def test_compiled_values_match_the_reference_interpreter():
+    # resumed runs and traces give exactly the Poly values of a plain
+    # interpreter: same terms, int coefficients, same hash
+    rng = random.Random(12)
+    for v in FAMILY[:8]:
+        t = compile_to_transducer(v)
+        words = [word_of_run(v, w) for w in all_words(len(v.transitions), 4)]
+        rng.shuffle(words)
+        for word in words:
+            steps, out = reference_run(t, word)
+            assert_identical(t.run(word), out, t.ring)
+            trace = t.trace(word)
+            assert [s for s, _ in trace] == [s for s, _ in steps]
+            for (_, got), (_, want) in zip(trace, steps):
+                assert set(got) == set(want)
+                for r in want:
+                    assert_identical(got[r], want[r], t.ring)
+        assert all(isinstance(p, Poly) for p in t.init.values())
+
+
+def test_substitution_at_int_and_poly_replacements():
+    ring = ordinary_ring(("x",))
+    x = ring.var("x")
+    p = (x - 1) * (x - 2) * (x**3 + 5)
+    subst = compile_num(NSubstX(NReg("R"), NReg("S")), ring)
+    for s in (-2, 0, 3):
+        assert subst({"R": p, "S": s}) == p.evaluate({"x": Fraction(s)})
+        assert subst({"R": 7, "S": s}) == 7
+    for image in (x + 3, x * x - 2, ring.zero()):
+        got = subst({"R": p, "S": image})
+        assert got.terms == p.substitute({"x": image}).terms
+
+
+def test_numeric_transducer_needs_the_ring_of_x():
+    t = compile_to_transducer(loop_machine(1, [up(1, 1)]))
+    with pytest.raises(StructureError):
+        NumericTransducer(t.letters, t.registers, t.init, t.states,
+                          t.initial_state, t.accepting, t.transitions,
+                          t.outputs, ordinary_ring(("x", "y")))
 
 
 def test_family_is_deterministic():
