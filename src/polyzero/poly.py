@@ -54,6 +54,10 @@ class Mode(enum.Enum):
 
 
 def _norm_exp(e: Exponent) -> Exponent:
+    # most exponents are ints; testing the Fraction ABC first would send
+    # each of them through abc.__instancecheck__
+    if type(e) is int:
+        return e
     if isinstance(e, Fraction) and e.denominator == 1:
         return int(e)
     return e

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, StructureError
-from .poly import Poly, PolyRing, ordinary_ring
+from .poly import UNIT_MONOMIAL, Monomial, Poly, PolyRing, ordinary_ring
 
 
 # ---------------------------------------------------------------------------
@@ -270,66 +270,132 @@ def num_sum(exprs: Sequence[NumExpr]) -> NumExpr:
     return out
 
 
-Value = int | Poly
+Value = int | tuple[int, ...]
+"""A register value inside :class:`NumericTransducer`: a constant is a
+plain ``int``; any other element of Z[x] is the tuple of its integer
+coefficients, lowest degree first, at least two long, with a nonzero
+last entry."""
 
 
-def _lower(p: Poly) -> Value:
-    """An initial register value as the machine holds it."""
-    c = p.constant_value() if p.is_constant() else None
-    return c if type(c) is int else p
+def _norm(coeffs: list[int]) -> Value:
+    """The value of a coefficient list: trailing zeros dropped, and an
+    ``int`` when at most the constant coefficient is left."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if len(coeffs) > 1:
+        return tuple(coeffs)
+    return coeffs[0] if coeffs else 0
 
 
-def _at(p: Poly, v: Value) -> Value:
-    """``p[x := v]`` by Horner's rule, for ``p`` in ``x`` alone: an
-    ``int`` for an ``int`` ``v`` with integer coefficients."""
-    coeffs = {m.exp(0): c for m, c in p.terms.items()}
-    acc = 0
-    for e in range(max(coeffs, default=0), -1, -1):
-        acc = acc * v + coeffs.get(e, 0)
+def _add(a: Value, b: Value) -> Value:
+    if type(a) is int:
+        if type(b) is int:
+            return a + b
+        return (b[0] + a, *b[1:])
+    if type(b) is int:
+        return (a[0] + b, *a[1:])
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _norm(out) if len(a) == len(b) else tuple(out)
+
+
+def _mul(a: Value, b: Value) -> Value:
+    # Z has no zero divisors, so a product of nonzero leading
+    # coefficients is nonzero and no trailing zero can appear
+    if type(a) is int:
+        if type(b) is int:
+            return a * b
+        a, b = b, a
+    if type(b) is int:
+        return tuple([c * b for c in a]) if b else 0
+    out = [0] * (len(a) + len(b) - 1)
+    for j, c in enumerate(b):
+        if c:
+            for i, d in enumerate(a, j):
+                out[i] += c * d
+    return tuple(out)
+
+
+def _at(body: Value, v: Value) -> Value:
+    """``body[x := v]`` by Horner's rule: an ``int`` for an ``int``
+    ``v``, the composition for a tuple ``v``."""
+    if type(body) is int:
+        return body
+    acc: Value = 0
+    for c in reversed(body):
+        acc = _add(_mul(acc, v), c)
     return acc
 
 
-def compile_num(expr: NumExpr,
-                ring: PolyRing) -> Callable[[Mapping[str, Value]], Value]:
-    """The expression as a function of a register valuation whose
-    constant values are ``int``.  Constants compile to ``int``, and a sum
-    or product stays an ``int`` while both operands are; only ``x`` and
-    what it meets are :class:`Poly`.  ``body[x := replacement]`` is
-    evaluated by Horner's rule, so an ``int`` replacement gives the
-    body's value there without :meth:`Poly.substitute`."""
+def _compile(expr: NumExpr) -> Callable[[Mapping[str, Value]], Value]:
     if isinstance(expr, NConst):
         c = expr.value
         return lambda val: c
     if isinstance(expr, NX):
-        x = ring.var("x")
-        return lambda val: x
+        return lambda val: (0, 1)
     if isinstance(expr, NReg):
         return itemgetter(expr.name)
     if isinstance(expr, NAdd):
-        left, right = compile_num(expr.left, ring), compile_num(expr.right, ring)
-        return lambda val: left(val) + right(val)
+        left, right = _compile(expr.left), _compile(expr.right)
+        return lambda val: _add(left(val), right(val))
     if isinstance(expr, NMul):
-        left, right = compile_num(expr.left, ring), compile_num(expr.right, ring)
+        left, right = _compile(expr.left), _compile(expr.right)
 
         def mul(val: Mapping[str, Value]) -> Value:
             # a zero right factor, such as the output's R2, makes the left
             # one (the output's R1[x := sum]) unneeded; over Z[x] it cannot
             # raise, so skipping it changes no result
             r = right(val)
-            zero = r.is_zero() if isinstance(r, Poly) else r == 0
-            return r if zero else left(val) * r
+            return r if r == 0 else _mul(left(val), r)
 
         return mul
     if isinstance(expr, NSubstX):
-        body = compile_num(expr.body, ring)
-        repl = compile_num(expr.replacement, ring)
-
-        def subst(val: Mapping[str, Value]) -> Value:
-            b = body(val)
-            return _at(b, repl(val)) if isinstance(b, Poly) else b
-
-        return subst
+        body, repl = _compile(expr.body), _compile(expr.replacement)
+        return lambda val: _at(body(val), repl(val))
     raise StructureError(f"not a numeric expression: {expr!r}")
+
+
+def _check_ring(ring: PolyRing) -> None:
+    if ring.names() != ("x",):
+        raise StructureError("numeric transducers run over Z[x]")
+
+
+def _lower(p: Poly) -> Value:
+    """A :class:`Poly` of Z[x] as a register value."""
+    coeffs = [0] * (max((m.exp(0) for m in p.terms), default=0) + 1)
+    for m, c in p.terms.items():
+        if type(c) is not int:
+            raise StructureError(f"numeric transducers run over Z[x], not {c}")
+        coeffs[m.exp(0)] = c
+    return _norm(coeffs)
+
+
+def _lift(ring: PolyRing, v: Value) -> Poly:
+    """A register value as a :class:`Poly` of ``ring``, Z[x]."""
+    if type(v) is int:
+        return ring.const(v)
+    return Poly._raw(ring, {Monomial._of(((0, i),)) if i else UNIT_MONOMIAL: c
+                            for i, c in enumerate(v)})
+
+
+def compile_num(expr: NumExpr,
+                ring: PolyRing) -> Callable[[Mapping[str, int | Poly]], Poly]:
+    """The expression as a function of a register valuation over Z[x],
+    whose values may be ``int`` or :class:`Poly`.  Inside, it runs on
+    :data:`Value` (a sum is a sum of coefficients, a product a
+    convolution, ``body[x := replacement]`` Horner's rule), and the
+    result is lifted to a :class:`Poly` of ``ring``."""
+    _check_ring(ring)
+    f = _compile(expr)
+
+    def run(val: Mapping[str, int | Poly]) -> Poly:
+        return _lift(ring, f({r: v if type(v) is int else _lower(v)
+                              for r, v in val.items()}))
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +411,16 @@ class NumericTransducer:
     appears nowhere else.  Every update and output expression is compiled
     once, on construction, into a function of the valuation.
 
-    Inside, a register holds a plain ``int`` while its value is constant,
-    so S1..Sdim, R1aux and R2 never become :class:`Poly`; only R1 and
-    ``x - (R1aux + 1)`` do, and the output's substitution is R1's value
-    at the integer counter sum.  ``run`` and ``trace`` lift every ``int``
-    to the ring's constant, so they return :class:`Poly` values only;
-    ``init`` keeps the :class:`Poly` initial values.
+    Inside, a register holds a :data:`Value`: a plain ``int`` while its
+    value is constant, so S1..Sdim, R1aux and R2 stay machine integers,
+    and otherwise the tuple of its integer coefficients, which only R1
+    and ``x - (R1aux + 1)`` become.  An update is then integer sums and
+    convolutions, and the output's substitution is R1's value at the
+    integer counter sum by Horner's rule; no :class:`Poly` is built while
+    a word runs.  ``run`` and ``trace`` lift every value to a
+    :class:`Poly` of the ring, caching the :class:`Poly` of each constant
+    they have lifted, so they return :class:`Poly` values only; ``init``
+    keeps the :class:`Poly` initial values.
 
     The machine remembers the states and valuations after every prefix
     of the last word it ran, and a new run or trace resumes from the
@@ -391,11 +461,11 @@ class NumericTransducer:
                                          f"{q!r} on {a!r}")
         if set(self.outputs) != set(self.states):
             raise StructureError("numeric outputs must cover every state")
-        if ring.names() != ("x",):
-            raise StructureError("numeric transducers run over Z[x]")
-        self._steps = {k: (tgt, {r: compile_num(e, ring) for r, e in upd.items()})
+        _check_ring(ring)
+        self._steps = {k: (tgt, {r: _compile(e) for r, e in upd.items()})
                        for k, (tgt, upd) in self.transitions.items()}
-        self._outputs = {q: compile_num(e, ring) for q, e in self.outputs.items()}
+        self._outputs = {q: _compile(e) for q, e in self.outputs.items()}
+        self._consts: dict[int, Poly] = {}
         start = {r: _lower(p) for r, p in self.init.items()}
         self._last: tuple[tuple[str, ...], list[tuple[str, dict[str, Value]]]] = (
             (), [(self.initial_state, start)])
@@ -403,10 +473,11 @@ class NumericTransducer:
     def step(self, state: str, letter: str,
              valuation: Mapping[str, Value]) -> tuple[str, Mapping[str, Value]]:
         """Target state and valuation after one letter.  This works on
-        the internal valuation, where a constant register is an ``int``
-        (a :class:`Poly` is accepted too); ``run`` and ``trace`` lift it.
-        Every run and trace goes through this method, one letter at a
-        time."""
+        the internal valuation, whose values are :data:`Value`: an
+        ``int`` for a constant register, a tuple of integer coefficients
+        of Z[x] (lowest degree first) otherwise; ``run`` and ``trace``
+        lift it to :class:`Poly`.  Every run and trace goes through this
+        method, one letter at a time."""
         if (state, letter) not in self._steps:
             raise DomainError(f"no transition from {state!r} on {letter!r}")
         target, updates = self._steps[(state, letter)]
@@ -417,7 +488,12 @@ class NumericTransducer:
         return target, new
 
     def _lift(self, v: Value) -> Poly:
-        return v if isinstance(v, Poly) else self.ring.const(v)
+        if type(v) is not int:
+            return _lift(self.ring, v)
+        p = self._consts.get(v)
+        if p is None:
+            p = self._consts[v] = self.ring.const(v)
+        return p
 
     def _prefixes(self, word: Sequence[str]) -> list[tuple[str, dict[str, Value]]]:
         """(state, valuation) after every prefix of ``word``, resumed

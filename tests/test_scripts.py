@@ -1,0 +1,36 @@
+"""Smoke tests of the scripts under ``scripts/``, imported by path and
+run in-process."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [[], ["--seed", "3", "--max-states", "3"]])
+def test_vass_agreement_finds_no_mismatch(argv, monkeypatch, capsys):
+    # the compiled machines against the brute-force run oracle
+    assert load("vass_agreement", monkeypatch).main(argv) == 0
+    out = capsys.readouterr().out
+    assert "machines: 40" in out and "mismatches: 0" in out
+    assert "MISMATCH" not in out
+
+
+def test_mul_bench_runs(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mul_bench.py", "--repeat", "1"])
+    load("mul_bench", monkeypatch).main()
+    assert "(median of 1, 900 result terms)" in capsys.readouterr().out

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyzero.errors import DomainError, StructureError
 from polyzero.poly import Poly, ordinary_ring
@@ -396,6 +396,77 @@ def test_substitution_at_int_and_poly_replacements():
     for image in (x + 3, x * x - 2, ring.zero()):
         got = subst({"R": p, "S": image})
         assert got.terms == p.substitute({"x": image}).terms
+
+
+# ---------------------------------------------------------------------------
+# the dense arithmetic over Z[x], property-tested against the interpreter
+
+
+ZX = ordinary_ring(("x",))
+REGS = ("R1", "R1aux", "R2", "S1")
+
+
+def dense(p: Poly):
+    """The documented internal form of an element of Z[x]: an ``int``
+    for a constant, else its coefficients, lowest degree first, with no
+    trailing zeros."""
+    coeffs = [0] * (max((m.exp(0) for m in p.terms), default=0) + 1)
+    for m, c in p.terms.items():
+        coeffs[m.exp(0)] = c
+    return coeffs[0] if len(coeffs) == 1 else tuple(coeffs)
+
+
+def cancelling(e, c):
+    """e + c - e, whose value is the constant c."""
+    return NAdd(NAdd(e, NConst(c)), NMul(NConst(-1), e))
+
+
+num_exprs = st.recursive(
+    st.one_of(st.integers(-3, 3).map(NConst), st.just(NX()),
+              st.sampled_from(REGS).map(NReg)),
+    lambda kids: st.one_of(
+        st.builds(NAdd, kids, kids), st.builds(NMul, kids, kids),
+        st.builds(NSubstX, kids, kids),
+        st.builds(cancelling, kids, st.integers(-2, 2))),
+    max_leaves=8)
+zx_polys = st.lists(st.integers(-3, 3), max_size=4).map(
+    lambda cs: sum((c * ZX.var("x") ** i for i, c in enumerate(cs)), ZX.zero()))
+valuations = st.fixed_dictionaries(
+    {r: st.one_of(st.integers(-4, 4), zx_polys) for r in REGS})
+
+X, ONE = NX(), NConst(1)
+X_MINUS_X = NAdd(X, NMul(NConst(-1), X))
+SQUARE_CANCELS = NAdd(NAdd(NMul(NAdd(X, ONE), X), NMul(NConst(-1), NMul(X, X))),
+                      NMul(NConst(-1), X))  # (x+1)*x - x*x - x
+SOME_VALS = {"R1": ZX.parse("x^2 - 3*x + 2"), "R1aux": 2, "R2": ZX.zero(),
+             "S1": ZX.parse("x + 1")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_exprs, valuations)
+@example(X_MINUS_X, SOME_VALS)
+@example(SQUARE_CANCELS, SOME_VALS)
+@example(NAdd(SQUARE_CANCELS, NConst(4)), SOME_VALS)
+@example(NSubstX(NReg("R1"), X_MINUS_X), SOME_VALS)
+@example(NSubstX(NReg("R1"), NReg("S1")), SOME_VALS)
+@example(NSubstX(NReg("R1"), NReg("R1aux")), SOME_VALS)
+@example(NMul(NReg("R1"), NReg("R2")), SOME_VALS)
+@example(NAdd(NMul(NReg("S1"), NReg("S1")), NMul(NConst(-1), NMul(X, X))),
+         SOME_VALS)
+def test_dense_values_match_the_reference_interpreter(expr, vals):
+    # compile_num, run and step agree with the Poly interpreter, at int
+    # and at Poly register values, through cancellations to constants
+    # and to zero
+    lifted = {r: ZX.const(v) if isinstance(v, int) else v
+              for r, v in vals.items()}
+    want = reference_value(expr, lifted, ZX)
+    assert_identical(compile_num(expr, ZX)(vals), want, ZX)
+    t = NumericTransducer(("a",), REGS, lifted, ("q",), "q", (),
+                          {("q", "a"): ("q", {"R1": expr})}, {"q": expr}, ZX)
+    assert_identical(t.run(()), want, ZX)
+    _, after = t.step("q", "a", {r: dense(p) for r, p in lifted.items()})
+    assert after["R1"] == dense(want)
+    assert type(after["R1"]) is (int if want.is_constant() else tuple)
 
 
 def test_numeric_transducer_needs_the_ring_of_x():
