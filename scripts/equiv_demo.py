@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Walk the bundled transducer pairs through the equivalence driver and
-print one line per case: verdict, classification, and wall time."""
+print one line per case: verdict, classification, and wall time.  Every
+certificate is checked again against the pair's difference grammar and
+marked ``checked``; the exit status is 1 if one fails that check."""
 
 from __future__ import annotations
 
@@ -24,23 +26,28 @@ def load(name: str):
 
 def show(tag: str, left: str, right: str, budgets: Budgets,
          letters: tuple[str, ...] | None = None,
-         cert_file: str | None = None) -> None:
+         cert_file: str | None = None) -> bool:
+    """Print the case's line; False if its certificate fails the check."""
     t1, t2 = load(left), load(right)
+    g = to_difference_grammar(t1, t2, letters).grammar
     certs = []
     if cert_file is not None:
-        g = to_difference_grammar(t1, t2, letters).grammar
         certs = [certificate_from_obj(g, read_json(INPUTS / cert_file))]
     t0 = time.monotonic()
     v = equivalence_check(t1, t2, budgets, letters, certs)
     dt = time.monotonic() - t0
-    extra = ""
+    extra, ok = "", True
     if v.witness_word is not None:
         extra = f"  witness={''.join(v.witness_word) or '<empty>'}"
     if v.certificate is not None:
         gsize = sum(len(i.gens) for i in v.certificate.ideals.values())
-        extra = f"  certificate gens={gsize}"
+        verdict = check_certificate(g, v.certificate)
+        ok = verdict.proved()
+        extra = (f"  certificate gens={gsize} "
+                 f"{'checked' if ok else 'REFUSED: ' + verdict.detail}")
     print(f"{tag:28s} {v.verdict:16s} [{v.classification}] "
           f"({dt:.2f}s){extra}")
+    return ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,11 +58,11 @@ def main(argv: list[str] | None = None) -> int:
     a = ap.parse_args(argv)
     budgets = Budgets(a.budget_size, a.budget_iters, a.budget_seconds)
 
-    show("rev vs id over {a}", "rev.tr", "id.tr", budgets, ("a",))
-    show("rev vs id over {a,b}", "rev.tr", "id.tr", budgets, ("a", "b"))
-    show("sqrev1 vs sqrev2 (cert)", "sqrev1.tr", "sqrev2.tr",
-         Budgets(3, 2, budgets.seconds), None, "sqrev_cert.json")
-    return 0
+    ok = [show("rev vs id over {a}", "rev.tr", "id.tr", budgets, ("a",)),
+          show("rev vs id over {a,b}", "rev.tr", "id.tr", budgets, ("a", "b")),
+          show("sqrev1 vs sqrev2 (cert)", "sqrev1.tr", "sqrev2.tr",
+               Budgets(3, 2, budgets.seconds), None, "sqrev_cert.json")]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

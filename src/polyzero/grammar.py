@@ -386,24 +386,24 @@ class CertVerdict:
         return self.kind == "zero-proved"
 
 
-def _child_block(g: Grammar, prod: Production,
-                 ideal_of: Callable[[str], Ideal]
-                 ) -> tuple[PolyRing, list[Poly], list[Poly]]:
-    """The production's children as one block of coordinates.
+def _block_ideal(g: Grammar, rhs: tuple[str, ...],
+                 ideal_of: Callable[[str], Ideal]) -> Ideal:
+    """The children's ideals over one block of coordinates.
 
     Child ci's coordinates become ``_w{ci}_{j}`` after the grammar's
-    variables.  Returns that ring, the generators of every child's ideal
-    renamed into it, and the production's outputs over it.
+    variables.  The ideal is built afresh from every child's generators
+    renamed into that ring, with the ambient ideal's generators
+    appended when the grammar has one.
     """
     renames = [{old: f"_w{ci}_{j}" for j, old in enumerate(g.coord_names(r))}
-               for ci, r in enumerate(prod.rhs)]
-    flat_names = [n for rn in renames for n in rn.values()]
-    ring = g.ring.extended((n, VarKind.ORDINARY) for n in flat_names)
+               for ci, r in enumerate(rhs)]
+    ring = g.ring.extended((n, VarKind.ORDINARY)
+                           for rn in renames for n in rn.values())
     gens = [f.convert(ring, rn)
-            for r, rn in zip(prod.rhs, renames) for f in ideal_of(r).gens]
-    slot_rename = dict(zip(prod.pmap.slots, flat_names))
-    outputs = [p.convert(ring, slot_rename) for p in prod.pmap.outputs]
-    return ring, gens, outputs
+            for r, rn in zip(rhs, renames) for f in ideal_of(r).gens]
+    if g.ambient is not None:
+        gens.extend(gp.convert(ring) for gp in g.ambient.gens)
+    return Ideal(ring, gens)
 
 
 def _cert_membership(g: Grammar, J: Ideal, h: Poly) -> bool:
@@ -438,6 +438,14 @@ def _pull_back(prod: Production, f: Poly, binding: dict[str, Poly],
 def check_production_closure(g: Grammar, cert: InvariantCertificate,
                              prod: Production) -> str | None:
     """None if the production preserves the certificate, else a reason."""
+    return _closure_violation(g, cert, prod, {})
+
+
+def _closure_violation(g: Grammar, cert: InvariantCertificate,
+                       prod: Production,
+                       blocks: dict[tuple[str, ...], Ideal]) -> str | None:
+    """check_production_closure, taking the production's child block
+    ideal from ``blocks`` (keyed by children) or adding it there."""
     if prod.slot_sources is not None:
         raise CertificateError(
             "certificates are not defined for slot-substitution productions")
@@ -450,20 +458,23 @@ def check_production_closure(g: Grammar, cert: InvariantCertificate,
                 return (f"base production for {prod.lhs} does not satisfy "
                         f"generator {f}")
         return None
-    ring, gens, outputs = _child_block(g, prod, cert.ideal_for)
-    if g.ambient is not None:
-        # a child value zero modulo the ambient ideal is zero modulo its
-        # twist after the production, which must lie inside
-        if prod.twist is not None and not all(
-                g.ambient.member(a.map_coefficients(prod.twist.apply))
-                for a in g.ambient.gens):
-            return (f"the twist of {prod.lhs} -> {'.'.join(prod.rhs)} does "
-                    f"not preserve the ambient ideal")
-        gens.extend(gp.convert(ring) for gp in g.ambient.gens)
-    J = Ideal(ring, gens)
+    J = blocks.get(prod.rhs)
+    if J is None:
+        J = blocks[prod.rhs] = _block_ideal(g, prod.rhs, cert.ideal_for)
+    # a child value zero modulo the ambient ideal is zero modulo its twist
+    # after the production, which must lie inside
+    if g.ambient is not None and prod.twist is not None and not all(
+            g.ambient.member(a.map_coefficients(prod.twist.apply))
+            for a in g.ambient.gens):
+        return (f"the twist of {prod.lhs} -> {'.'.join(prod.rhs)} does "
+                f"not preserve the ambient ideal")
+    # the block's coordinates follow the grammar's variables
+    slot_rename = dict(zip(prod.pmap.slots,
+                           J.ring.names()[len(g.ring.names()):]))
+    outputs = [p.convert(J.ring, slot_rename) for p in prod.pmap.outputs]
     binding = dict(zip(lhs_coords, outputs))
     for f in lhs_ideal.gens:
-        h = _pull_back(prod, f, binding, ring)
+        h = _pull_back(prod, f, binding, J.ring)
         if not _cert_membership(g, J, h):
             return (f"production {prod.lhs} -> {'.'.join(prod.rhs)} does not "
                     f"preserve generator {f}")
@@ -473,16 +484,24 @@ def check_production_closure(g: Grammar, cert: InvariantCertificate,
 def check_certificate(g: Grammar, cert: InvariantCertificate,
                       require_conclusion: bool = True) -> CertVerdict:
     """Verify base cases, closure under productions, and the conclusion
-    that the initial nonterminal's coordinates lie in its ideal."""
+    that the initial nonterminal's coordinates lie in its ideal.
+
+    The check recomputes every Groebner basis it needs from the
+    certificate's generators and never reads a basis cached on the
+    certificate's ideals.  Productions with the same children share one
+    ideal per call, built by ``_block_ideal`` from the certificate's
+    generators, so each distinct child block's basis is computed once.
+    """
     productive = productive_nonterminals(g)
     for nt in productive:
         cert.ideal_for(nt)
+    blocks: dict[tuple[str, ...], Ideal] = {}
     for prod in g.productions:
         if prod.lhs not in productive:
             continue
         if any(r not in productive for r in prod.rhs):
             continue
-        reason = check_production_closure(g, cert, prod)
+        reason = _closure_violation(g, cert, prod, blocks)
         if reason is not None:
             return CertVerdict("closure-violation", reason)
     if require_conclusion:
@@ -491,9 +510,10 @@ def check_certificate(g: Grammar, cert: InvariantCertificate,
                 f"initial nonterminal {g.initial!r} derives no value")
         cring = g.cert_ring(g.initial)
         I = cert.ideal_for(g.initial)
-        amb = (Ideal(cring, [p.convert(cring) for p in g.ambient.gens])
-               if g.ambient is not None else None)
-        J = I.join(amb) if amb is not None else I
+        gens = list(I.gens)
+        if g.ambient is not None:
+            gens.extend(p.convert(cring) for p in g.ambient.gens)
+        J = Ideal(I.ring, gens)
         for c in g.coord_names(g.initial):
             zc = cring.var(c)
             ok = J.member(zc) if g.ambient is not None else J.radical_member(zc)

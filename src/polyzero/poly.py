@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
@@ -288,6 +289,9 @@ class FractionField:
         if not isinstance(param_ring.field, RationalField):
             raise StructureError("parameter ring of a fraction field must be over QQ")
         self.param_ring = param_ring
+        # RatFunc is immutable, so every caller can share the constants
+        self._zero = self.coerce(0)
+        self._one = self.coerce(1)
 
     def coerce(self, x: object) -> "RatFunc":
         if isinstance(x, RatFunc):
@@ -303,12 +307,14 @@ class FractionField:
         raise StructureError(f"cannot coerce {x!r} into the fraction field")
 
     def zero(self) -> "RatFunc":
-        return self.coerce(0)
+        return self._zero
 
     def one(self) -> "RatFunc":
-        return self.coerce(1)
+        return self._one
 
     def div(self, a: "RatFunc", b: "RatFunc") -> "RatFunc":
+        if _is_one(b.num) and _is_one(b.den):
+            return a
         return a / b
 
     def is_zero(self, c: "RatFunc") -> bool:
@@ -355,6 +361,11 @@ class PolyRing:
         return Poly._raw(self, {})
 
     def one(self) -> "Poly":
+        return self._one
+
+    @cached_property
+    def _one(self) -> "Poly":
+        # built once per ring; Poly is immutable, so callers share it
         return Poly._raw(self, {UNIT_MONOMIAL: self.field.one()})
 
     def const(self, c: object) -> "Poly":
@@ -536,6 +547,13 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
+        # a constant operand scales the other, in the loop's operand order
+        if len(other.terms) == 1 and UNIT_MONOMIAL in other.terms:
+            c = other.terms[UNIT_MONOMIAL]
+            return Poly._raw(self.ring, {m: k * c for m, k in self.terms.items()})
+        if len(self.terms) == 1 and UNIT_MONOMIAL in self.terms:
+            c = self.terms[UNIT_MONOMIAL]
+            return Poly._raw(self.ring, {m: c * k for m, k in other.terms.items()})
         terms: dict[Monomial, Coeff] = {}
         others = other.terms.items()
         for m1, c1 in self.terms.items():
@@ -811,7 +829,11 @@ class RatFunc:
     content is cancelled, exact division is attempted (over a
     one-parameter ring the whole gcd is cancelled), and the
     denominator is made monic (lex leading coefficient 1); a constant
-    denominator ``c`` goes straight to that result, ``(num/c, 1)``.  Equality is
+    denominator ``c`` goes straight to that result, ``(num/c, 1)``.  When
+    both operands of ``+``, ``-`` or ``*`` are polynomials (denominator
+    exactly ``1``), the result is ``(num1 op num2, 1)`` without ``of``:
+    the same numerator terms, coefficient types and denominator
+    ``ring.one()`` that ``of`` gives those inputs.  Equality is
     decided by cross-multiplication, never by gcd computations, so two
     equal values may have different representations; for that reason
     RatFunc is deliberately unhashable.
@@ -875,6 +897,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if _is_one(self.den) and _is_one(other.den):
+            return RatFunc(self.num + other.num, self.ring.one())
         return RatFunc.of(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
@@ -899,6 +923,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if _is_one(self.den) and _is_one(other.den):
+            return RatFunc(self.num * other.num, self.ring.one())
         return RatFunc.of(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -977,6 +1003,16 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.display()})"
+
+
+def _is_one(p: Poly) -> bool:
+    """Whether p is exactly ``ring.one()`` over QQ: the unit monomial with
+    the ``int`` coefficient 1, the denominator ``RatFunc.of`` gives every
+    polynomial."""
+    if len(p.terms) != 1:
+        return False
+    c = p.terms.get(UNIT_MONOMIAL)
+    return type(c) is int and c == 1
 
 
 def _poly_content(p: Poly) -> Monomial:

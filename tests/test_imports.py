@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a script imports is used in
+that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyzero"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polyzero"
+SCRIPTS = ROOT / "scripts"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -36,8 +39,9 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"scripts/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = _used(tree)

@@ -401,6 +401,71 @@ def test_constant_denominator_matches_general_path(num, c):
     assert str(r) == str(RatFunc(gnum, gden))
 
 
+def _assert_same_ratfunc(got: RatFunc, want: RatFunc) -> None:
+    _assert_identical(got.num, want.num)
+    _assert_identical(got.den, want.den)
+
+
+def _assert_same_coefficients(got: Poly, want: Poly) -> None:
+    """_assert_identical, and over a fraction field the same numerator
+    and denominator terms in every coefficient."""
+    _assert_identical(got, want)
+    if isinstance(got.ring.field, FractionField):
+        for m, c in got.terms.items():
+            _assert_same_ratfunc(c, want.terms[m])
+
+
+def _loop_product(p: Poly, q: Poly) -> Poly:
+    """The general double loop of ``Poly.__mul__``."""
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m, c = m1.mul(m2), c1 * c2
+            terms[m] = terms[m] + c if m in terms else c
+    return Poly._raw(p.ring, terms)
+
+
+qp_consts = st.builds(RatFunc.of, p_polys(), p_polys(nonzero=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(qq_polys(), rationals),
+                 st.tuples(qp_polys(), st.one_of(rationals, qp_consts))))
+def test_constant_operand_matches_loop_product(pc):
+    p, c = pc
+    for k in (p.ring.const(c), p.ring.zero(), p.ring.const(0)):
+        _assert_same_coefficients(p * k, _loop_product(p, k))
+        _assert_same_coefficients(k * p, _loop_product(k, p))
+
+
+# polynomials (denominator 1) and general quotients
+ratfuncs = st.one_of(p_polys().map(lambda p: RatFunc.of(p, PRING.one())),
+                     qp_consts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratfuncs, ratfuncs)
+def test_unit_denominator_paths_match_of(a, b):
+    # a den that equals 1 as a Fraction is not the int 1 that of gives,
+    # and a product with it makes every coefficient a Fraction
+    c = RatFunc(a.num, Poly._raw(PRING, {UNIT_MONOMIAL: Fraction(1)}))
+    for x, y in ((a, b), (b, a), (a, -a), (a, c), (c, a)):
+        ny = -y
+        _assert_same_ratfunc(x + y, RatFunc.of(x.num * y.den + y.num * x.den,
+                                               x.den * y.den))
+        _assert_same_ratfunc(x - y, RatFunc.of(x.num * ny.den + ny.num * x.den,
+                                               x.den * ny.den))
+        _assert_same_ratfunc(x * y, RatFunc.of(x.num * y.num, x.den * y.den))
+    assert QP.div(a, QP.one()) is a
+
+
+def test_ring_and_field_constants_are_shared():
+    assert PRING.one() is PRING.one() and XQP.one() is XQP.one()
+    assert QP.one() is QP.one() and QP.zero() is QP.zero()
+    assert XQP.one().terms == {UNIT_MONOMIAL: QP.one()}
+    assert QP.zero().num.is_zero() and QP.one().num == PRING.one()
+
+
 def test_one_parameter_ratfunc_cancels_common_factors():
     p = PRING.var("p")
     r = RatFunc.of((p - 1) * (p + 2), (2 * p - 2) * (p + 3))

@@ -34,3 +34,12 @@ def test_mul_bench_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["mul_bench.py", "--repeat", "1"])
     load("mul_bench", monkeypatch).main()
     assert "(median of 1, 900 result terms)" in capsys.readouterr().out
+
+
+def test_equiv_demo_checks_every_certificate(monkeypatch, capsys):
+    assert load("equiv_demo", monkeypatch).main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines] == \
+        ["checked", "witness=ba", "checked"]
+    assert [line[29:].split()[0] for line in lines] == \
+        ["equivalent", "not-equivalent", "equivalent"]

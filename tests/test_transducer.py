@@ -11,8 +11,10 @@ from polyzero.errors import (DomainError, StructureError,
                              UnsupportedSubstitution)
 from polyzero.poly import FractionField
 from polyzero.encoding import WordSubst, encode_word
-from polyzero.groebner import Ideal
-from polyzero.grammar import Budgets, InvariantCertificate, check_certificate
+from polyzero import groebner
+from polyzero.groebner import GrevLex, Ideal, order_key
+from polyzero.grammar import (Budgets, InvariantCertificate, check_certificate,
+                              zeroness)
 from polyzero.transducer import (Concat, ConstWord, Empty, GENERAL, Letter,
                                  NO_SUBST, Reg, RegOcc, SIMULTANEOUS, Subst,
                                  Transducer, classify, concat_exprs,
@@ -454,6 +456,79 @@ def test_sqrev_equivalence_with_certificate():
     assert verdict.verdict == "equivalent"
     assert verdict.detail == "supplied certificate verified"
     assert verdict.classification == SIMULTANEOUS
+
+
+class _CachedBasis(dict):
+    """An ``Ideal._bases`` that claims to hold ``basis`` for every key."""
+
+    def __init__(self, basis):
+        super().__init__()
+        self.basis = basis
+
+    def __contains__(self, key):
+        return True
+
+    def __getitem__(self, key):
+        return self.basis
+
+
+def _poisoned(cert: InvariantCertificate, unit: bool) -> InvariantCertificate:
+    """A copy whose ideals have every basis cached wrongly: the unit
+    ideal's (every polynomial a member) or the zero ideal's (none)."""
+    ideals = {}
+    for nt, I in cert.ideals.items():
+        J = Ideal(I.ring, I.gens)
+        key = order_key(GrevLex(), I.ring)
+        J._bases = _CachedBasis(
+            (groebner._lead_triple(I.ring.one(), key),) if unit else ())
+        ideals[nt] = J
+    return InvariantCertificate(ideals, cert.grammar_name)
+
+
+def test_certificate_check_computes_each_child_block_basis_once(monkeypatch):
+    g = to_difference_grammar(*sqrev_pair()).grammar
+    cert = zeroness(g, SMALL).certificate
+    calls = []
+    buchberger = groebner.buchberger
+
+    def counting(gens, order):
+        calls.append(order)
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    # the three productions with child q0|q0 share one basis
+    blocks = {p.rhs for p in g.productions if p.rhs}
+    assert blocks == {("q0|q0",)}
+    assert check_certificate(g, cert, require_conclusion=False).proved()
+    assert len(calls) == len(blocks)
+    assert check_certificate(g, cert).proved()
+    # the ideals are built per check, so a weaker certificate checked
+    # next is refused, with or without every cached basis a unit
+    pair = "q0|q0"
+    gens = cert.ideals[pair].gens
+    for k in range(len(gens)):
+        weaker = InvariantCertificate(
+            {**cert.ideals,
+             pair: Ideal(cert.ideals[pair].ring, gens[:k] + gens[k + 1:])},
+            cert.grammar_name)
+        for c in (weaker, _poisoned(weaker, unit=True)):
+            assert check_certificate(g, c).kind in (
+                "closure-violation", "conclusion-violation")
+
+
+def test_certificate_check_reads_no_cached_basis():
+    g = to_difference_grammar(*sqrev_pair()).grammar
+    cert = zeroness(g, SMALL).certificate
+    for unit in (True, False):
+        assert check_certificate(g, _poisoned(cert, unit)).proved()
+    # closed, but S's ideal (v(v - 1)) does not force v to zero; a unit
+    # basis cached on it would prove the conclusion
+    sring = g.cert_ring("S")
+    v = sring.var("_v0_0")
+    weak = InvariantCertificate({**cert.ideals, "S": Ideal(sring, [v * (v - 1)])},
+                                cert.grammar_name)
+    for c in (weak, _poisoned(weak, unit=True)):
+        assert check_certificate(g, c).kind == "conclusion-violation"
 
 
 def test_equivalence_deterministic_repeat():
