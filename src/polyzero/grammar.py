@@ -435,17 +435,12 @@ def _pull_back(prod: Production, f: Poly, binding: dict[str, Poly],
     return h
 
 
-def check_production_closure(g: Grammar, cert: InvariantCertificate,
-                             prod: Production) -> str | None:
-    """None if the production preserves the certificate, else a reason."""
-    return _closure_violation(g, cert, prod, {})
-
-
 def _closure_violation(g: Grammar, cert: InvariantCertificate,
                        prod: Production,
                        blocks: dict[tuple[str, ...], Ideal]) -> str | None:
-    """check_production_closure, taking the production's child block
-    ideal from ``blocks`` (keyed by children) or adding it there."""
+    """None if the production preserves the certificate, else a reason.
+    The production's child block ideal is taken from ``blocks`` (keyed
+    by children) or added there."""
     if prod.slot_sources is not None:
         raise CertificateError(
             "certificates are not defined for slot-substitution productions")

@@ -2,16 +2,18 @@
 
 Buchberger's algorithm with the coprime-leading-term and chain criteria
 and sugar-based pair selection.  Coefficients may come from any of the
-package's fields (rationals or rational functions); monomials with
-fractional bar exponents are handled by rescaling every exponent with
-the lcm of its denominators first, which is a ring isomorphism onto an
-ordinary polynomial ring, and scaling back afterwards.
+package's fields (rationals or rational functions).  Exponents are taken
+as :mod:`poly` stores them: ``int``, or ``Fraction`` on bar variables.
+Every exponent inside one computation lies in (1/L)·N, where L is the
+lcm of the denominators of its inputs; multiplying every exponent by
+the same L maps that set onto N^n and preserves the Lex, GrevLex and
+BlockElim orders, so the algorithms run unchanged on the stored
+exponents.
 
 Every basis is computed by :func:`buchberger`.  An :class:`Ideal`
-keeps one cache of reduced bases keyed by the monomial order and the
-exponent scaling; its basis, unit test, normal form, membership and
-equality tests all read that cache, so a basis is computed once per
-ideal, order and scaling.
+keeps one cache of reduced bases keyed by the monomial order; its
+basis, unit test, normal form, membership and equality tests all read
+that cache, so a basis is computed once per ideal and order.
 
 On top of the basis computation: ideal membership, radical membership
 (adjoining an inverse variable), intersection (one-tag-variable trick),
@@ -23,14 +25,12 @@ ideals of finite point sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, StructureError
 from .poly import (
-    Coeff, Monomial, Poly, PolyMap, PolyRing, VarKind, map_ring_over,
+    Coeff, Exponent, Monomial, Poly, PolyMap, PolyRing, VarKind, map_ring_over,
     ordinary_ring,
 )
 
@@ -96,42 +96,12 @@ def leading(p: Poly, key: KeyFn) -> tuple[Monomial, Coeff]:
 
 
 # ---------------------------------------------------------------------------
-# exponent rescaling (fractional bar exponents -> integers)
-
-
-def _joint_scales(polys: Iterable[Poly]) -> dict[int, int]:
-    scales: dict[int, int] = {}
-    for p in polys:
-        for m in p.terms:
-            for i, e in m.exps:
-                if e < 0:
-                    raise DomainError(
-                        "Groebner computation with negative exponents")
-                if isinstance(e, Fraction):
-                    scales[i] = lcm(scales.get(i, 1), e.denominator)
-    return scales
-
-
-def _apply_scales(p: Poly, scales: dict[int, int]) -> Poly:
-    if not scales:
-        return p
-    terms = {}
-    for m, c in p.terms.items():
-        terms[Monomial((i, e * scales.get(i, 1)) for i, e in m.exps)] = c
-    return Poly(p.ring, terms)
-
-
-def _unapply_scales(p: Poly, scales: dict[int, int]) -> Poly:
-    if not scales:
-        return p
-    terms = {}
-    for m, c in p.terms.items():
-        terms[Monomial((i, Fraction(e, scales.get(i, 1))) for i, e in m.exps)] = c
-    return Poly(p.ring, terms)
-
-
-# ---------------------------------------------------------------------------
 # Buchberger
+
+
+def _require_nonnegative(polys: Iterable[Poly]) -> None:
+    if any(e < 0 for p in polys for m in p.terms for _, e in m.exps):
+        raise DomainError("Groebner computation with negative exponents")
 
 
 def _monic(p: Poly, key: KeyFn) -> Poly:
@@ -221,7 +191,16 @@ def s_polynomial(f: tuple[Monomial, Coeff, Poly], g: tuple[Monomial, Coeff, Poly
 
 
 def buchberger(gens: Iterable[Poly], order: Order) -> tuple[Poly, ...]:
-    """Unique reduced monic Groebner basis of the given generators."""
+    """Unique reduced monic Groebner basis of the given generators.
+
+    Exponents may be fractions: with L the lcm of the generators'
+    exponent denominators, every monomial met here lies in (1/L)·N^n,
+    which scaling by L maps onto N^n preserving the order, so the
+    algorithm terminates with the reduced basis of the order it names.
+    That basis is also a Groebner basis of the ideal the generators span
+    over any finer exponent set, so polynomials with other denominators
+    reduce against it correctly.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
@@ -229,26 +208,26 @@ def buchberger(gens: Iterable[Poly], order: Order) -> tuple[Poly, ...]:
     for g in gens:
         if g.ring != ring:
             raise StructureError("generators over different rings")
-    scales = _joint_scales(gens)
+    _require_nonnegative(gens)
     key = order_key(order, ring)
     entries: list[tuple[Monomial, Coeff, Poly]] = []
-    sugars: list[int] = []
+    sugars: list[Exponent] = []
     pending: dict[tuple[int, int], tuple] = {}
 
     def push(p: Poly) -> None:
         p = _monic(p, key)
         entries.append(_lead_triple(p, key))
-        sugars.append(int(p.total_degree() or 0))
+        sugars.append(p.total_degree())
         k = len(entries) - 1
         for i in range(k):
             l = entries[i][0].lcm(entries[k][0])
-            deg_l = int(l.total_degree())
-            sugar = max(sugars[i] + deg_l - int(entries[i][0].total_degree()),
-                        sugars[k] + deg_l - int(entries[k][0].total_degree()))
+            deg_l = l.total_degree()
+            sugar = max(sugars[i] + deg_l - entries[i][0].total_degree(),
+                        sugars[k] + deg_l - entries[k][0].total_degree())
             pending[(i, k)] = (sugar, key(l), i, k)
 
     for g in gens:
-        push(_apply_scales(g, scales))
+        push(g)
 
     while pending:
         (i, j) = min(pending, key=lambda ij: pending[ij])
@@ -292,7 +271,7 @@ def buchberger(gens: Iterable[Poly], order: Order) -> tuple[Poly, ...]:
                 changed = True
     final = sorted((t for t in triples if t is not None),
                    key=lambda t: key(t[0]), reverse=True)
-    return tuple(_unapply_scales(p, scales) for _, _, p in final)
+    return tuple(p for _, _, p in final)
 
 
 # ---------------------------------------------------------------------------
@@ -309,30 +288,23 @@ class Ideal:
             if g.ring != ring:
                 raise StructureError("ideal generator over a different ring")
         self.gens = gens
-        self._bases: dict[tuple, tuple[tuple[Monomial, Coeff, Poly], ...]] = {}
+        self._bases: dict[Order, tuple[tuple[Monomial, Coeff, Poly], ...]] = {}
 
     def __repr__(self) -> str:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
-    def _basis(self, order: Order, scales: dict[int, int]
-               ) -> tuple[tuple[Monomial, Coeff, Poly], ...]:
-        """Reduced basis of the generators with their exponents scaled,
-        as the (lm, lc, p) triples that normal_form takes; every basis
-        of the ideal is computed here, once per order and scaling."""
-        cache_key = (order, tuple(sorted(scales.items())))
-        if cache_key not in self._bases:
+    def _basis(self, order: Order) -> tuple[tuple[Monomial, Coeff, Poly], ...]:
+        """Reduced basis of the generators as the (lm, lc, p) triples
+        that normal_form takes; every basis of the ideal is computed
+        here, once per order."""
+        if order not in self._bases:
             key = order_key(order, self.ring)
-            self._bases[cache_key] = tuple(
-                _lead_triple(b, key) for b in buchberger(
-                    [_apply_scales(g, scales) for g in self.gens], order))
-        return self._bases[cache_key]
+            self._bases[order] = tuple(_lead_triple(b, key)
+                                       for b in buchberger(self.gens, order))
+        return self._bases[order]
 
     def groebner(self, order: Order | None = None) -> tuple[Poly, ...]:
-        if order is None:
-            order = GrevLex()
-        scales = _joint_scales(self.gens)
-        return tuple(_unapply_scales(b, scales)
-                     for _, _, b in self._basis(order, scales))
+        return tuple(b for _, _, b in self._basis(order or GrevLex()))
 
     def is_trivial(self) -> bool:
         """Whether this is the unit ideal."""
@@ -343,11 +315,9 @@ class Ideal:
         """Normal form of f modulo a Groebner basis of the ideal."""
         if f.is_zero() or not self.gens:
             return f
+        _require_nonnegative([f])
         order = GrevLex()
-        scales = _joint_scales(self.gens + (f,))
-        nf = normal_form(_apply_scales(f, scales), self._basis(order, scales),
-                         order_key(order, self.ring))
-        return _unapply_scales(nf, scales)
+        return normal_form(f, self._basis(order), order_key(order, self.ring))
 
     def member(self, f: Poly) -> bool:
         return self.reduce(f).is_zero()
@@ -364,11 +334,6 @@ class Ideal:
         gens.append(ext.one() - t * f.convert(ext))
         return Ideal(ext, gens).is_trivial()
 
-    def join(self, other: "Ideal") -> "Ideal":
-        if other.ring != self.ring:
-            raise StructureError("joining ideals over different rings")
-        return Ideal(self.ring, self.gens + other.gens)
-
     def converted(self, target_ring: PolyRing,
                   rename: dict[str, str] | None = None) -> "Ideal":
         return Ideal(target_ring, [g.convert(target_ring, rename) for g in self.gens])
@@ -376,9 +341,7 @@ class Ideal:
     def equal(self, other: "Ideal") -> bool:
         if other.ring != self.ring:
             raise StructureError("comparing ideals over different rings")
-        scales = _joint_scales(self.gens + other.gens)
-        return (self._basis(GrevLex(), scales)
-                == other._basis(GrevLex(), scales))
+        return self._basis(GrevLex()) == other._basis(GrevLex())
 
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -395,14 +358,10 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     gb = buchberger(gens, BlockElim(("_mix",)))
     out = Ideal(ring, [g.convert(ring) for g in gb
                        if "_mix" not in g.vars_used()])
-    if not _joint_scales(a.gens + b.gens):
-        # the _mix-free part of the reduced block basis is the reduced
-        # grevlex basis of the intersection, in the same order; with
-        # fractional exponents the block basis was computed on scaled
-        # exponents, whose grevlex order differs, so it is not reused
-        key = order_key(GrevLex(), ring)
-        out._bases[(GrevLex(), ())] = tuple(_lead_triple(g, key)
-                                            for g in out.gens)
+    # the _mix-free part of the reduced block basis is the reduced
+    # grevlex basis of the intersection, in the same order
+    key = order_key(GrevLex(), ring)
+    out._bases[GrevLex()] = tuple(_lead_triple(g, key) for g in out.gens)
     return out
 
 

@@ -217,7 +217,7 @@ class Monomial:
         return Monomial((i, e * q) for i, e in self.exps)
 
     def total_degree(self) -> Exponent:
-        return _norm_exp(sum((Fraction(e) for _, e in self.exps), Fraction(0)))
+        return _norm_exp(sum(e for _, e in self.exps))
 
     def rename(self, index_map: dict[int, int]) -> "Monomial":
         return Monomial((index_map[i], e) for i, e in self.exps)

@@ -507,7 +507,7 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
         return 2 * r1 + 2 * t2.registers.index(reg)
 
     def fold(items: Sequence[Item], mring: PolyRing,
-             slot_of: "Callable") -> tuple[Poly, Poly]:
+             slot_of: "Callable", owner1: bool) -> tuple[Poly, Poly]:
         tilde, bar = mring.zero(), mring.one()
         for it in items:
             if isinstance(it, ConstWord):
@@ -515,7 +515,7 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
                 part = (mring.const(field.coerce(tp)),
                         mring.const(field.coerce(bp)))
             else:
-                part = slot_of(it)
+                part = slot_of(owner1, it)
             tilde = tilde * part[1] + part[0]
             bar = bar * part[1]
         return tilde, bar
@@ -543,7 +543,7 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
             mring = PolyRing(VarTable.make(occ_pairs), field, Mode.FIELD)
             counter = iter(range(k))
 
-            def slot_of(it: RegOcc) -> tuple[Poly, Poly]:
+            def slot_of(owner1: bool, it: RegOcc) -> tuple[Poly, Poly]:
                 i = next(counter)
                 return mring.var(f"u{i}t"), mring.var(f"u{i}b")
 
@@ -555,15 +555,12 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
             if kind == SIMULTANEOUS:
                 twist = invert_substitution(common, alphabet, lring)
 
-            def slot_of(it: RegOcc) -> tuple[Poly, Poly]:
-                ti = flat_tilde(owner_flag[0], it.reg)
+            def slot_of(owner1: bool, it: RegOcc) -> tuple[Poly, Poly]:
+                ti = flat_tilde(owner1, it.reg)
                 return mring.var(slot_names[ti]), mring.var(slot_names[ti + 1])
 
-        owner_flag = [True]
-        folds = []
-        for owner1, items in specs:
-            owner_flag[0] = owner1
-            folds.append(fold(items, mring, slot_of))
+        folds = [fold(items, mring, slot_of, owner1)
+                 for owner1, items in specs]
         if as_output:
             outputs: tuple[Poly, ...] = (folds[0][0] - folds[1][0],)
         else:

@@ -84,8 +84,6 @@ def test_intersection_keeps_its_grevlex_basis(monkeypatch):
     cases = [
         (Ideal(XYZ, [Yv - Xv**2, Zv - Xv**3]), Ideal(XYZ, [Xv * Yv - Zv])),
         (Ideal(XYZ, [Xv - 1]), Ideal(XYZ, [Xv - 2, Yv])),
-        # integer-exponent intersection of a fractional-exponent input,
-        # whose block basis was computed with ab's degree doubled
         (Ideal(ring, [ab - y * ab]), Ideal(ring, [y * half - ab * half])),
     ]
     for a, b in cases:
@@ -96,7 +94,7 @@ def test_intersection_keeps_its_grevlex_basis(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger",
                         lambda gens, order: calls.append(order)
                         or real(gens, order))
-    for a, b in cases[:2]:
+    for a, b in cases:
         r = ideal_intersect(a, b)
         calls.clear()
         assert r.equal(r)
@@ -188,6 +186,56 @@ def test_fractional_exponent_membership():
     assert not I.member(ring.var("y") + ring.one())
 
 
+def test_fractional_grevlex_basis_is_reduced():
+    ring = PolyRing(VarTable.make([("y", VarKind.ORDINARY), ("ab", VarKind.BAR)]))
+    y, ab32 = ring.var("y"), ring.var("ab", Fraction(3, 2))
+    I = Ideal(ring, [y**2 - ab32])
+    key = order_key(GrevLex(), ring)
+    gb = I.groebner()
+    assert gb == (y**2 - ab32,)
+    assert all(leading(g, key)[1] == 1 for g in gb)
+    r = I.reduce(y**3)
+    assert r == y * ab32
+    assert not any(leading(g, key)[0].divides(m) for g in gb for m in r.terms)
+
+
+FRAC_RING = PolyRing(VarTable.make([("y", VarKind.ORDINARY),
+                                    ("ab", VarKind.BAR), ("bb", VarKind.BAR)]))
+
+
+@st.composite
+def frac_polys(draw, max_terms):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        mono = Monomial([(0, draw(st.integers(0, 2)))] + [
+            (i, Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 3))))
+            for i in (1, 2)])
+        terms[mono] = Fraction(draw(st.integers(-2, 2)))
+    return FRAC_RING.from_terms(terms)
+
+
+def _scaled(p: Poly, L: int) -> Poly:
+    return p.ring.from_terms({Monomial((i, e * L) for i, e in m.exps): c
+                              for m, c in p.terms.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(frac_polys(2), min_size=1, max_size=2), frac_polys(2),
+       frac_polys(3), st.booleans())
+def test_fractional_membership_matches_scaled_copy(gens, mult, extra, member):
+    # x^e -> x^(6e) is a ring isomorphism onto integer exponents (every
+    # denominator divides 6) preserving grevlex, so membership and
+    # normal forms must agree on both sides
+    f = gens[0] * mult + (FRAC_RING.zero() if member else extra)
+    L = 6
+    I = Ideal(FRAC_RING, gens)
+    J = Ideal(FRAC_RING, [_scaled(g, L) for g in gens])
+    assert I.member(f) == J.member(_scaled(f, L))
+    assert _scaled(I.reduce(f), L) == J.reduce(_scaled(f, L))
+    if member:
+        assert I.member(f)
+
+
 def test_groebner_rejects_negative_exponents():
     from polyzero.poly import Mode
 
@@ -195,6 +243,10 @@ def test_groebner_rejects_negative_exponents():
     p = ring.var("ab", -1)
     with pytest.raises(DomainError):
         buchberger([p], GrevLex())
+    with pytest.raises(DomainError):
+        Ideal(ring, [ring.var("ab") - 1]).member(p)
+    with pytest.raises(DomainError):
+        Ideal(ring, [p - 1]).member(ring.var("ab"))
 
 
 def test_fraction_field_coefficients():

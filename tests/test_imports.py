@@ -1,7 +1,8 @@
 """Every name a module of the package or a script imports is used in
-that module."""
+that module, and every function of the package is referenced."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,37 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken, and the parts of every dotted word
+    of a string constant (``"groebner.buchberger"`` names both; a bare
+    word, as a docstring mentions a function, does not count)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in DOTTED.findall(node.value):
+                refs.update(word.split("."))
+    return refs
+
+
+def test_no_unreferenced_functions():
+    refs = set()
+    for top in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            refs |= _references(ast.parse(path.read_text()))
+    unreferenced = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in refs)
+    assert not unreferenced, f"functions nobody references: {unreferenced}"
