@@ -24,8 +24,9 @@ that function field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, NotComInjective, StructureError
 from .linalg import mat_det, mat_inverse
@@ -147,7 +148,11 @@ class WordSubst:
 
 @dataclass(frozen=True)
 class PolySubst:
-    """Simultaneous substitution of parameter variables by polynomials."""
+    """Simultaneous substitution of parameter variables by polynomials.
+
+    The images lifted to :class:`RatFunc`, which ``apply_ratfunc``
+    substitutes, are built on its first call and kept for the life of
+    the instance (which is immutable)."""
 
     ring: PolyRing
     images: Mapping[str, Poly]
@@ -166,19 +171,54 @@ class PolySubst:
             raise StructureError("substituting into a polynomial over another ring")
         return p.substitute(dict(self.images))
 
+    @cached_property
+    def _lifted(self) -> dict[str, RatFunc]:
+        return {n: RatFunc.of(img, self.ring.one()) for n, img in self.images.items()}
+
     def apply_ratfunc(self, r: RatFunc) -> RatFunc:
-        lifted = {n: RatFunc.of(img, self.ring.one()) for n, img in self.images.items()}
-        return r.substitute(lifted)
+        return r.substitute(self._lifted)
 
     def apply_pair(self, pair: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
         return self.apply_poly(pair[0]), self.apply_poly(pair[1])
+
+
+def _coeff_key(c: RatFunc) -> tuple:
+    """The exact representation of ``c``: its numerator's and
+    denominator's terms in order, with each coefficient's type, so that
+    an ``int`` and an equal integral ``Fraction`` get different keys."""
+    num, den = c.num.terms, c.den.terms
+    return (tuple(num.items()), tuple(map(type, num.values())),
+            tuple(den.items()), tuple(map(type, den.values())))
+
+
+def _memoised(memo: dict[tuple, RatFunc], c: RatFunc,
+              substitute: Callable[[RatFunc], RatFunc]) -> RatFunc:
+    """``substitute(c)``, looked up in and stored into ``memo`` under
+    the exact representation of ``c``."""
+    key = _coeff_key(c)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = substitute(c)
+    return out
 
 
 @dataclass(frozen=True)
 class Automorphism:
     """Invertible endomorphism of the rational-function field over the
     parameter ring, given by forward polynomial images and inverse
-    rational-function images of the variables."""
+    rational-function images of the variables.
+
+    ``apply_inverse`` keeps a memo for the life of the instance (one
+    grammar's twist), keyed by a coefficient's exact representation
+    (:func:`_coeff_key`): each distinct coefficient is substituted once,
+    and a hit returns the :class:`RatFunc` that the substitution built.
+    Its callers, the pull-backs and ``verify_roundtrip``, map the same
+    coefficients again and again.  ``apply``, which value enumeration
+    calls with new coefficients for each new value, keeps no memo that
+    would grow with the value tables; ``verify_roundtrip`` keeps its
+    forward images for the check only.  A coefficient over another ring
+    is substituted afresh.  The memo takes no part in ``==`` or
+    ``repr``."""
 
     forward: PolySubst
     inverse: Mapping[str, RatFunc]
@@ -186,6 +226,10 @@ class Automorphism:
     @property
     def ring(self) -> PolyRing:
         return self.forward.ring
+
+    @cached_property
+    def _preimages(self) -> dict[tuple, RatFunc]:
+        return {}
 
     def apply(self, c: RatFunc | Fraction) -> RatFunc | Fraction:
         if isinstance(c, (int, Fraction)):
@@ -195,18 +239,26 @@ class Automorphism:
     def apply_inverse(self, c: RatFunc | Fraction) -> RatFunc | Fraction:
         if isinstance(c, (int, Fraction)):
             return c
-        return c.substitute(dict(self.inverse))
+        if c.ring != self.ring:
+            return c.substitute(self.inverse)
+        return _memoised(self._preimages, c,
+                         lambda r: r.substitute(self.inverse))
 
     def is_identity(self) -> bool:
         return self.forward.is_identity()
 
     def verify_roundtrip(self) -> bool:
         ring = self.ring
+        images: dict[tuple, RatFunc] = {}
+
+        def apply(c: RatFunc) -> RatFunc:
+            return _memoised(images, c, self.forward.apply_ratfunc)
+
         for name in ring.vartable.names:
             v = RatFunc.of(ring.var(name), ring.one())
-            if self.apply_inverse(self.apply(v)) != v:
+            if self.apply_inverse(apply(v)) != v:
                 return False
-            if self.apply(self.apply_inverse(v)) != v:
+            if apply(self.apply_inverse(v)) != v:
                 return False
         return True
 

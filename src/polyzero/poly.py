@@ -1083,12 +1083,21 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly | None:
 
     Single-divisor division along lex leading terms; sound for both
     integer and fractional exponents because the leading term strictly
-    drops at each step.
+    drops at each step.  A constant ``b`` skips the loop: the quotient
+    is what the loop builds, each term of ``a`` divided through
+    ``field.div`` in descending lex order, or None when ``a`` has a
+    negative exponent.
     """
     if b.is_zero():
         raise DomainError("division by the zero polynomial")
     ring = a.ring
     key = _lex_key(ring)
+    if b.is_constant():
+        if any(e < 0 for m in a.terms for _, e in m.exps):
+            return None
+        bc, div = b.terms[UNIT_MONOMIAL], ring.field.div
+        return Poly._raw(ring, {m: div(a.terms[m], bc)
+                                for m in sorted(a.terms, key=key, reverse=True)})
     bm = max(b.terms, key=key)
     bc = b.terms[bm]
     q_terms: dict[Monomial, Coeff] = {}

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from polyzero import grammar
 from polyzero.dsl import parse_grammar, parse_transducer
-from polyzero.encoding import Automorphism, PolySubst, encode_ring
+from polyzero.encoding import (
+    Automorphism, PolySubst, WordSubst, encode_ring, invert_substitution,
+)
 from polyzero.errors import CertificateError, DimensionError, StructureError
 from polyzero.groebner import Ideal
 from polyzero.grammar import (
@@ -23,8 +25,8 @@ from polyzero.grammar import (
     zeroness, _monomials_upto,
 )
 from polyzero.poly import (
-    EMPTY_VARTABLE, FractionField, Mode, PolyMap, PolyRing, QQ, RatFunc,
-    VarKind, VarTable, map_ring_over, ordinary_ring, scalar_ring,
+    EMPTY_VARTABLE, FractionField, Mode, Monomial, Poly, PolyMap, PolyRing,
+    QQ, RatFunc, VarKind, VarTable, map_ring_over, ordinary_ring, scalar_ring,
 )
 from polyzero.reports import certificate_from_obj, read_json
 from polyzero.transducer import to_difference_grammar
@@ -275,8 +277,100 @@ def shift_automorphism(pring):
     forward = PolySubst(pring, {"c": pring.parse("c + 1")})
     inverse = {"c": RatFunc.of(pring.parse("c - 1"), pring.one())}
     alpha = Automorphism(forward, inverse)
-    alpha.verify_roundtrip()
+    assert alpha.verify_roundtrip()
     return alpha
+
+
+# the twists of the sqrev difference grammar: # -> #a and # -> #b
+SQREV = encode_ring(["a", "b", "#"])
+SQREV_TWISTS = [invert_substitution(WordSubst({"#": "#" + s}),
+                                    ["a", "b", "#"], SQREV) for s in "ab"]
+SHIFT = shift_automorphism(ordinary_ring(["c"]))
+
+
+def _representation(c: RatFunc) -> tuple[list, list]:
+    """Numerator and denominator terms in order, with coefficient types."""
+    return tuple([(m, type(k), k) for m, k in p.terms.items()]
+                 for p in (c.num, c.den))
+
+
+def _retyped(c: RatFunc) -> RatFunc:
+    """c with each integral coefficient's type swapped (int, Fraction)."""
+    def swap(k):
+        if type(k) is int:
+            return Fraction(k)
+        return int(k) if k.denominator == 1 else k
+    return RatFunc(*(Poly._raw(p.ring, {m: swap(k) for m, k in p.terms.items()})
+                     for p in (c.num, c.den)))
+
+
+@st.composite
+def twist_coefficients(draw):
+    """A twist and raw quotients over its ring, each followed by its
+    retyped twin; bar variables get half-integer exponents."""
+    alpha = draw(st.sampled_from(SQREV_TWISTS + [SHIFT]))
+    ring = alpha.ring
+    kinds = ring.vartable.kinds
+
+    def poly(min_terms):
+        terms = {}
+        for _ in range(draw(st.integers(min_terms, 3))):
+            m = Monomial([(i, draw(st.integers(0, 2)) if kind is VarKind.ORDINARY
+                           else Fraction(draw(st.integers(0, 4)), 2))
+                          for i, kind in enumerate(kinds) if draw(st.booleans())])
+            terms[m] = draw(st.fractions(-3, 3, max_denominator=2)
+                            .filter(bool))
+        return Poly._raw(ring, terms)
+    coeffs = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = poly(1)
+        c = RatFunc(poly(0), den if not den.is_zero() else ring.one())
+        coeffs += [c, _retyped(c)]
+    return alpha, coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(twist_coefficients())
+def test_twist_memo_returns_the_substitution(case):
+    # apply and apply_inverse equal a fresh substitution term for term,
+    # with the same coefficient types, on the first call and on a memo
+    # hit; the retyped twins never share an entry
+    alpha, coeffs = case
+    ring = alpha.ring
+    forward = {n: RatFunc.of(img, ring.one())
+               for n, img in alpha.forward.images.items()}
+    want = [(_representation(c.substitute(forward)),
+             _representation(c.substitute(dict(alpha.inverse))))
+            for c in coeffs]
+    for _ in range(2):
+        got = [(_representation(alpha.apply(c)),
+                _representation(alpha.apply_inverse(c))) for c in coeffs]
+        assert got == want
+
+
+def test_twist_memo_keeps_a_wrong_inverse_wrong():
+    pring = ordinary_ring(["c"])
+    wrong = Automorphism(PolySubst(pring, {"c": pring.parse("c + 1")}),
+                         {"c": RatFunc.of(pring.parse("c - 2"), pring.one())})
+    assert not wrong.verify_roundtrip()
+    coeffs = [RatFunc.of(pring.parse(t), pring.one())
+              for t in ("c", "c + 1", "c - 1", "c - 2")]
+    for c in coeffs:
+        wrong.apply(c), wrong.apply_inverse(c)
+    assert not wrong.verify_roundtrip()
+    right = shift_automorphism(pring)
+    for c in coeffs:
+        right.apply(c), right.apply_inverse(c)
+    assert not wrong.verify_roundtrip()
+    assert right.verify_roundtrip()
+
+
+def test_twist_memo_keeps_the_coefficient_ring():
+    # ring.one() has the same terms over every ring
+    for ring in (SHIFT.ring, ordinary_ring(["d"])):
+        one = RatFunc.of(ring.one(), ring.one())
+        assert SHIFT.apply(one).ring == ring
+        assert SHIFT.apply_inverse(one).ring == ring
 
 
 def twisted_pair_grammar():

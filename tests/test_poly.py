@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyzero.errors import DomainError, ParseError, StructureError
@@ -399,6 +399,54 @@ def test_constant_denominator_matches_general_path(num, c):
     gnum, gden = _general_of(num, XAB.const(c))
     assert r.num.terms == gnum.terms and r.den.terms == gden.terms
     assert str(r) == str(RatFunc(gnum, gden))
+
+
+XAB_FIELD = XAB.with_mode(Mode.FIELD)
+
+
+def _term_list(p: Poly) -> list:
+    """Terms in dict order, with each coefficient's type."""
+    return [(m, type(c), c) for m, c in p.terms.items()]
+
+
+@st.composite
+def constant_quotients(draw):
+    """a, a nonzero constant c and a monomial m that is not the unit, on
+    XAB in ring mode and in field mode (negative bar exponents);
+    integral coefficients are ints or Fractions."""
+    ring = draw(st.sampled_from([XAB, XAB_FIELD]))
+    lo = -3 if ring.mode is Mode.FIELD else 0
+    bar = st.integers(lo, 3).map(lambda k: Fraction(k, 2))
+
+    def mono():
+        return Monomial([(0, draw(exps)), (1, draw(bar))])
+
+    def coeff():
+        c = draw(rationals)
+        return c if draw(st.booleans()) else QQ.coerce(c)
+
+    a = Poly._raw(ring, {mono(): coeff()
+                         for _ in range(draw(st.integers(0, 4)))})
+    m = mono()
+    assume(not m.is_unit())
+    return a, coeff() or 1, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(constant_quotients())
+@example((XAB_FIELD.parse("1 + ab^(-1)"), 2, Monomial([(0, 1)])))
+def test_constant_divisor_matches_division_loop(case):
+    # a / c skips the division loop, a*m / c*m runs it: the same
+    # quotient, with its terms, types and term order, or None for both
+    a, c, m = case
+    ring = a.ring
+    shift = ring.from_monomial(m)
+    fast = poly_exact_div(a, ring.const(c))
+    loop = poly_exact_div(a * shift, ring.const(c) * shift)
+    if loop is None:
+        assert fast is None
+    else:
+        assert _term_list(fast) == _term_list(loop)
 
 
 def _assert_same_ratfunc(got: RatFunc, want: RatFunc) -> None:
