@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, StructureError
 from .poly import (
-    Coeff, Exponent, Monomial, Poly, PolyMap, PolyRing, VarKind, map_ring_over,
-    ordinary_ring,
+    Coeff, Exponent, Monomial, Poly, PolyMap, PolyRing, VarKind, lex_walk,
+    map_ring_over, ordinary_ring,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,11 +61,38 @@ KeyFn = Callable[[Monomial], tuple]
 
 
 def _grev_key(indices: Sequence[int]) -> KeyFn:
-    rev = tuple(reversed(indices))
+    """Total degree of the given variables, then their negated
+    exponents from the last variable back."""
+    n = len(indices)
+    place = {i: n - 1 - k for k, i in enumerate(indices)}
 
     def key(m: Monomial) -> tuple:
-        exps = [m.exp(i) for i in indices]
-        return (sum(exps), tuple(-m.exp(i) for i in rev))
+        total: Exponent = 0
+        neg: list[Exponent] = [0] * n
+        for i, e in m.exps:
+            k = place.get(i)
+            if k is not None:
+                total += e
+                neg[k] = -e
+        return total, tuple(neg)
+
+    return key
+
+
+def _block_key(front: Sequence[int], back: Sequence[int]) -> KeyFn:
+    """The grevlex keys of the front and of the back variables."""
+    sizes = (len(front), len(back))
+    place = {i: (0, sizes[0] - 1 - k) for k, i in enumerate(front)}
+    place.update((i, (1, sizes[1] - 1 - k)) for k, i in enumerate(back))
+
+    def key(m: Monomial) -> tuple:
+        totals: list[Exponent] = [0, 0]
+        negs = ([0] * sizes[0], [0] * sizes[1])
+        for i, e in m.exps:
+            b, k = place[i]
+            totals[b] += e
+            negs[b][k] = -e
+        return (totals[0], tuple(negs[0])), (totals[1], tuple(negs[1]))
 
     return key
 
@@ -74,8 +101,7 @@ def order_key(order: Order, ring: PolyRing) -> KeyFn:
     vt = ring.vartable
     if isinstance(order, Lex):
         names = order.names if order.names is not None else vt.names
-        idx = tuple(vt.index(n) for n in names)
-        return lambda m: tuple(m.exp(i) for i in idx)
+        return lex_walk(tuple(vt.index(n) for n in names))
     if isinstance(order, GrevLex):
         names = order.names if order.names is not None else vt.names
         return _grev_key(tuple(vt.index(n) for n in names))
@@ -83,8 +109,7 @@ def order_key(order: Order, ring: PolyRing) -> KeyFn:
         front = tuple(vt.index(n) for n in order.front)
         front_set = set(front)
         back = tuple(i for i in range(len(vt)) if i not in front_set)
-        kf, kb = _grev_key(front), _grev_key(back)
-        return lambda m: (kf(m), kb(m))
+        return _block_key(front, back)
     raise StructureError(f"unknown monomial order {order!r}")
 
 

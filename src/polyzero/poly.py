@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, StructureError
 from .lexer import TokenStream, tokenize
@@ -193,8 +193,9 @@ class Monomial:
         return Monomial(d.items())
 
     def divides(self, other: "Monomial") -> bool:
+        theirs = dict(other.exps)
         for i, e in self.exps:
-            if e > other.exp(i):
+            if e > theirs.get(i, 0):
                 return False
         return True
 
@@ -205,13 +206,13 @@ class Monomial:
         return Monomial(d.items())
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        d = {}
+        theirs = dict(other.exps)
+        out = []
         for i, e in self.exps:
-            f = other.exp(i)
-            m = min(e, f)
+            m = min(e, theirs.get(i, 0))
             if m != 0:
-                d[i] = m
-        return Monomial(d.items())
+                out.append((i, m))
+        return Monomial._of(tuple(out))
 
     def pow_scalar(self, q: Exponent) -> "Monomial":
         return Monomial((i, e * q) for i, e in self.exps)
@@ -421,10 +422,26 @@ def scalar_ring(field: Field) -> PolyRing:
 # polynomials
 
 
+def lex_walk(indices: Sequence[int]) -> Callable[[Monomial], tuple[Exponent, ...]]:
+    """Sort key of the lex order on the given variables, in their order:
+    their exponents, read in one walk over a monomial's exponents."""
+    n = len(indices)
+    place = {i: k for k, i in enumerate(indices)}
+
+    def key(m: Monomial) -> tuple[Exponent, ...]:
+        out: list[Exponent] = [0] * n
+        for i, e in m.exps:
+            k = place.get(i)
+            if k is not None:
+                out[k] = e
+        return tuple(out)
+
+    return key
+
+
 def _lex_key(ring: PolyRing) -> Callable[[Monomial], tuple[Exponent, ...]]:
     """Sort key of the lex order in variable-table order."""
-    n = len(ring.vartable)
-    return lambda m: tuple(m.exp(i) for i in range(n))
+    return lex_walk(range(len(ring.vartable)))
 
 
 class Poly:
@@ -864,7 +881,8 @@ class RatFunc:
         if den.is_constant():
             c = den.terms[UNIT_MONOMIAL]
             if c != 1:
-                num = num.scale(ring.field.div(ring.field.one(), c))
+                div = ring.field.div
+                num = Poly._raw(ring, {m: div(k, c) for m, k in num.terms.items()})
             return cls(num, ring.one())
         content = _poly_content(num).gcd(_poly_content(den))
         if not content.is_unit():
@@ -1083,21 +1101,39 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly | None:
 
     Single-divisor division along lex leading terms; sound for both
     integer and fractional exponents because the leading term strictly
-    drops at each step.  A constant ``b`` skips the loop: the quotient
-    is what the loop builds, each term of ``a`` divided through
-    ``field.div`` in descending lex order, or None when ``a`` has a
-    negative exponent.
+    drops at each step.  Two cases skip the loop.
+
+    A one-term ``b``, constants included, divides ``a`` term by term,
+    through ``field.div`` in descending lex order.  Over QQ these are
+    the terms, coefficient types and term order that the loop builds,
+    and the result is None where the loop's is: when a quotient
+    exponent is negative or invalid in the ring.  Unlike the loop, this
+    path has no bound on the number of terms of ``a``.
+
+    A one-term ``a`` over a ``b`` of two or more terms gives None at
+    once.  The lex-leading terms of two factors multiply to the leading
+    term of their product, and the trailing terms to its trailing
+    term, so every nonzero multiple of such a ``b`` has two terms.
     """
     if b.is_zero():
         raise DomainError("division by the zero polynomial")
     ring = a.ring
     key = _lex_key(ring)
-    if b.is_constant():
-        if any(e < 0 for m in a.terms for _, e in m.exps):
+    if len(b.terms) == 1:
+        (bm, bc), = b.terms.items()
+        div = ring.field.div
+        terms: dict[Monomial, Coeff] = {}
+        for am in sorted(a.terms, key=key, reverse=True):
+            t = am.div(bm) if bm.exps else am
+            if any(e < 0 for _, e in t.exps):
+                return None
+            terms[t] = div(a.terms[am], bc)
+        try:
+            return Poly(ring, terms)
+        except DomainError:
             return None
-        bc, div = b.terms[UNIT_MONOMIAL], ring.field.div
-        return Poly._raw(ring, {m: div(a.terms[m], bc)
-                                for m in sorted(a.terms, key=key, reverse=True)})
+    if len(a.terms) == 1:
+        return None
     bm = max(b.terms, key=key)
     bc = b.terms[bm]
     q_terms: dict[Monomial, Coeff] = {}

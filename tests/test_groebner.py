@@ -13,7 +13,7 @@ from polyzero.groebner import (
     image_closure, leading, normal_form, order_key, vanishing_ideal_of_points,
 )
 from polyzero.poly import (
-    FractionField, Monomial, Poly, PolyMap, PolyRing, RatFunc, VarKind,
+    FractionField, Mode, Monomial, Poly, PolyMap, PolyRing, RatFunc, VarKind,
     VarTable, ordinary_ring,
 )
 
@@ -370,3 +370,67 @@ def test_normal_form_matches_rebuild_reference(case):
     assert str(nf) == str(expected)
     assert all(not bm.divides(m) for m in nf.terms for bm, _, _ in basis)
     assert Ideal(ring, gens).member(f - nf)
+
+
+# ---------------------------------------------------------------------------
+# order keys and monomial operations against exp-based formulas
+
+# ordinary and bar variables in field mode: fractional and negative exponents
+KEYS = PolyRing(VarTable.make([("u", VarKind.ORDINARY), ("a", VarKind.BAR),
+                               ("v", VarKind.ORDINARY), ("b", VarKind.BAR),
+                               ("w", VarKind.ORDINARY)]), mode=Mode.FIELD)
+key_exps = st.one_of(st.integers(-2, 3),
+                     st.integers(-4, 6).map(lambda k: Fraction(k, 2)))
+key_monomials = st.dictionaries(st.integers(0, 4), key_exps, max_size=5).map(
+    lambda d: Monomial(d.items()))
+key_names = st.permutations(KEYS.vartable.names).flatmap(
+    lambda names: st.integers(1, len(names)).map(lambda k: tuple(names[:k])))
+key_orders = st.one_of(st.just(Lex()), key_names.map(Lex), st.just(GrevLex()),
+                       key_names.map(GrevLex), key_names.map(BlockElim))
+
+
+def formula_key(order, ring):
+    """The order's key read one exponent at a time through ``Monomial.exp``."""
+    vt = ring.vartable
+
+    def grev(indices):
+        rev = tuple(reversed(indices))
+        return lambda m: (sum(m.exp(i) for i in indices),
+                          tuple(-m.exp(i) for i in rev))
+
+    if isinstance(order, BlockElim):
+        front = tuple(vt.index(n) for n in order.front)
+        back = tuple(i for i in range(len(vt)) if i not in front)
+        kf, kb = grev(front), grev(back)
+        return lambda m: (kf(m), kb(m))
+    idx = tuple(vt.index(n) for n in (order.names or vt.names))
+    if isinstance(order, Lex):
+        return lambda m: tuple(m.exp(i) for i in idx)
+    return grev(idx)
+
+
+def _typed(k):
+    """A key with the type of every entry, so that 1 and Fraction(1) differ."""
+    if isinstance(k, tuple):
+        return tuple(_typed(x) for x in k)
+    return type(k), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(key_monomials, min_size=1, max_size=8), key_orders)
+def test_order_keys_match_their_formulas(monos, order):
+    key, formula = order_key(order, KEYS), formula_key(order, KEYS)
+    for m in monos:
+        assert _typed(key(m)) == _typed(formula(m))
+    assert sorted(monos, key=key) == sorted(monos, key=formula)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_monomials, key_monomials)
+def test_divides_and_gcd_match_exp_formulas(a, b):
+    assert a.divides(b) == all(e <= b.exp(i) for i, e in a.exps)
+    g = a.gcd(b)
+    want = Monomial((i, min(e, b.exp(i))) for i, e in a.exps)
+    assert g == want
+    assert [type(e) for _, e in g.exps] == [type(e) for _, e in want.exps]
+    assert a.divides(a) and g.divides(a)

@@ -54,16 +54,36 @@ def test_no_unused_imports(path):
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 
+def _foreign_modules(tree: ast.Module) -> set[str]:
+    """Names bound by ``import`` statements of modules outside the package."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] != "polyzero"}
+
+
+def _chain_root(node: ast.Attribute) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def _references(tree: ast.Module) -> set[str]:
     """Names read, attributes taken, and the parts of every dotted word
     of a string constant (``"groebner.buchberger"`` names both; a bare
-    word, as a docstring mentions a function, does not count)."""
+    word, as a docstring mentions a function, does not count).  An
+    attribute taken from a string literal (``", ".join``) or from a
+    module imported from outside the package (``os``, ``re``) is not
+    one of the package's functions."""
+    foreign = _foreign_modules(tree)
     refs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            root = _chain_root(node)
+            literal = isinstance(root, ast.Constant) and isinstance(root.value, str)
+            if not literal and not (isinstance(root, ast.Name) and root.id in foreign):
+                refs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             for word in DOTTED.findall(node.value):
                 refs.update(word.split("."))

@@ -394,11 +394,22 @@ def _general_of(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 @settings(max_examples=80, deadline=None)
 @given(qq_polys(), rationals.filter(bool))
+@example(XAB.parse("2*x + 4*ab"), 2)
 def test_constant_denominator_matches_general_path(num, c):
     r = RatFunc.of(num, XAB.const(c))
     gnum, gden = _general_of(num, XAB.const(c))
     assert r.num.terms == gnum.terms and r.den.terms == gden.terms
+    assert {m: type(k) for m, k in r.num.terms.items()} == \
+        {m: type(k) for m, k in gnum.terms.items()}
     assert str(r) == str(RatFunc(gnum, gden))
+
+
+def test_constant_denominator_keeps_integral_coefficients_int():
+    r = RatFunc.of(XY.parse("2*x + 4*y"), XY.const(2))
+    assert [(m, type(c), c) for m, c in r.num.terms.items()] == [
+        (Monomial([(0, 1)]), int, 1), (Monomial([(1, 1)]), int, 2)]
+    assert [type(c) for c in RatFunc.of(X + Y, XY.const(2)).num.terms.values()] \
+        == [Fraction, Fraction]
 
 
 XAB_FIELD = XAB.with_mode(Mode.FIELD)
@@ -432,21 +443,105 @@ def constant_quotients(draw):
     return a, coeff() or 1, m
 
 
+def _division_loop(a: Poly, b: Poly) -> Poly | None:
+    """``poly_exact_div`` without its shortcuts: the division loop alone."""
+    if b.is_zero():
+        raise DomainError("division by the zero polynomial")
+    ring = a.ring
+    n = len(ring.vartable)
+
+    def key(m):
+        return tuple(m.exp(i) for i in range(n))
+
+    bm = max(b.terms, key=key)
+    bc = b.terms[bm]
+    q_terms = {}
+    rem = a
+    guard = 0
+    while not rem.is_zero():
+        guard += 1
+        if guard > 10000:
+            return None
+        am = max(rem.terms, key=key)
+        t = am.div(bm)
+        if any(e < 0 for _, e in t.exps):
+            return None
+        try:
+            for i, e in t.exps:
+                ring.validate_exponent(i, e)
+        except DomainError:
+            return None
+        c = ring.field.div(rem.terms[am], bc)
+        q_terms[t] = q_terms.get(t, ring.field.zero()) + c
+        rem = rem - ring.from_monomial(t, c) * b
+    return Poly(ring, q_terms)
+
+
+def _assert_same_division(got: Poly | None, want: Poly | None) -> None:
+    """Both None, or the same terms, types and term order."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert _term_list(got) == _term_list(want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(constant_quotients())
 @example((XAB_FIELD.parse("1 + ab^(-1)"), 2, Monomial([(0, 1)])))
 def test_constant_divisor_matches_division_loop(case):
-    # a / c skips the division loop, a*m / c*m runs it: the same
-    # quotient, with its terms, types and term order, or None for both
+    # a / c and a*m / c*m: the quotient the loop builds for a*m / c*m,
+    # with its terms, types and term order, or None for both
     a, c, m = case
     ring = a.ring
     shift = ring.from_monomial(m)
-    fast = poly_exact_div(a, ring.const(c))
-    loop = poly_exact_div(a * shift, ring.const(c) * shift)
-    if loop is None:
-        assert fast is None
-    else:
-        assert _term_list(fast) == _term_list(loop)
+    loop = _division_loop(a * shift, ring.const(c) * shift)
+    _assert_same_division(poly_exact_div(a, ring.const(c)), loop)
+    _assert_same_division(poly_exact_div(a * shift, ring.const(c) * shift), loop)
+
+
+@st.composite
+def xab_divisions(draw, dividend_terms, divisor_terms):
+    """a and b on XAB in ring mode or in field mode (negative bar
+    exponents), with fractional bar exponents and int or Fraction
+    integral coefficients; the term counts are drawn from the given
+    strategies, b has at least one term."""
+    ring = draw(st.sampled_from([XAB, XAB_FIELD]))
+    lo = -3 if ring.mode is Mode.FIELD else 0
+    bar = st.integers(lo, 3).map(lambda k: Fraction(k, 2))
+
+    def poly(n):
+        terms = {}
+        for _ in range(n):
+            c = draw(rationals.filter(bool))
+            terms[Monomial([(0, draw(exps)), (1, draw(bar))])] = \
+                c if draw(st.booleans()) else QQ.coerce(c)
+        return Poly._raw(ring, terms)
+
+    a = poly(draw(dividend_terms))
+    b = poly(draw(divisor_terms))
+    assume(not b.is_zero())
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(xab_divisions(st.integers(0, 5), st.just(1)))
+@example((XAB_FIELD.parse("x*ab^(1/2) + ab^(-1)"), XAB_FIELD.parse("3*ab^(-1)")))
+@example((Poly._raw(XAB, {Monomial([(0, Fraction(1, 2))]): 1}), XAB.const(2)))
+def test_one_term_divisor_matches_division_loop(ab):
+    # term by term against the loop; the second example has an
+    # invalid (fractional ordinary) exponent that the loop refuses
+    a, b = ab
+    assert len(b.terms) == 1
+    _assert_same_division(poly_exact_div(a, b), _division_loop(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xab_divisions(st.just(1), st.integers(2, 4)))
+@example((XAB.parse("x^3"), XAB.parse("x + 1")))
+def test_one_term_dividend_over_longer_divisor_is_none(ab):
+    a, b = ab
+    assume(len(b.terms) >= 2)
+    assert poly_exact_div(a, b) is None
+    assert _division_loop(a, b) is None
 
 
 def _assert_same_ratfunc(got: RatFunc, want: RatFunc) -> None:
