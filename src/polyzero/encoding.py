@@ -366,7 +366,7 @@ def invert_substitution(ws: WordSubst, letters: Sequence[str],
             for m, c in tilde.terms.items():
                 if m.exp(ti) == 1:
                     coeff = coeff + ring.from_monomial(
-                        Monomial((i, e) for i, e in m.exps if i != ti), c)
+                        Monomial((i, e) for i, e in m if i != ti), c)
             row.append(field.coerce(coeff).substitute(bar_inverse))
         that.append(row)
     tinv = mat_inverse(that, field)

@@ -699,7 +699,7 @@ def low_degree_vanishing(value_ring: PolyRing, ambient: Ideal | None,
         for p in row_polys:
             for m in p.terms:
                 seen.setdefault(m, None)
-    xmonos = sorted(seen, key=lambda m: m.exps)
+    xmonos = sorted(seen)
     field = value_ring.field
     rows = []
     for row_polys in evals:

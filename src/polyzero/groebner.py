@@ -69,7 +69,7 @@ def _grev_key(indices: Sequence[int]) -> KeyFn:
     def key(m: Monomial) -> tuple:
         total: Exponent = 0
         neg: list[Exponent] = [0] * n
-        for i, e in m.exps:
+        for i, e in m:
             k = place.get(i)
             if k is not None:
                 total += e
@@ -88,7 +88,7 @@ def _block_key(front: Sequence[int], back: Sequence[int]) -> KeyFn:
     def key(m: Monomial) -> tuple:
         totals: list[Exponent] = [0, 0]
         negs = ([0] * sizes[0], [0] * sizes[1])
-        for i, e in m.exps:
+        for i, e in m:
             b, k = place[i]
             totals[b] += e
             negs[b][k] = -e
@@ -98,16 +98,20 @@ def _block_key(front: Sequence[int], back: Sequence[int]) -> KeyFn:
 
 
 def order_key(order: Order, ring: PolyRing) -> KeyFn:
+    """Sort key of the order; only an order that names every variable
+    of the ring once, or a front of distinct ones, is total."""
     vt = ring.vartable
-    if isinstance(order, Lex):
+    if isinstance(order, (Lex, GrevLex)):
         names = order.names if order.names is not None else vt.names
-        return lex_walk(tuple(vt.index(n) for n in names))
-    if isinstance(order, GrevLex):
-        names = order.names if order.names is not None else vt.names
-        return _grev_key(tuple(vt.index(n) for n in names))
+        if sorted(names) != sorted(vt.names):
+            raise StructureError(f"{order!r} must name each ring variable once")
+        indices = tuple(vt.index(n) for n in names)
+        return (lex_walk if isinstance(order, Lex) else _grev_key)(indices)
     if isinstance(order, BlockElim):
         front = tuple(vt.index(n) for n in order.front)
         front_set = set(front)
+        if len(front_set) != len(front):
+            raise StructureError(f"{order!r} names a variable twice")
         back = tuple(i for i in range(len(vt)) if i not in front_set)
         return _block_key(front, back)
     raise StructureError(f"unknown monomial order {order!r}")
@@ -125,16 +129,20 @@ def leading(p: Poly, key: KeyFn) -> tuple[Monomial, Coeff]:
 
 
 def _require_nonnegative(polys: Iterable[Poly]) -> None:
-    if any(e < 0 for p in polys for m in p.terms for _, e in m.exps):
+    if any(e < 0 for p in polys for m in p.terms for _, e in m):
         raise DomainError("Groebner computation with negative exponents")
 
 
 def _monic(p: Poly, key: KeyFn) -> Poly:
-    _, lc = leading(p, key)
+    """``p`` over its leading coefficient, ``field.one()`` at its monomial."""
+    lm, lc = leading(p, key)
     field = p.ring.field
-    if lc == field.one():
+    one = field.one()
+    if lc is one or lc == one:
         return p
-    return p.scale(field.div(field.one(), lc))
+    inv = field.div(one, lc)
+    return Poly._raw(p.ring, {m: one if m is lm else c * inv
+                              for m, c in p.terms.items()})
 
 
 def _lead_triple(p: Poly, key: KeyFn) -> tuple[Monomial, Coeff, Poly]:

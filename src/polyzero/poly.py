@@ -22,11 +22,13 @@ Over ``QQ`` an ``int`` operand of ``+`` or ``*`` is added into the
 constant coefficient or scales every coefficient directly, without a
 constant :class:`Poly`; over a fraction field it is coerced first.
 
+A :class:`Monomial` is the tuple of its ``(index, exponent)`` pairs.
 :class:`Poly` validates every exponent on construction, except in the
 trusted ``Poly._raw`` behind sums, negations, products, scalings,
-substitutions and the ring constants: sums of valid exponents over one
-ring are valid, and a constant has only the unit monomial, so that
-check could never fail there.
+substitutions, the ring constants and the divisions by a monomial in
+``RatFunc.of`` and ``poly_exact_div``: sums of valid exponents over one
+ring are valid, a constant has only the unit monomial, and those
+quotient exponents are nonnegative where they must be.
 """
 
 from __future__ import annotations
@@ -115,58 +117,45 @@ EMPTY_VARTABLE = VarTable((), ())
 # monomials
 
 
-class Monomial:
-    """Product of variables with nonzero exponents, stored sparsely.
-
+class Monomial(tuple):
+    """Product of variables with nonzero exponents, stored sparsely: the
+    tuple of its ``(index, exponent)`` pairs sorted by index, so hashing,
+    equality and dict lookups are tuple operations, and iterating a
+    monomial walks its exponents (none for the unit monomial).
     Exponents are ``int`` when integral, ``Fraction`` otherwise.  A
     monomial knows only variable *indices*; validity against a ring's
     variable table and mode is checked by :class:`Poly`.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps: Iterable[tuple[int, Exponent]]):
+    def __new__(cls, exps: Iterable[tuple[int, Exponent]]) -> "Monomial":
         items = []
         for i, e in exps:
             e = _norm_exp(e)
             if e != 0:
                 items.append((i, e))
-        items.sort(key=lambda p: p[0])
-        object.__setattr__(self, "exps", tuple(items))
-        object.__setattr__(self, "_hash", hash(self.exps))
+        items.sort()  # by index: a monomial names each variable once
+        return tuple.__new__(cls, items)
 
-    @classmethod
-    def _of(cls, exps: tuple[tuple[int, Exponent], ...]) -> "Monomial":
-        """Monomial of already sorted, normalised, nonzero exponents."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "exps", exps)
-        object.__setattr__(m, "_hash", hash(exps))
-        return m
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Monomial is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
+    # Monomial._of(pairs): already sorted, normalised and nonzero pairs
+    _of = classmethod(tuple.__new__)
 
     def __repr__(self) -> str:
-        return f"Monomial({self.exps})"
+        return f"Monomial({tuple(self)})"
 
     def is_unit(self) -> bool:
-        return not self.exps
+        return not self
 
     def exp(self, i: int) -> Exponent:
-        for j, e in self.exps:
+        for j, e in self:
             if j == i:
                 return e
         return 0
 
     def mul(self, other: "Monomial") -> "Monomial":
         """Merge of the two sorted exponent tuples."""
-        a, b = self.exps, other.exps
+        a, b = self, other
         if not a or not b:
             return other if not a else self
         if a[-1][0] < b[0][0] or b[-1][0] < a[0][0]:
@@ -187,44 +176,44 @@ class Monomial:
         return Monomial._of((*out, *a[i:], *b[j:]))
 
     def div(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for i, e in other.exps:
+        d = dict(self)
+        for i, e in other:
             d[i] = d.get(i, 0) - e
         return Monomial(d.items())
 
     def divides(self, other: "Monomial") -> bool:
-        theirs = dict(other.exps)
-        for i, e in self.exps:
+        theirs = dict(other)
+        for i, e in self:
             if e > theirs.get(i, 0):
                 return False
         return True
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for i, e in other.exps:
+        d = dict(self)
+        for i, e in other:
             d[i] = max(d.get(i, 0), e)
         return Monomial(d.items())
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        theirs = dict(other.exps)
+        theirs = dict(other)
         out = []
-        for i, e in self.exps:
+        for i, e in self:
             m = min(e, theirs.get(i, 0))
             if m != 0:
                 out.append((i, m))
         return Monomial._of(tuple(out))
 
     def pow_scalar(self, q: Exponent) -> "Monomial":
-        return Monomial((i, e * q) for i, e in self.exps)
+        return Monomial((i, e * q) for i, e in self)
 
     def total_degree(self) -> Exponent:
-        return _norm_exp(sum(e for _, e in self.exps))
+        return _norm_exp(sum(e for _, e in self))
 
     def rename(self, index_map: dict[int, int]) -> "Monomial":
-        return Monomial((index_map[i], e) for i, e in self.exps)
+        return Monomial((index_map[i], e) for i, e in self)
 
     def var_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.exps)
+        return tuple(i for i, _ in self)
 
 
 UNIT_MONOMIAL = Monomial(())
@@ -296,11 +285,11 @@ class FractionField:
 
     def coerce(self, x: object) -> "RatFunc":
         if isinstance(x, RatFunc):
-            if x.ring != self.param_ring:
+            if x.ring is not self.param_ring and x.ring != self.param_ring:
                 raise StructureError("rational function over a different parameter ring")
             return x
         if isinstance(x, Poly):
-            if x.ring != self.param_ring:
+            if x.ring is not self.param_ring and x.ring != self.param_ring:
                 raise StructureError("parameter polynomial over a different ring")
             return RatFunc.of(x, self.param_ring.one())
         if isinstance(x, (int, Fraction)):
@@ -332,7 +321,8 @@ class FractionField:
         return 1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FractionField) and self.param_ring == other.param_ring
+        return isinstance(other, FractionField) and (
+            self.param_ring is other.param_ring or self.param_ring == other.param_ring)
 
     def __hash__(self) -> int:
         return hash(("FractionField", self.param_ring.vartable.names))
@@ -368,6 +358,12 @@ class PolyRing:
     def _one(self) -> "Poly":
         # built once per ring; Poly is immutable, so callers share it
         return Poly._raw(self, {UNIT_MONOMIAL: self.field.one()})
+
+    @cached_property
+    def _lex_key(self) -> Callable[[Monomial], tuple[Exponent, ...]]:
+        """Sort key of the lex order in variable-table order, built once
+        per ring."""
+        return lex_walk(range(len(self.vartable)))
 
     def const(self, c: object) -> "Poly":
         return Poly._raw(self, {UNIT_MONOMIAL: self.field.coerce(c)})
@@ -430,18 +426,13 @@ def lex_walk(indices: Sequence[int]) -> Callable[[Monomial], tuple[Exponent, ...
 
     def key(m: Monomial) -> tuple[Exponent, ...]:
         out: list[Exponent] = [0] * n
-        for i, e in m.exps:
+        for i, e in m:
             k = place.get(i)
             if k is not None:
                 out[k] = e
         return tuple(out)
 
     return key
-
-
-def _lex_key(ring: PolyRing) -> Callable[[Monomial], tuple[Exponent, ...]]:
-    """Sort key of the lex order in variable-table order."""
-    return lex_walk(range(len(ring.vartable)))
 
 
 class Poly:
@@ -454,7 +445,7 @@ class Poly:
         for m, c in terms.items():
             if ring.field.is_zero(c):
                 continue
-            for i, e in m.exps:
+            for i, e in m:
                 if i >= len(ring.vartable):
                     raise StructureError("monomial index outside the variable table")
                 ring.validate_exponent(i, e)
@@ -465,7 +456,8 @@ class Poly:
 
     @classmethod
     def _raw(cls, ring: PolyRing, terms: dict[Monomial, Coeff]) -> "Poly":
-        """Drops zero (in both fields, falsy) coefficients; no validation."""
+        """Drops zero (in both fields, falsy) coefficients; no validation,
+        for the terms that the module docstring names valid by design."""
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
         object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
@@ -513,9 +505,10 @@ class Poly:
 
     def leading_coeff_lex(self) -> Coeff | None:
         """Coefficient of the lex-largest term (variable-table order)."""
-        if not self.terms:
-            return None
-        return self.terms[max(self.terms, key=_lex_key(self.ring))]
+        terms = self.terms
+        if len(terms) < 2:
+            return next(iter(terms.values()), None)
+        return terms[max(terms, key=self.ring._lex_key)]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -617,7 +610,8 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.terms == other.terms)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -646,7 +640,7 @@ class Poly:
         index_map: dict[int, int] = {}
         terms: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
-            for i, _ in m.exps:
+            for i, _ in m:
                 if i not in index_map:
                     name = src_names[i]
                     if rename:
@@ -671,7 +665,7 @@ class Poly:
         """
         ring = target_ring if target_ring is not None else self.ring
         for name, img in mapping.items():
-            if img.ring != ring:
+            if img.ring is not ring and img.ring != ring:
                 raise StructureError(f"image of {name!r} lives in a different ring")
         names = self.ring.vartable.names
         coerce = ring.field.coerce
@@ -680,7 +674,7 @@ class Poly:
         terms: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             acc = one
-            for i, e in m.exps:
+            for i, e in m:
                 img = mapping.get(names[i])
                 if img is None:
                     factor = ring.var(names[i], e)
@@ -737,13 +731,13 @@ class Poly:
         shares: dict[int, list] = {}
         fracs: dict[tuple[int, Fraction], RatFunc] = {}
         for m in self.terms:
-            for i, e in m.exps:
+            for i, e in m:
                 share = shares.get(i)
                 if share is None:
                     img = mapping.get(names[i])
                     if img is None:
                         n, d = ring.var(names[i]), one
-                    elif img.ring != ring:
+                    elif img.ring is not ring and img.ring != ring:
                         raise StructureError(
                             f"image of {names[i]!r} lives in a different ring")
                     else:
@@ -792,7 +786,7 @@ class Poly:
 
         terms: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
-            exps = dict(m.exps)
+            exps = dict(m)
             acc = one
             for i in shares:
                 acc = times(acc, factor(i, exps.get(i, 0)))
@@ -813,7 +807,7 @@ class Poly:
         total = Fraction(0)
         for m, c in self.terms.items():
             acc = Fraction(c)
-            for i, e in m.exps:
+            for i, e in m:
                 if names[i] not in point:
                     raise DomainError(f"no value given for variable {names[i]!r}")
                 acc *= rational_pow(Fraction(point[names[i]]), Fraction(e))
@@ -830,7 +824,7 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in descending lexicographic order (variable-table order)."""
-        key = _lex_key(self.ring)
+        key = self.ring._lex_key
         return sorted(self.terms.items(), key=lambda mc: key(mc[0]),
                       reverse=True)
 
@@ -846,14 +840,14 @@ class RatFunc:
     content is cancelled, exact division is attempted (over a
     one-parameter ring the whole gcd is cancelled), and the
     denominator is made monic (lex leading coefficient 1); a constant
-    denominator ``c`` goes straight to that result, ``(num/c, 1)``.  When
-    both operands of ``+``, ``-`` or ``*`` are polynomials (denominator
-    exactly ``1``), the result is ``(num1 op num2, 1)`` without ``of``:
-    the same numerator terms, coefficient types and denominator
-    ``ring.one()`` that ``of`` gives those inputs.  Equality is
-    decided by cross-multiplication, never by gcd computations, so two
-    equal values may have different representations; for that reason
-    RatFunc is deliberately unhashable.
+    denominator ``c`` goes straight to that result, ``(num/c, 1)``, and
+    so does one term over one term.  When both operands of ``+``, ``-``
+    or ``*`` are polynomials (denominator exactly ``1``), the result is
+    ``(num1 op num2, 1)`` without ``of``: the same numerator terms,
+    coefficient types and denominator ``ring.one()`` that ``of`` gives
+    those inputs.  Equality is decided by cross-multiplication, never by
+    gcd computations, so two equal values may have different
+    representations; for that reason RatFunc is deliberately unhashable.
     """
 
     __slots__ = ("num", "den")
@@ -871,19 +865,34 @@ class RatFunc:
 
     @classmethod
     def of(cls, num: Poly, den: Poly) -> "RatFunc":
-        if num.ring != den.ring:
+        ring = num.ring
+        if ring is not den.ring and ring != den.ring:
             raise StructureError("numerator and denominator over different rings")
         if den.is_zero():
             raise DomainError("zero denominator")
-        ring = num.ring
         if num.is_zero():
             return cls(ring.zero(), ring.one())
-        if den.is_constant():
-            c = den.terms[UNIT_MONOMIAL]
-            if c != 1:
-                div = ring.field.div
-                num = Poly._raw(ring, {m: div(k, c) for m, k in num.terms.items()})
-            return cls(num, ring.one())
+        field = ring.field
+        if len(den.terms) == 1:
+            (dm, dc), = den.terms.items()
+            if dm.is_unit():
+                if dc != 1:
+                    num = Poly._raw(ring, {m: field.div(k, dc)
+                                           for m, k in num.terms.items()})
+                return cls(num, ring.one())
+            if len(num.terms) == 1:
+                # the general path below, on one term over one term
+                (nm, nc), = num.terms.items()
+                content = nm.gcd(dm)
+                if not content.is_unit():
+                    nm, dm = nm.div(content), dm.div(content)
+                q = nm.div(dm) if dm else nm
+                if all(e >= 0 for _, e in q):
+                    return cls(Poly._raw(ring, {q: field.div(nc, dc)}), ring.one())
+                if dc != field.one():
+                    inv = field.div(field.one(), dc)
+                    nc, dc = nc * inv, dc * inv
+                return cls(Poly._raw(ring, {nm: nc}), Poly._raw(ring, {dm: dc}))
         content = _poly_content(num).gcd(_poly_content(den))
         if not content.is_unit():
             num = _poly_div_mono(num, content)
@@ -894,15 +903,15 @@ class RatFunc:
         elif ring.vartable.kinds == (VarKind.ORDINARY,):
             num, den = _cancel_univariate(num, den)
         lc = den.leading_coeff_lex()
-        if lc != ring.field.one():
-            inv = ring.field.div(ring.field.one(), lc)
+        if lc != field.one():
+            inv = field.div(field.one(), lc)
             num = num.scale(inv)
             den = den.scale(inv)
         return cls(num, den)
 
     def _coerce(self, other: object) -> "RatFunc":
         if isinstance(other, RatFunc):
-            if other.ring != self.ring:
+            if other.num.ring is not self.num.ring and other.ring != self.ring:
                 raise StructureError("rational functions over different rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -980,8 +989,8 @@ class RatFunc:
         if mn is None or md is None:
             raise DomainError(f"fractional power of non-monomial {self.display()}")
         combined = mn.div(md).pow_scalar(q)
-        pos = Monomial((i, e) for i, e in combined.exps if e > 0)
-        neg = Monomial((i, -e) for i, e in combined.exps if e < 0)
+        pos = Monomial((i, e) for i, e in combined if e > 0)
+        neg = Monomial((i, -e) for i, e in combined if e < 0)
         ring = self.ring
         return RatFunc(ring.from_monomial(pos), ring.from_monomial(neg))
 
@@ -1044,15 +1053,17 @@ def _poly_content(p: Poly) -> Monomial:
 
 
 def _poly_div_mono(p: Poly, m: Monomial) -> Poly:
-    return Poly(p.ring, {t.div(m): c for t, c in p.terms.items()})
+    """``p`` over a divisor ``m`` of its monomial content, unchecked:
+    where exponents must be nonnegative, ``m``'s are at most every
+    term's, so each quotient exponent is nonnegative (an ``int`` too)."""
+    return Poly._raw(p.ring, {t.div(m): c for t, c in p.terms.items()})
 
 
 def _dense(p: Poly) -> list[Fraction]:
     """Coefficients of a one-variable polynomial, lowest degree first."""
-    out = [Fraction(0)] * (max(m.exps[0][1] if m.exps else 0
-                               for m in p.terms) + 1)
+    out = [Fraction(0)] * (max(m[0][1] if m else 0 for m in p.terms) + 1)
     for m, c in p.terms.items():
-        out[m.exps[0][1] if m.exps else 0] = Fraction(c)
+        out[m[0][1] if m else 0] = Fraction(c)
     return out
 
 
@@ -1107,8 +1118,10 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly | None:
     through ``field.div`` in descending lex order.  Over QQ these are
     the terms, coefficient types and term order that the loop builds,
     and the result is None where the loop's is: when a quotient
-    exponent is negative or invalid in the ring.  Unlike the loop, this
-    path has no bound on the number of terms of ``a``.
+    exponent is negative.  A nonnegative one is valid in the ring, as
+    the difference of two ``int`` on an ordinary variable, and on a bar
+    variable in either mode, so the result is built unchecked.  Unlike
+    the loop, this path has no bound on the number of terms of ``a``.
 
     A one-term ``a`` over a ``b`` of two or more terms gives None at
     once.  The lex-leading terms of two factors multiply to the leading
@@ -1118,20 +1131,17 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly | None:
     if b.is_zero():
         raise DomainError("division by the zero polynomial")
     ring = a.ring
-    key = _lex_key(ring)
+    key = ring._lex_key
     if len(b.terms) == 1:
         (bm, bc), = b.terms.items()
         div = ring.field.div
         terms: dict[Monomial, Coeff] = {}
         for am in sorted(a.terms, key=key, reverse=True):
-            t = am.div(bm) if bm.exps else am
-            if any(e < 0 for _, e in t.exps):
+            t = am.div(bm) if bm else am
+            if any(e < 0 for _, e in t):
                 return None
             terms[t] = div(a.terms[am], bc)
-        try:
-            return Poly(ring, terms)
-        except DomainError:
-            return None
+        return Poly._raw(ring, terms)
     if len(a.terms) == 1:
         return None
     bm = max(b.terms, key=key)
@@ -1145,10 +1155,10 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly | None:
             return None
         am = max(rem.terms, key=key)
         t = am.div(bm)
-        if any(e < 0 for _, e in t.exps):
+        if any(e < 0 for _, e in t):
             return None
         try:
-            for i, e in t.exps:
+            for i, e in t:
                 ring.validate_exponent(i, e)
         except DomainError:
             return None
@@ -1309,7 +1319,7 @@ def format_poly(p: Poly) -> str:
         if sign < 0:
             c = -c
         factors = [f"{names[i]}^{format_exponent(e)}" if e != 1 else names[i]
-                   for i, e in m.exps]
+                   for i, e in m]
         cs = field.str_of(c)
         if not factors:
             body = cs
@@ -1451,7 +1461,7 @@ def structure_poly(p: Poly, target_ring: PolyRing) -> Poly:
     terms: dict[Monomial, Coeff] = {}
     for m, c in p.terms.items():
         par, main = [], []
-        for i, e in m.exps:
+        for i, e in m:
             if target_ring.vartable.has(names[i]):
                 main.append((target_ring.vartable.index(names[i]), e))
             else:
@@ -1466,4 +1476,4 @@ def structure_poly(p: Poly, target_ring: PolyRing) -> Poly:
 
 
 def _mono_convert(m: Monomial, src: PolyRing, dst: PolyRing) -> Monomial:
-    return Monomial((dst.vartable.index(src.vartable.names[i]), e) for i, e in m.exps)
+    return Monomial((dst.vartable.index(src.vartable.names[i]), e) for i, e in m)

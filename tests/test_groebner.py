@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyzero.errors import DomainError
+from polyzero.errors import DomainError, StructureError
 from polyzero.groebner import (
-    BlockElim, GrevLex, Ideal, Lex, buchberger, eliminate, ideal_intersect,
-    image_closure, leading, normal_form, order_key, vanishing_ideal_of_points,
+    BlockElim, GrevLex, Ideal, Lex, _monic, buchberger, eliminate,
+    ideal_intersect, image_closure, leading, normal_form, order_key,
+    vanishing_ideal_of_points,
 )
 from polyzero.poly import (
     FractionField, Mode, Monomial, Poly, PolyMap, PolyRing, RatFunc, VarKind,
@@ -215,7 +216,7 @@ def frac_polys(draw, max_terms):
 
 
 def _scaled(p: Poly, L: int) -> Poly:
-    return p.ring.from_terms({Monomial((i, e * L) for i, e in m.exps): c
+    return p.ring.from_terms({Monomial((i, e * L) for i, e in m): c
                               for m, c in p.terms.items()})
 
 
@@ -383,10 +384,12 @@ key_exps = st.one_of(st.integers(-2, 3),
                      st.integers(-4, 6).map(lambda k: Fraction(k, 2)))
 key_monomials = st.dictionaries(st.integers(0, 4), key_exps, max_size=5).map(
     lambda d: Monomial(d.items()))
-key_names = st.permutations(KEYS.vartable.names).flatmap(
-    lambda names: st.integers(1, len(names)).map(lambda k: tuple(names[:k])))
-key_orders = st.one_of(st.just(Lex()), key_names.map(Lex), st.just(GrevLex()),
-                       key_names.map(GrevLex), key_names.map(BlockElim))
+# Lex and GrevLex name every variable; a BlockElim front is any prefix
+key_perms = st.permutations(KEYS.vartable.names).map(tuple)
+key_fronts = key_perms.flatmap(
+    lambda names: st.integers(1, len(names)).map(lambda k: names[:k]))
+key_orders = st.one_of(st.just(Lex()), key_perms.map(Lex), st.just(GrevLex()),
+                       key_perms.map(GrevLex), key_fronts.map(BlockElim))
 
 
 def formula_key(order, ring):
@@ -428,9 +431,81 @@ def test_order_keys_match_their_formulas(monos, order):
 @settings(max_examples=200, deadline=None)
 @given(key_monomials, key_monomials)
 def test_divides_and_gcd_match_exp_formulas(a, b):
-    assert a.divides(b) == all(e <= b.exp(i) for i, e in a.exps)
+    assert a.divides(b) == all(e <= b.exp(i) for i, e in a)
     g = a.gcd(b)
-    want = Monomial((i, min(e, b.exp(i))) for i, e in a.exps)
+    want = Monomial((i, min(e, b.exp(i))) for i, e in a)
     assert g == want
-    assert [type(e) for _, e in g.exps] == [type(e) for _, e in want.exps]
+    assert [type(e) for _, e in g] == [type(e) for _, e in want]
     assert a.divides(a) and g.divides(a)
+
+
+def test_order_key_rejects_orders_that_are_not_total():
+    # names that miss, repeat or add a variable would key distinct
+    # monomials alike: normal_form would drop y, buchberger give (1,)
+    R = ordinary_ring(["x", "y"])
+    x, y = R.var("x"), R.var("y")
+    with pytest.raises(StructureError):
+        normal_form(y + y**2 + x, [], order_key(GrevLex(("x",)), R))
+    with pytest.raises(StructureError):
+        buchberger([y**2 - y, x * y - 1], GrevLex(("x",)))
+    for order in (Lex(("x",)), GrevLex(("y", "y")), Lex(("x", "y", "z")),
+                  GrevLex(("x", "z")), BlockElim(("z",)), BlockElim(("x", "x"))):
+        with pytest.raises(StructureError):
+            order_key(order, R)
+    assert set(buchberger([y**2 - y, x * y - 1], GrevLex(("y", "x")))) == \
+        {x - 1, y - 1}
+
+
+# ---------------------------------------------------------------------------
+# _monic against scaling by the inverse leading coefficient
+
+AB_RING = ordinary_ring(["a", "b"])
+Y_AB = ordinary_ring(["y1", "y2"], FractionField(AB_RING))
+
+
+@st.composite
+def ab_polys(draw, nonzero=False):
+    terms = {Monomial([(0, draw(st.integers(0, 1))), (1, draw(st.integers(0, 1)))]):
+             draw(small_rationals) for _ in range(draw(st.integers(1, 2)))}
+    p = AB_RING.from_terms(terms)
+    return p + 1 if nonzero and p.is_zero() else p
+
+
+@st.composite
+def monic_cases(draw):
+    ring = draw(st.sampled_from([XYZ, Y_AB]))
+    n = len(ring.vartable)
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        mono = Monomial([(i, draw(st.integers(0, 3))) for i in range(n)])
+        if ring is Y_AB:
+            terms[mono] = RatFunc.of(draw(ab_polys()), draw(ab_polys(nonzero=True)))
+        else:
+            terms[mono] = draw(small_rationals)
+    p = ring.from_terms(terms)
+    assume(not p.is_zero())
+    return p, draw(st.sampled_from([GrevLex(), Lex()]))
+
+
+def _same_or_int_for_fraction(got, want) -> bool:
+    """Equal with the same type, or an integral Fraction given as int."""
+    if isinstance(want, RatFunc):
+        return all(list(g.terms) == list(w.terms) and all(
+            _same_or_int_for_fraction(a, b)
+            for a, b in zip(g.terms.values(), w.terms.values()))
+            for g, w in ((got.num, want.num), (got.den, want.den)))
+    return got == want and (type(got) is type(want) or (
+        type(got) is int and type(want) is Fraction))
+
+
+@settings(max_examples=120, deadline=None)
+@given(monic_cases())
+def test_monic_matches_scaling_by_the_inverse(case):
+    p, order = case
+    key = order_key(order, p.ring)
+    field = p.ring.field
+    _, lc = leading(p, key)
+    got, want = _monic(p, key), p.scale(field.div(field.one(), lc))
+    assert list(got.terms) == list(want.terms)
+    for c, w in zip(got.terms.values(), want.terms.values()):
+        assert _same_or_int_for_fraction(c, w)

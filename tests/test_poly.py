@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from polyzero.errors import DomainError, ParseError, StructureError
 from polyzero.poly import (
     QQ, UNIT_MONOMIAL, FractionField, Mode, Monomial, Poly, PolyMap, PolyRing,
-    RatFunc, VarKind, VarTable, _poly_content, _poly_div_mono, flatten_poly,
-    map_ring_over, ordinary_ring, poly_exact_div, rational_pow, structure_poly,
+    RatFunc, VarKind, VarTable, _cancel_univariate, _poly_content,
+    _poly_div_mono, flatten_poly, map_ring_over, ordinary_ring, poly_exact_div,
+    rational_pow, structure_poly,
 )
 
 XY = ordinary_ring(["x", "y"])
@@ -317,14 +318,14 @@ def test_trusted_results_pass_validation(pq, c):
        st.lists(st.tuples(st.integers(0, 3), rationals), max_size=4))
 def test_monomial_product_is_the_normalised_exponent_sum(a, b):
     m1, m2 = Monomial(dict(a).items()), Monomial(dict(b).items())
-    sums = dict(m1.exps)
-    for i, e in m2.exps:
+    sums = dict(m1)
+    for i, e in m2:
         sums[i] = sums.get(i, 0) + e
     prod = m1.mul(m2)
     assert prod == Monomial(sums.items())
-    assert [type(e) for _, e in prod.exps] == [
-        type(e) for _, e in Monomial(sums.items()).exps]
-    assert all(e != 0 for _, e in prod.exps)
+    assert [type(e) for _, e in prod] == [
+        type(e) for _, e in Monomial(sums.items())]
+    assert all(e != 0 for _, e in prod)
 
 
 def test_validating_constructor_rejects_bad_ordinary_exponents():
@@ -464,10 +465,10 @@ def _division_loop(a: Poly, b: Poly) -> Poly | None:
             return None
         am = max(rem.terms, key=key)
         t = am.div(bm)
-        if any(e < 0 for _, e in t.exps):
+        if any(e < 0 for _, e in t):
             return None
         try:
-            for i, e in t.exps:
+            for i, e in t:
                 ring.validate_exponent(i, e)
         except DomainError:
             return None
@@ -525,10 +526,10 @@ def xab_divisions(draw, dividend_terms, divisor_terms):
 @settings(max_examples=200, deadline=None)
 @given(xab_divisions(st.integers(0, 5), st.just(1)))
 @example((XAB_FIELD.parse("x*ab^(1/2) + ab^(-1)"), XAB_FIELD.parse("3*ab^(-1)")))
-@example((Poly._raw(XAB, {Monomial([(0, Fraction(1, 2))]): 1}), XAB.const(2)))
+@example((XAB.parse("x^2*ab^(1/2) + ab^(3/2)"), XAB.parse("2*ab^(1/2)")))
 def test_one_term_divisor_matches_division_loop(ab):
-    # term by term against the loop; the second example has an
-    # invalid (fractional ordinary) exponent that the loop refuses
+    # term by term against the loop, on valid polynomials: the second
+    # example divides fractional bar exponents down to ints and zero
     a, b = ab
     assert len(b.terms) == 1
     _assert_same_division(poly_exact_div(a, b), _division_loop(a, b))
@@ -685,7 +686,7 @@ def naive_substitute(p: Poly, mapping: dict, target) -> Poly:
     out = ring.zero()
     for m, c in p.terms.items():
         acc = ring.const(c)
-        for i, e in m.exps:
+        for i, e in m:
             img = mapping.get(names[i])
             if img is None:
                 acc = acc * ring.from_monomial(
@@ -698,7 +699,7 @@ def naive_substitute(p: Poly, mapping: dict, target) -> Poly:
                     raise DomainError("fractional power of a non-monomial")
                 (mono,) = img.terms
                 acc = acc * ring.from_monomial(
-                    Monomial([(j, f * e) for j, f in mono.exps]))
+                    Monomial([(j, f * e) for j, f in mono]))
         out = out + acc
     return out
 
@@ -796,7 +797,7 @@ def stepwise_substitute_frac(p: Poly, mapping: dict) -> RatFunc:
     names = ring.vartable.names
     for m, c in p.terms.items():
         acc = RatFunc.of(ring.const(c), ring.one())
-        for i, e in m.exps:
+        for i, e in m:
             img = mapping.get(names[i])
             if img is None:
                 img = RatFunc.of(ring.var(names[i]), ring.one())
@@ -861,3 +862,130 @@ def test_substitute_frac_reference_cases():
     # an image over another ring
     with pytest.raises(StructureError):
         x.substitute_frac({"x": RatFunc.of(X, XY.one())})
+
+
+# ---------------------------------------------------------------------------
+# tuple-backed monomials
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=6),
+       st.randoms(use_true_random=False), st.data())
+def test_equal_exponent_lists_give_equal_monomials(exps, rnd, data):
+    # whatever the input order, and whether an exponent is 2 or Fraction(2, 1)
+    pairs = list(exps.items())
+    rnd.shuffle(pairs)
+    as_fractions = [(i, Fraction(e) if data.draw(st.booleans()) else e)
+                    for i, e in pairs]
+    a, b = Monomial(exps.items()), Monomial(as_fractions)
+    assert a == b and hash(a) == hash(b)
+    want = tuple(sorted((i, e) for i, e in exps.items() if e != 0))
+    assert tuple(a) == tuple(b) == want
+    assert [type(e) for _, e in b] == [int] * len(want)
+    assert Monomial._of(want) == a and hash(Monomial._of(want)) == hash(a)
+    assert a.is_unit() == (not want)
+
+
+def test_monomial_is_an_immutable_sorted_tuple():
+    m = Monomial([(2, 3), (0, 0), (1, Fraction(1, 2)), (4, Fraction(0))])
+    assert isinstance(m, tuple) and tuple(m) == ((1, Fraction(1, 2)), (2, 3))
+    assert repr(m) == "Monomial(((1, Fraction(1, 2)), (2, 3)))"
+    for name in ("exps", "_hash", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, ())
+    assert UNIT_MONOMIAL == Monomial(()) == Monomial([(3, 0)]) == ()
+    assert UNIT_MONOMIAL.is_unit() and len(UNIT_MONOMIAL) == 0
+    assert {Monomial([(0, 1)]): 1}[Monomial([(0, Fraction(2, 2))])] == 1
+
+
+# ---------------------------------------------------------------------------
+# RatFunc.of against the general path it had before its one-term path
+
+OF_RING = PolyRing(VarTable.make([("x", VarKind.ORDINARY), ("y", VarKind.ORDINARY),
+                                  ("ab", VarKind.BAR)]))
+OF_FIELD = OF_RING.with_mode(Mode.FIELD)
+
+
+def _reference_of(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """``RatFunc.of`` as it was before the one-term path and the
+    unchecked monomial quotients, with ``_division_loop`` for
+    ``poly_exact_div`` (the same results on valid polynomials)."""
+    ring = num.ring
+    if num.is_zero():
+        return ring.zero(), ring.one()
+    if den.is_constant():
+        c = den.terms[UNIT_MONOMIAL]
+        if c != 1:
+            num = Poly._raw(ring, {m: QQ.div(k, c) for m, k in num.terms.items()})
+        return num, ring.one()
+    content = _poly_content(num).gcd(_poly_content(den))
+    if not content.is_unit():
+        num = Poly(ring, {t.div(content): c for t, c in num.terms.items()})
+        den = Poly(ring, {t.div(content): c for t, c in den.terms.items()})
+    q = _division_loop(num, den)
+    if q is not None:
+        num, den = q, ring.one()
+    elif ring.vartable.kinds == (VarKind.ORDINARY,):
+        num, den = _cancel_univariate(num, den)
+    n = len(ring.vartable)
+    lc = den.terms[max(den.terms, key=lambda m: tuple(m.exp(i) for i in range(n)))]
+    if lc != 1:
+        inv = QQ.div(1, lc)
+        num = num.scale(inv)
+        den = den.scale(inv)
+    return num, den
+
+
+def _typed_terms(p: Poly) -> list:
+    """Terms in dict order, with the type of every exponent and coefficient."""
+    return [(tuple((i, type(e), e) for i, e in m), type(c), c)
+            for m, c in p.terms.items()]
+
+
+@st.composite
+def of_pairs(draw):
+    """(num, den) over two ordinary variables and one bar variable, in
+    ring or field mode (negative bar exponents), with fractional bar
+    exponents and int or integral Fraction coefficients: one term over
+    one term, over a constant, or over a longer denominator, both sides
+    sometimes multiplied by a shared monomial."""
+    ring = draw(st.sampled_from([OF_RING, OF_FIELD]))
+    lo = -3 if ring.mode is Mode.FIELD else 0
+    bar = st.integers(lo, 4).map(lambda k: Fraction(k, 2))
+
+    def mono():
+        return Monomial([(0, draw(st.integers(0, 2))), (1, draw(st.integers(0, 2))),
+                         (2, draw(bar))])
+
+    def poly(n):
+        terms = {}
+        for _ in range(n):
+            c = draw(rationals.filter(bool))
+            terms[mono()] = c if draw(st.booleans()) else QQ.coerce(c)
+        return Poly(ring, terms)
+
+    num = poly(draw(st.integers(0, 3)))
+    shape = draw(st.sampled_from(["one", "constant", "longer"]))
+    if shape == "constant":
+        den = ring.const(draw(rationals.filter(bool)))
+    else:
+        den = poly(1 if shape == "one" else draw(st.integers(2, 3)))
+    assume(not den.is_zero())
+    if draw(st.booleans()):
+        shared = ring.from_monomial(mono())
+        num, den = num * shared, den * shared
+    return num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(of_pairs())
+@example((OF_RING.parse("2*x*y^2*ab^(1/2)"), OF_RING.parse("4*x^2*y*ab^(3/2)")))
+@example((OF_RING.parse("3*x^2*ab"), OF_RING.parse("3/2*x*ab^(1/2)")))
+@example((OF_FIELD.parse("ab^(-1)*y"), OF_FIELD.parse("2*ab^(-1/2)*x")))
+@example((OF_RING.parse("x*y + ab"), OF_RING.parse("x*y*ab")))
+def test_of_matches_reference_general_path(nd):
+    num, den = nd
+    got = RatFunc.of(num, den)
+    want_num, want_den = _reference_of(num, den)
+    assert _typed_terms(got.num) == _typed_terms(want_num)
+    assert _typed_terms(got.den) == _typed_terms(want_den)
