@@ -73,7 +73,7 @@ from .errors import (
 from .groebner import Ideal
 from .linalg import kernel_basis
 from .poly import (
-    Coeff, EMPTY_VARTABLE, FractionField, Mode, Monomial, Poly, PolyMap,
+    EMPTY_VARTABLE, FractionField, Mode, Monomial, Poly, PolyMap,
     PolyRing, RationalField, VarKind, VarTable, map_ring_over, structure_poly,
 )
 
@@ -152,7 +152,7 @@ class Grammar:
             if prod.pmap.n_outputs != self.nonterminals[prod.lhs]:
                 raise DimensionError(
                     f"map output count does not match dim of {prod.lhs}")
-            if prod.pmap.value_ring() != self.ring:
+            if prod.pmap.value_ring != self.ring:
                 raise StructureError("production map over a different value ring")
             if prod.twist is not None and not isinstance(
                     self.ring.field, FractionField):
@@ -418,10 +418,8 @@ def vanishes_at(g: Grammar, nt: str, f: Poly, value: Value) -> bool:
     """Whether f, over the certificate ring of nt, vanishes at a value of
     nt: the result is zero, or lies in the ambient ideal when the
     grammar has one."""
-    cring = g.cert_ring(nt)
-    binding = {c: v.convert(cring) for c, v in zip(g.coord_names(nt), value)}
-    res = f.convert(cring).substitute(binding).convert(g.ring)
-    return g.value_is_zero((res,))
+    binding = dict(zip(g.coord_names(nt), value))
+    return g.value_is_zero((f.substitute(binding, target_ring=g.ring),))
 
 
 def _pull_back(prod: Production, f: Poly, binding: dict[str, Poly],
@@ -510,9 +508,7 @@ def check_certificate(g: Grammar, cert: InvariantCertificate,
             gens.extend(p.convert(cring) for p in g.ambient.gens)
         J = Ideal(I.ring, gens)
         for c in g.coord_names(g.initial):
-            zc = cring.var(c)
-            ok = J.member(zc) if g.ambient is not None else J.radical_member(zc)
-            if not ok:
+            if not _cert_membership(g, J, cring.var(c)):
                 return CertVerdict(
                     "conclusion-violation",
                     f"coordinate {c} of {g.initial} is not forced to zero")
@@ -546,18 +542,19 @@ def _chain(g: Grammar, seeds: Iterable[tuple[Poly, _T]], deadline: float,
     production ``X -> p(Y)`` with twist alpha give ``h = alpha^-1(f o
     p)`` over the certificate ring of Y, which joins ``J[Y]`` unless it
     lies in ``J[Y]`` plus the ambient ideal; a member vanishes wherever
-    the generators do.  Every joining generator, its production path
-    from the initial nonterminal and its seed's tag are shown to
-    ``at_base`` with each base derivation of its nonterminal, and the
-    first result that returns ends the chain.  The ideals ascend in a
-    Noetherian ring, so the chain reaches a fixpoint, which is returned
-    as a certificate.  Returns None when the deadline passes between two
-    pre-images.
+    the generators do.  That ideal grows from the reduced basis that
+    h's failed membership test computed, plus h, so no basis is rebuilt
+    from every generator so far; the certificate lists ``J[Y]`` itself.
+    Every joining generator, its production path from the initial
+    nonterminal and its seed's tag are shown to ``at_base`` with each
+    base derivation of its nonterminal, and the first result that
+    returns ends the chain.  The ideals ascend in a Noetherian ring, so
+    the chain reaches a fixpoint, which is returned as a certificate.
+    Returns None when the deadline passes between two pre-images.
     """
     productive = productive_nonterminals(g)
     rings = {nt: g.cert_ring(nt) for nt in productive}
-    amb = {nt: [p.convert(rings[nt]) for p in g.ambient.gens]
-           if g.ambient is not None else [] for nt in productive}
+    amb = g.ambient.gens if g.ambient is not None else ()
     bases: dict[str, list[Derivation]] = {nt: [] for nt in productive}
     steps: dict[str, list[tuple[int, str, dict[str, Poly]]]] = {
         nt: [] for nt in productive}
@@ -574,7 +571,8 @@ def _chain(g: Grammar, seeds: Iterable[tuple[Poly, _T]], deadline: float,
         steps[prod.lhs].append(
             (idx, child, dict(zip(g.coord_names(prod.lhs), outputs))))
     J: dict[str, list[Poly]] = {nt: [] for nt in productive}
-    ideals = {nt: Ideal(rings[nt], amb[nt]) for nt in productive}
+    ideals = {nt: Ideal(rings[nt], [p.convert(rings[nt]) for p in amb])
+              for nt in productive}
     todo = deque((g.initial, h, (), tag) for h, tag in seeds)
     while todo:
         if time.monotonic() > deadline:
@@ -587,7 +585,7 @@ def _chain(g: Grammar, seeds: Iterable[tuple[Poly, _T]], deadline: float,
             if found is not None:
                 return found
         J[nt].append(h)
-        ideals[nt] = Ideal(rings[nt], amb[nt] + J[nt])
+        ideals[nt] = Ideal(rings[nt], (*ideals[nt].groebner(), h))
         for idx, child, binding in steps[nt]:
             todo.append((child, _pull_back(g.productions[idx], h, binding,
                                            rings[child]), (*path, idx), tag))
@@ -674,25 +672,16 @@ def low_degree_vanishing(value_ring: PolyRing, ambient: Ideal | None,
     None when more than 12 independent polynomials vanish, too many to
     be a useful invariant.
     """
-    coord_pos = {n: j for j, n in enumerate(coord_names)}
-    names = cring.names()
-    monos = _monomials_upto(len(names), degree)
+    monos = [Monomial((i, e) for i, e in enumerate(exps) if e)
+             for exps in _monomials_upto(len(cring.names()), degree)]
+    cands = [cring.from_monomial(m) for m in monos]
     evals: list[list[Poly]] = []
     for sample in samples:
-        row_polys = []
-        for exps in monos:
-            p = value_ring.one()
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = names[i]
-                if name in coord_pos:
-                    p = p * sample[coord_pos[name]] ** e
-                else:
-                    p = p * value_ring.var(name, e)
-            if ambient is not None:
-                p = ambient.reduce(p)
-            row_polys.append(p)
+        binding = dict(zip(coord_names, sample))
+        row_polys = [p.substitute(binding, target_ring=value_ring)
+                     for p in cands]
+        if ambient is not None:
+            row_polys = [ambient.reduce(p) for p in row_polys]
         evals.append(row_polys)
     seen: dict[Monomial, None] = {}
     for row_polys in evals:
@@ -708,15 +697,9 @@ def low_degree_vanishing(value_ring: PolyRing, ambient: Ideal | None,
     kernel = kernel_basis(rows, len(monos), field)
     if len(kernel) > 12:
         return None
-    out = []
-    for vec in kernel:
-        terms: dict[Monomial, Coeff] = {}
-        for j, c in enumerate(vec):
-            if field.is_zero(c):
-                continue
-            terms[Monomial((i, e) for i, e in enumerate(monos[j]) if e)] = c
-        out.append(cring.from_terms(terms))
-    return out
+    return [cring.from_terms({monos[j]: c for j, c in enumerate(vec)
+                              if not field.is_zero(c)})
+            for vec in kernel]
 
 
 def _holds_on_fresh_values(g: Grammar, ideals: dict[str, Ideal],
@@ -875,8 +858,9 @@ def zeroness(g: Grammar, budgets: Budgets = Budgets(),
 # grammar surgery
 
 
-def attach_polymap(f: PolyMap, g: Grammar, nt_name: str | None = None) -> Grammar:
-    """New grammar computing f of the old initial nonterminal's values."""
+def attach_polymap(f: PolyMap, g: Grammar) -> Grammar:
+    """New grammar computing f of the old initial nonterminal's values,
+    from a new initial nonterminal ``_q<k>``."""
     if f.n_inputs != g.dim(g.initial):
         raise DimensionError(
             f"map arity {f.n_inputs} does not match dim of {g.initial}")
@@ -884,14 +868,10 @@ def attach_polymap(f: PolyMap, g: Grammar, nt_name: str | None = None) -> Gramma
         raise StructureError("attached map over a different coefficient field")
     if set(f.slots) & set(g.ring.names()):
         raise StructureError("attached map slots collide with value variables")
-    name = nt_name
-    if name is None:
-        k = 0
-        while f"_q{k}" in g.nonterminals:
-            k += 1
-        name = f"_q{k}"
-    elif name in g.nonterminals:
-        raise StructureError(f"nonterminal {name!r} already declared")
+    k = 0
+    while f"_q{k}" in g.nonterminals:
+        k += 1
+    name = f"_q{k}"
     slot_pairs = [(s, f.ring.vartable.kinds[f.ring.vartable.index(s)])
                   for s in f.slots]
     mring = map_ring_over(g.ring, slot_pairs)

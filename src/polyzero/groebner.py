@@ -1,9 +1,11 @@
 """Groebner bases and the geometric ideal operations built on them.
 
 Buchberger's algorithm with the coprime-leading-term and chain criteria
-and sugar-based pair selection.  Coefficients may come from any of the
-package's fields (rationals or rational functions).  Exponents are taken
-as :mod:`poly` stores them: ``int``, or ``Fraction`` on bar variables.
+and sugar-based pair selection, ending in one pass that keeps a minimal
+basis and reduces each element by the others, which gives the reduced
+basis.  Coefficients may come from any of the package's fields
+(rationals or rational functions).  Exponents are taken as :mod:`poly`
+stores them: ``int``, or ``Fraction`` on bar variables.
 Every exponent inside one computation lies in (1/L)·N, where L is the
 lcm of the denominators of its inputs; multiplying every exponent by
 the same L maps that set onto N^n and preserves the Lex, GrevLex and
@@ -13,7 +15,9 @@ exponents.
 Every basis is computed by :func:`buchberger`.  An :class:`Ideal`
 keeps one cache of reduced bases keyed by the monomial order; its
 basis, unit test, normal form, membership and equality tests all read
-that cache, so a basis is computed once per ideal and order.
+that cache, so a basis is computed once per ideal and order.  An ideal
+grown by one polynomial, a radical test's included, is generated by the
+reduced basis already computed plus that polynomial.
 
 On top of the basis computation: ideal membership, radical membership
 (adjoining an inverse variable), intersection (one-tag-variable trick),
@@ -211,7 +215,9 @@ def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
                 break
         else:
             out[lm] = lc
-    return Poly(ring, out)
+    # the input's monomials and basis monomials times lm / bm, which bm
+    # divides, so every exponent is valid
+    return Poly._raw(ring, out)
 
 
 def s_polynomial(f: tuple[Monomial, Coeff, Poly], g: tuple[Monomial, Coeff, Poly],
@@ -284,27 +290,18 @@ def buchberger(gens: Iterable[Poly], order: Order) -> tuple[Poly, ...]:
         if not h.is_zero():
             push(h)
 
-    # inter-reduce to the unique reduced basis; only the triple of the
-    # polynomial that changed is rebuilt
-    triples: list[tuple[Monomial, Coeff, Poly] | None] = list(entries)
-    changed = True
-    while changed:
-        changed = False
-        for idx, own in enumerate(triples):
-            if own is None:
-                continue
-            others = [t for k2, t in enumerate(triples)
-                      if t is not None and k2 != idx]
-            r = normal_form(own[2], others, key)
-            if r.is_zero():
-                triples[idx] = None
-                changed = True
-            elif r != own[2]:
-                triples[idx] = _lead_triple(_monic(r, key), key)
-                changed = True
-    final = sorted((t for t in triples if t is not None),
+    # one pass to the unique reduced basis: keep the entries whose leading
+    # monomial no other one divides (the first of equal ones), then reduce
+    # each kept entry by the others.  In a minimal basis no other leading
+    # monomial divides a leading term, so each keeps its leading term, one
+    # since push made it monic (Cox, Little & O'Shea, IVA, section 2.7).
+    kept = [e for k, e in enumerate(entries)
+            if not any(o[0].divides(e[0]) and (j < k or o[0] != e[0])
+                       for j, o in enumerate(entries) if j != k)]
+    final = sorted(((lm, normal_form(p, kept[:k] + kept[k + 1:], key))
+                    for k, (lm, _, p) in enumerate(kept)),
                    key=lambda t: key(t[0]), reverse=True)
-    return tuple(p for _, _, p in final)
+    return tuple(p for _, p in final)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +329,8 @@ class Ideal:
         here, once per order."""
         if order not in self._bases:
             key = order_key(order, self.ring)
-            self._bases[order] = tuple(_lead_triple(b, key)
-                                       for b in buchberger(self.gens, order))
+            gb = buchberger(self.gens, order) if self.gens else ()
+            self._bases[order] = tuple(_lead_triple(b, key) for b in gb)
         return self._bases[order]
 
     def groebner(self, order: Order | None = None) -> tuple[Poly, ...]:
@@ -356,14 +353,15 @@ class Ideal:
         return self.reduce(f).is_zero()
 
     def radical_member(self, f: Poly) -> bool:
-        """Membership in the radical via an adjoined inverse variable."""
+        """Membership in the radical via an adjoined inverse variable,
+        adjoined to the basis that the membership test computed."""
         if self.member(f):
             return True
         if not self.gens:
             return False
         ext = self.ring.extended([("_rad", VarKind.ORDINARY)])
         t = ext.var("_rad")
-        gens = [g.convert(ext) for g in self.gens]
+        gens = [g.convert(ext) for g in self.groebner()]
         gens.append(ext.one() - t * f.convert(ext))
         return Ideal(ext, gens).is_trivial()
 

@@ -18,17 +18,15 @@ quotient of two polynomials over a parameter ring (field
 :class:`FractionField`).  Polynomial code combines coefficients through
 ``+ - *`` and the field's ``coerce``/``is_zero``, and divides them only
 through ``field.div``: a bare ``/`` of two ``int`` would give a float.
-Over ``QQ`` an ``int`` operand of ``+`` or ``*`` is added into the
-constant coefficient or scales every coefficient directly, without a
-constant :class:`Poly`; over a fraction field it is coerced first.
 
 A :class:`Monomial` is the tuple of its ``(index, exponent)`` pairs.
 :class:`Poly` validates every exponent on construction, except in the
 trusted ``Poly._raw`` behind sums, negations, products, scalings,
-substitutions, the ring constants and the divisions by a monomial in
-``RatFunc.of`` and ``poly_exact_div``: sums of valid exponents over one
-ring are valid, a constant has only the unit monomial, and those
-quotient exponents are nonnegative where they must be.
+substitutions, the ring constants, the divisions by a monomial in
+``RatFunc.of`` and ``poly_exact_div``, and Groebner remainders: sums of
+valid exponents over one ring are valid, a constant has only the unit
+monomial, and those quotient exponents are nonnegative where they must
+be.
 """
 
 from __future__ import annotations
@@ -517,10 +515,6 @@ class Poly:
             raise StructureError("polynomials over different rings")
 
     def __add__(self, other: object) -> "Poly":
-        if type(other) is int and isinstance(self.ring.field, RationalField):
-            terms = dict(self.terms)
-            terms[UNIT_MONOMIAL] = terms.get(UNIT_MONOMIAL, 0) + other
-            return Poly._raw(self.ring, terms)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -551,8 +545,6 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other: object) -> "Poly":
-        if type(other) is int and isinstance(self.ring.field, RationalField):
-            return self.scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -621,17 +613,9 @@ class Poly:
 
     # -- structure-changing operations --------------------------------------
 
-    def map_coefficients(self, fn: Callable[[Coeff], Coeff],
-                         target_ring: PolyRing | None = None) -> "Poly":
-        ring = target_ring if target_ring is not None else self.ring
-        terms: dict[Monomial, Coeff] = {}
-        for m, c in self.terms.items():
-            c2 = ring.field.coerce(fn(c))
-            if m in terms:
-                terms[m] = terms[m] + c2
-            else:
-                terms[m] = c2
-        return Poly(ring, terms)
+    def map_coefficients(self, fn: Callable[[Coeff], Coeff]) -> "Poly":
+        coerce = self.ring.field.coerce
+        return Poly(self.ring, {m: coerce(fn(c)) for m, c in self.terms.items()})
 
     def convert(self, target_ring: PolyRing,
                 rename: dict[str, str] | None = None) -> "Poly":
@@ -1226,7 +1210,9 @@ class PolyMap:
     ``slots`` are the input variables; the remaining variables of
     ``ring`` are ambient (they survive into the values).  Outputs may
     mention slots and ambient variables only, which the Poly constructor
-    enforces through the shared variable table.
+    enforces through the shared variable table.  Values live in the
+    ``value_ring`` of the ambient variables, built once per map, and
+    :meth:`apply` substitutes them straight into it.
     """
 
     ring: PolyRing
@@ -1254,20 +1240,21 @@ class PolyMap:
         slot_set = set(self.slots)
         return tuple(n for n in self.ring.vartable.names if n not in slot_set)
 
+    @cached_property
     def value_ring(self) -> PolyRing:
+        vt = self.ring.vartable
         return PolyRing(
-            VarTable.make(
-                (n, self.ring.vartable.kinds[self.ring.vartable.index(n)])
-                for n in self.ambient_names()),
+            VarTable.make((n, vt.kinds[vt.index(n)]) for n in self.ambient_names()),
             self.ring.field, self.ring.mode)
 
     def apply(self, args: tuple[Poly, ...]) -> tuple[Poly, ...]:
+        """The outputs at values over the value ring."""
         if len(args) != len(self.slots):
             raise StructureError(
                 f"map of arity {len(self.slots)} applied to {len(args)} values")
-        vring = self.value_ring()
-        mapping = {s: a.convert(self.ring) for s, a in zip(self.slots, args)}
-        return tuple(p.substitute(mapping).convert(vring) for p in self.outputs)
+        vring = self.value_ring
+        mapping = dict(zip(self.slots, args))
+        return tuple(p.substitute(mapping, target_ring=vring) for p in self.outputs)
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self after inner: slots of the result are the inner map's slots."""

@@ -16,6 +16,7 @@ from polyzero.encoding import (
 )
 from polyzero.errors import CertificateError, DimensionError, StructureError
 from polyzero.groebner import Ideal
+from polyzero.linalg import kernel_basis
 from polyzero.grammar import (
     Budgets, ChainResult, Derivation, Grammar, InvariantCertificate,
     Production, ValueTable, Witness, attach_polymap, chain_zeroness, check_certificate,
@@ -1251,3 +1252,113 @@ def test_binary_grammar_keeps_the_invariant_search(monkeypatch):
     assert r.verdict == "zero"
     assert check_certificate(g, r.certificate).proved()
     assert rounds == [g]
+
+
+# --- maps applied in their value ring, against convert-substitute-convert ---
+
+
+def reference_apply(f, args):
+    vring = f.value_ring
+    mapping = {s: a.convert(f.ring) for s, a in zip(f.slots, args)}
+    return tuple(p.substitute(mapping).convert(vring) for p in f.outputs)
+
+
+def reference_vanishes_at(g, nt, f, value):
+    cring = g.cert_ring(nt)
+    binding = {c: v.convert(cring) for c, v in zip(g.coord_names(nt), value)}
+    res = f.convert(cring).substitute(binding).convert(g.ring)
+    return g.value_is_zero((res,))
+
+
+def reference_low_degree_vanishing(value_ring, ambient, cring, coord_names,
+                                   samples, degree):
+    coord_pos = {n: j for j, n in enumerate(coord_names)}
+    names = cring.names()
+    monos = _monomials_upto(len(names), degree)
+    evals = []
+    for sample in samples:
+        row_polys = []
+        for exps in monos:
+            p = value_ring.one()
+            for i, e in enumerate(exps):
+                if e == 0:
+                    continue
+                if names[i] in coord_pos:
+                    p = p * sample[coord_pos[names[i]]] ** e
+                else:
+                    p = p * value_ring.var(names[i], e)
+            if ambient is not None:
+                p = ambient.reduce(p)
+            row_polys.append(p)
+        evals.append(row_polys)
+    xmonos = sorted({m for row in evals for p in row for m in p.terms})
+    field = value_ring.field
+    rows = [[p.coeff_of(xm) for p in row] for row in evals for xm in xmonos]
+    kernel = kernel_basis(rows, len(monos), field)
+    if len(kernel) > 12:
+        return None
+    return [cring.from_terms({
+        Monomial((i, e) for i, e in enumerate(monos[j]) if e): c
+        for j, c in enumerate(vec) if not field.is_zero(c)}) for vec in kernel]
+
+
+MAP_PARAMS = ordinary_ring(["a", "b"])
+# QQ with an ordinary and a bar value variable, and Q(a, b) with one
+MAP_VALUE_RINGS = [
+    PolyRing(VarTable.make([("x", VarKind.ORDINARY), ("ab", VarKind.BAR)])),
+    PolyRing(VarTable.make([("x", VarKind.ORDINARY)]), FractionField(MAP_PARAMS)),
+]
+
+
+@st.composite
+def map_polys(draw, ring, max_terms=3):
+    """A polynomial over ring, fractional exponents on bar variables."""
+    vt = ring.vartable
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = Monomial(
+            (i, draw(st.integers(0, 2)) if vt.kind_of(i) is VarKind.ORDINARY
+             else Fraction(draw(st.integers(0, 3)), 2)) for i in range(len(vt)))
+        if isinstance(ring.field, FractionField):
+            num = MAP_PARAMS.from_terms({Monomial([(draw(st.integers(0, 1)), 1)]):
+                                         draw(st.integers(-2, 2))})
+            terms[mono] = RatFunc.of(num + draw(st.integers(-2, 2)),
+                                     MAP_PARAMS.var("a") + draw(st.integers(1, 2)))
+        else:
+            terms[mono] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+    return ring.from_terms(terms)
+
+
+@st.composite
+def map_cases(draw):
+    vring = draw(st.sampled_from(MAP_VALUE_RINGS))
+    mring = slot_ring(vring, ["s", "t"])
+    f = PolyMap(mring, ("s", "t"), (draw(map_polys(mring)), draw(map_polys(mring))))
+    values = draw(st.lists(st.tuples(map_polys(vring, 2), map_polys(vring, 2)),
+                           min_size=1, max_size=3))
+    ambient = (Ideal(vring, [vring.parse("x - 1")])
+               if draw(st.booleans()) else None)
+    # degree 1 over Q(a, b): the kernel of a degree-2 sample matrix there,
+    # 15 rows by 10 columns, took 75 s and more to eliminate
+    degree = draw(st.integers(1, 2)) if vring is MAP_VALUE_RINGS[0] else 1
+    return vring, f, values, ambient, degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(map_cases(), st.data())
+def test_maps_in_their_value_ring_match_convert_substitute_convert(case, data):
+    vring, f, values, ambient, degree = case
+    for args in values:
+        assert f.apply(args) == reference_apply(f, args)
+    g = Grammar({"N": 2}, "N", [Production("N", (), const_map(vring, values[0]))],
+                vring, ambient)
+    cring = g.cert_ring("N")
+    coords = g.coord_names("N")
+    for value in values:
+        h = data.draw(map_polys(cring))
+        # a multiple of z0 - value[0] vanishes there
+        for p in (h, h * (cring.var(coords[0]) - value[0].convert(cring))):
+            assert vanishes_at(g, "N", p, value) == \
+                reference_vanishes_at(g, "N", p, value)
+    assert low_degree_vanishing(vring, ambient, cring, coords, values, degree) == \
+        reference_low_degree_vanishing(vring, ambient, cring, coords, values, degree)

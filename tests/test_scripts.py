@@ -4,6 +4,7 @@ run in-process."""
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +44,15 @@ def test_equiv_demo_checks_every_certificate(monkeypatch, capsys):
         ["checked", "witness=ba", "checked"]
     assert [line[29:].split()[0] for line in lines] == \
         ["equivalent", "not-equivalent", "equivalent"]
+
+
+def test_traffic_lists_the_statements_a_search_pass_never_ran():
+    # a subprocess: the script traces lines and imports polyzero afresh
+    p = subprocess.run([sys.executable, str(SCRIPTS / "traffic.py"),
+                        "--workload", "search"],
+                       capture_output=True, text=True, check=True)
+    status = dict(line.split(" ", 1)[1].split(": ", 1)
+                  for line in p.stdout.splitlines())
+    assert status["closure_rounds"] == "never run"
+    assert status["_chain"].startswith("run")
+    assert status["buchberger"].startswith("run")
