@@ -1,7 +1,15 @@
 #!/usr/bin/env python3
-"""Microbenchmark of ``Poly.__mul__``: two seeded 30-term polynomials in
-8 ordinary variables with small rational coefficients, multiplied
-repeatedly; prints the median time of one product in milliseconds.
+"""Microbenchmark of ``Poly.__mul__`` on two shapes, each printed on its
+own line:
+
+* two seeded 30-term polynomials in 8 ordinary variables with small
+  rational coefficients: the median time of one product in
+  milliseconds;
+* two seeded one-term polynomials in two coordinates over Q(params), the
+  six letter variables of the sqrev pair, whose coefficients are
+  quotients of monomials (the shape of most products of the twisted
+  backward chain): the median over batches of the time of one product
+  in microseconds.
 
     PYTHONPATH=src python3 scripts/mul_bench.py [--seed N] [--repeat N]
 """
@@ -14,9 +22,11 @@ import statistics
 import time
 from fractions import Fraction
 
-from polyzero.poly import Monomial, ordinary_ring
+from polyzero.encoding import encode_ring
+from polyzero.poly import FractionField, Monomial, RatFunc, VarKind, ordinary_ring
 
 NVARS, NTERMS = 8, 30
+BATCH = 1000
 
 
 def operands(seed: int):
@@ -34,6 +44,24 @@ def operands(seed: int):
     return poly(), poly()
 
 
+def one_term_operands(seed: int):
+    rng = random.Random(seed)
+    params = encode_ring(["a", "b", "#"])
+    ring = ordinary_ring(["y0", "y1"], FractionField(params))
+
+    def mono():
+        return Monomial((i, rng.randint(0, 2) if kind is VarKind.ORDINARY
+                         else Fraction(rng.randint(0, 4), 2))
+                        for i, kind in enumerate(params.vartable.kinds))
+
+    def poly(i):
+        c = RatFunc.of(params.from_monomial(mono(), rng.randint(1, 9)),
+                       params.from_monomial(mono()))
+        return ring.from_terms({Monomial(((i, rng.randint(1, 3)),)): c})
+
+    return len(params.vartable), poly(0), poly(1)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -48,6 +76,16 @@ def main() -> None:
     print(f"Poly.__mul__ {NTERMS}x{NTERMS} terms, {NVARS} vars: "
           f"{1000 * statistics.median(times):.3f} ms "
           f"(median of {args.repeat}, {len((p * q).terms)} result terms)")
+    nparams, p, q = one_term_operands(args.seed)
+    times = []
+    for _ in range(args.repeat):
+        t0 = time.perf_counter()
+        for _ in range(BATCH):
+            p * q
+        times.append(time.perf_counter() - t0)
+    print(f"Poly.__mul__ 1x1 terms over Q({nparams} params): "
+          f"{1e6 * statistics.median(times) / BATCH:.3f} us "
+          f"(median of {args.repeat} batches of {BATCH})")
 
 
 if __name__ == "__main__":

@@ -20,13 +20,17 @@ quotient of two polynomials over a parameter ring (field
 through ``field.div``: a bare ``/`` of two ``int`` would give a float.
 
 A :class:`Monomial` is the tuple of its ``(index, exponent)`` pairs.
-:class:`Poly` validates every exponent on construction, except in the
-trusted ``Poly._raw`` behind sums, negations, products, scalings,
-substitutions, the ring constants, the divisions by a monomial in
-``RatFunc.of`` and ``poly_exact_div``, and Groebner remainders: sums of
-valid exponents over one ring are valid, a constant has only the unit
-monomial, and those quotient exponents are nonnegative where they must
-be.
+:class:`Poly` validates every exponent and drops every zero coefficient
+on construction, except in the trusted ``Poly._raw`` behind sums,
+negations, products, scalings, substitutions, the ring constants, the
+divisions by a monomial in ``RatFunc.of`` and ``poly_exact_div``, and
+Groebner remainders: sums of valid exponents over one ring are valid, a
+constant has only the unit monomial, and those quotient exponents are
+nonnegative where they must be.  ``_raw`` takes the dict it is given as
+the polynomial's own, unchecked and uncopied, so its callers hand it a
+dict they have just built that holds no zero coefficient: the sum,
+product and substitution loops drop a term that cancels, and the
+constants and scalings drop a zero factor.
 """
 
 from __future__ import annotations
@@ -208,7 +212,13 @@ class Monomial(tuple):
         return _norm_exp(sum(e for _, e in self))
 
     def rename(self, index_map: dict[int, int]) -> "Monomial":
-        return Monomial((index_map[i], e) for i, e in self)
+        """The monomial with each index ``i`` replaced by ``index_map[i]``;
+        the exponents of indices sent to one index add up."""
+        out: dict[int, Exponent] = {}
+        for i, e in self:
+            j = index_map[i]
+            out[j] = out[j] + e if j in out else e
+        return Monomial(out.items())
 
     def var_indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self)
@@ -364,11 +374,22 @@ class PolyRing:
         return lex_walk(range(len(self.vartable)))
 
     def const(self, c: object) -> "Poly":
-        return Poly._raw(self, {UNIT_MONOMIAL: self.field.coerce(c)})
+        c = self.field.coerce(c)
+        return Poly._raw(self, {UNIT_MONOMIAL: c} if c else {})
 
     def var(self, name: str, exp: Exponent = 1) -> "Poly":
-        i = self.vartable.index(name)
-        return Poly(self, {Monomial(((i, exp),)): self.field.one()})
+        p = self._vars.get(name) if exp == 1 else None
+        if p is None:
+            i = self.vartable.index(name)
+            p = Poly(self, {Monomial(((i, exp),)): self.field.one()})
+            if exp == 1:
+                self._vars[name] = p
+        return p
+
+    @cached_property
+    def _vars(self) -> dict[str, "Poly"]:
+        # each variable at exponent 1, built once per ring, as ``one`` is
+        return {}
 
     def from_terms(self, terms: dict[Monomial, object]) -> "Poly":
         return Poly(self, {m: self.field.coerce(c) for m, c in terms.items()})
@@ -448,18 +469,18 @@ class Poly:
                     raise StructureError("monomial index outside the variable table")
                 ring.validate_exponent(i, e)
             clean[m] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_ring(self, ring)
+        _set_terms(self, clean)
 
     @classmethod
     def _raw(cls, ring: PolyRing, terms: dict[Monomial, Coeff]) -> "Poly":
-        """Drops zero (in both fields, falsy) coefficients; no validation,
-        for the terms that the module docstring names valid by design."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
-        object.__setattr__(p, "_hash", None)
+        """The polynomial whose term dict is ``terms`` itself: no copy,
+        no validation and no zero filter, for a fresh dict of terms that
+        the module docstring names valid by design and that holds no
+        zero (in both fields, falsy) coefficient."""
+        p = _new(cls)
+        _set_ring(p, ring)
+        _set_terms(p, terms)
         return p
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -515,14 +536,20 @@ class Poly:
             raise StructureError("polynomials over different rings")
 
     def __add__(self, other: object) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
+        if type(other) is not Poly or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             if m in terms:
-                terms[m] = terms[m] + c
+                # each monomial of other comes once: a cancelled one is gone
+                c = terms[m] + c
+                if c:
+                    terms[m] = c
+                else:
+                    del terms[m]
             else:
                 terms[m] = c
         return Poly._raw(self.ring, terms)
@@ -533,9 +560,10 @@ class Poly:
         return Poly._raw(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Poly or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: object) -> "Poly":
@@ -545,29 +573,38 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other: object) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
+        if type(other) is not Poly or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            self._check(other)
+        mine, theirs = self.terms, other.terms
+        # products of nonzero coefficients are nonzero in both fields
+        if len(mine) == 1 and len(theirs) == 1:
+            # the loop's one product
+            (m1, c1), = mine.items()
+            (m2, c2), = theirs.items()
+            return Poly._raw(self.ring, {m1.mul(m2): c1 * c2})
         # a constant operand scales the other, in the loop's operand order
-        if len(other.terms) == 1 and UNIT_MONOMIAL in other.terms:
-            c = other.terms[UNIT_MONOMIAL]
-            return Poly._raw(self.ring, {m: k * c for m, k in self.terms.items()})
-        if len(self.terms) == 1 and UNIT_MONOMIAL in self.terms:
-            c = self.terms[UNIT_MONOMIAL]
-            return Poly._raw(self.ring, {m: c * k for m, k in other.terms.items()})
+        if len(theirs) == 1 and UNIT_MONOMIAL in theirs:
+            c = theirs[UNIT_MONOMIAL]
+            return Poly._raw(self.ring, {m: k * c for m, k in mine.items()})
+        if len(mine) == 1 and UNIT_MONOMIAL in mine:
+            c = mine[UNIT_MONOMIAL]
+            return Poly._raw(self.ring, {m: c * k for m, k in theirs.items()})
         terms: dict[Monomial, Coeff] = {}
-        others = other.terms.items()
-        for m1, c1 in self.terms.items():
+        others = theirs.items()
+        cancelled = False
+        for m1, c1 in mine.items():
             mul = m1.mul
             for m2, c2 in others:
                 m = mul(m2)
                 c = c1 * c2
                 if m in terms:
-                    terms[m] = terms[m] + c
-                else:
-                    terms[m] = c
-        return Poly._raw(self.ring, terms)
+                    c = terms[m] + c
+                    cancelled = cancelled or not c
+                terms[m] = c
+        return Poly._raw(self.ring, _without_zeros(terms) if cancelled else terms)
 
     __rmul__ = __mul__
 
@@ -585,6 +622,8 @@ class Poly:
 
     def scale(self, c: object) -> "Poly":
         c = self.ring.field.coerce(c)
+        if not c:
+            return self.ring.zero()
         return Poly._raw(self.ring, {m: k * c for m, k in self.terms.items()})
 
     def _coerce(self, other: object) -> "Poly":
@@ -606,10 +645,12 @@ class Poly:
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ring.vartable.names,
-                                                    frozenset(self.terms))))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:  # the slot is set on the first call
+            h = hash((self.ring.vartable.names, frozenset(self.terms)))
+            _set_hash(self, h)
+            return h
 
     # -- structure-changing operations --------------------------------------
 
@@ -656,6 +697,7 @@ class Poly:
         one = ring.one()
         powers: dict[int, list[Poly]] = {}
         terms: dict[Monomial, Coeff] = {}
+        cancelled = False
         for m, c in self.terms.items():
             acc = one
             for i, e in m:
@@ -681,9 +723,12 @@ class Poly:
             c = coerce(c)
             for mm, cc in acc.terms.items():
                 cc = c * cc
-                terms[mm] = terms[mm] + cc if mm in terms else cc
+                if mm in terms:
+                    cc = terms[mm] + cc
+                    cancelled = cancelled or not cc
+                terms[mm] = cc
         # sums and products of polynomials over ``ring`` are valid there
-        return Poly._raw(ring, terms)
+        return Poly._raw(ring, _without_zeros(terms) if cancelled else terms)
 
     def substitute_frac(self, mapping: dict[str, "RatFunc"]) -> "RatFunc":
         """Replace variables by rational functions over the same ring.
@@ -769,6 +814,7 @@ class Poly:
             return f
 
         terms: dict[Monomial, Coeff] = {}
+        cancelled = False
         for m, c in self.terms.items():
             exps = dict(m)
             acc = one
@@ -776,12 +822,16 @@ class Poly:
                 acc = times(acc, factor(i, exps.get(i, 0)))
             for mm, cc in acc.terms.items():
                 cc = c * cc
-                terms[mm] = terms[mm] + cc if mm in terms else cc
+                if mm in terms:
+                    cc = terms[mm] + cc
+                    cancelled = cancelled or not cc
+                terms[mm] = cc
         den = one
         for i in shares:
             den = times(den, factor(i, 0))
         # sums and products of polynomials over ``ring`` are valid there
-        return RatFunc.of(Poly._raw(ring, terms), den)
+        return RatFunc.of(
+            Poly._raw(ring, _without_zeros(terms) if cancelled else terms), den)
 
     def evaluate(self, point: dict[str, Fraction]) -> Fraction:
         """Evaluate at a rational point; roots must exist exactly."""
@@ -823,22 +873,26 @@ class RatFunc:
     Normal form: the numerator's and denominator's common monomial
     content is cancelled, exact division is attempted (over a
     one-parameter ring the whole gcd is cancelled), and the
-    denominator is made monic (lex leading coefficient 1); a constant
-    denominator ``c`` goes straight to that result, ``(num/c, 1)``, and
-    so does one term over one term.  When both operands of ``+``, ``-``
-    or ``*`` are polynomials (denominator exactly ``1``), the result is
-    ``(num1 op num2, 1)`` without ``of``: the same numerator terms,
-    coefficient types and denominator ``ring.one()`` that ``of`` gives
-    those inputs.  Equality is decided by cross-multiplication, never by
-    gcd computations, so two equal values may have different
-    representations; for that reason RatFunc is deliberately unhashable.
+    denominator is made monic (lex leading coefficient 1) by dividing
+    every coefficient through ``field.div``, so integral ones are
+    ``int``; a constant denominator ``c`` goes straight to that result,
+    ``(num/c, 1)``, and so does one term over one term.  When both
+    operands of ``+``, ``-`` or ``*`` are polynomials (denominator
+    exactly ``1``), the result is ``(num1 op num2, 1)`` without ``of``:
+    the same numerator terms, coefficient types and denominator
+    ``ring.one()`` that ``of`` gives those inputs.  ``substitute`` takes
+    a polynomial to its numerator's image, which is what dividing that
+    by the image of ``1`` gives.  Equality is decided by
+    cross-multiplication, never by gcd computations, so two equal values
+    may have different representations; for that reason RatFunc is
+    deliberately unhashable.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RatFunc is immutable")
@@ -861,8 +915,7 @@ class RatFunc:
             (dm, dc), = den.terms.items()
             if dm.is_unit():
                 if dc != 1:
-                    num = Poly._raw(ring, {m: field.div(k, dc)
-                                           for m, k in num.terms.items()})
+                    num = _div_coefficients(num, dc)
                 return cls(num, ring.one())
             if len(num.terms) == 1:
                 # the general path below, on one term over one term
@@ -873,9 +926,8 @@ class RatFunc:
                 q = nm.div(dm) if dm else nm
                 if all(e >= 0 for _, e in q):
                     return cls(Poly._raw(ring, {q: field.div(nc, dc)}), ring.one())
-                if dc != field.one():
-                    inv = field.div(field.one(), dc)
-                    nc, dc = nc * inv, dc * inv
+                if dc != 1:
+                    nc, dc = field.div(nc, dc), 1
                 return cls(Poly._raw(ring, {nm: nc}), Poly._raw(ring, {dm: dc}))
         content = _poly_content(num).gcd(_poly_content(den))
         if not content.is_unit():
@@ -887,10 +939,8 @@ class RatFunc:
         elif ring.vartable.kinds == (VarKind.ORDINARY,):
             num, den = _cancel_univariate(num, den)
         lc = den.leading_coeff_lex()
-        if lc != field.one():
-            inv = field.div(field.one(), lc)
-            num = num.scale(inv)
-            den = den.scale(inv)
+        if lc != 1:
+            num, den = _div_coefficients(num, lc), _div_coefficients(den, lc)
         return cls(num, den)
 
     def _coerce(self, other: object) -> "RatFunc":
@@ -900,16 +950,18 @@ class RatFunc:
             return other
         if isinstance(other, (int, Fraction)):
             return RatFunc.of(self.ring.const(other), self.ring.one())
-        if isinstance(other, Poly) and other.ring == self.ring:
+        if isinstance(other, Poly) and (other.ring is self.ring
+                                        or other.ring == self.ring):
             return RatFunc.of(other, self.ring.one())
         return NotImplemented
 
     def __add__(self, other: object) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RatFunc or other.num.ring is not self.num.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if _is_one(self.den) and _is_one(other.den):
-            return RatFunc(self.num + other.num, self.ring.one())
+            return RatFunc(self.num + other.num, self.num.ring.one())
         return RatFunc.of(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
@@ -931,11 +983,12 @@ class RatFunc:
         return other + (-self)
 
     def __mul__(self, other: object) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RatFunc or other.num.ring is not self.num.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if _is_one(self.den) and _is_one(other.den):
-            return RatFunc(self.num * other.num, self.ring.one())
+            return RatFunc(self.num * other.num, self.num.ring.one())
         return RatFunc.of(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -990,6 +1043,9 @@ class RatFunc:
         return not self.num.is_zero()
 
     def substitute(self, mapping: dict[str, "RatFunc"]) -> "RatFunc":
+        if _is_one(self.den):
+            # what dividing by the substituted denominator, 1, would give
+            return self.num.substitute_frac(mapping)
         num = self.num.substitute_frac(mapping)
         den = self.den.substitute_frac(mapping)
         if den.num.is_zero():
@@ -1014,6 +1070,25 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.display()})"
+
+
+_new = object.__new__
+# the slot setters, which the immutable classes' __setattr__ does not block
+_set_ring, _set_terms = Poly.ring.__set__, Poly.terms.__set__
+_set_hash = Poly._hash.__set__
+_set_num, _set_den = RatFunc.num.__set__, RatFunc.den.__set__
+
+
+def _without_zeros(terms: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
+    """The terms whose coefficient did not cancel, in their order."""
+    return {m: c for m, c in terms.items() if c}
+
+
+def _div_coefficients(p: Poly, c: Coeff) -> Poly:
+    """``p`` with each coefficient divided by ``c`` through ``field.div``,
+    so an integral quotient over QQ is an ``int``."""
+    div = p.ring.field.div
+    return Poly._raw(p.ring, {m: div(k, c) for m, k in p.terms.items()})
 
 
 def _is_one(p: Poly) -> bool:
@@ -1087,7 +1162,8 @@ def _cancel_univariate(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     def div(p: Poly) -> Poly:
         q = _dense_divmod(_dense(p), a)[0]
         return Poly._raw(ring, {Monomial._of(((0, k),) if k else ()):
-                                ring.field.coerce(c) for k, c in enumerate(q)})
+                                ring.field.coerce(c)
+                                for k, c in enumerate(q) if c})
     return div(num), div(den)
 
 

@@ -378,7 +378,7 @@ def _lift(ring: PolyRing, v: Value) -> Poly:
     if type(v) is int:
         return ring.const(v)
     return Poly._raw(ring, {Monomial._of(((0, i),)) if i else UNIT_MONOMIAL: c
-                            for i, c in enumerate(v)})
+                            for i, c in enumerate(v) if c})
 
 
 def compile_num(expr: NumExpr,

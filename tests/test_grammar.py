@@ -14,7 +14,9 @@ from polyzero.dsl import parse_grammar, parse_transducer
 from polyzero.encoding import (
     Automorphism, PolySubst, WordSubst, encode_ring, invert_substitution,
 )
-from polyzero.errors import CertificateError, DimensionError, StructureError
+from polyzero.errors import (
+    CertificateError, DimensionError, DomainError, StructureError,
+)
 from polyzero.groebner import Ideal
 from polyzero.linalg import kernel_basis
 from polyzero.grammar import (
@@ -26,8 +28,9 @@ from polyzero.grammar import (
     zeroness, _monomials_upto,
 )
 from polyzero.poly import (
-    EMPTY_VARTABLE, FractionField, Mode, Monomial, Poly, PolyMap, PolyRing,
-    QQ, RatFunc, VarKind, VarTable, map_ring_over, ordinary_ring, scalar_ring,
+    EMPTY_VARTABLE, UNIT_MONOMIAL, FractionField, Mode, Monomial, Poly, PolyMap,
+    PolyRing, QQ, RatFunc, VarKind, VarTable, map_ring_over, ordinary_ring,
+    scalar_ring,
 )
 from polyzero.reports import certificate_from_obj, read_json
 from polyzero.transducer import to_difference_grammar
@@ -364,6 +367,61 @@ def test_twist_memo_keeps_a_wrong_inverse_wrong():
         right.apply(c), right.apply_inverse(c)
     assert not wrong.verify_roundtrip()
     assert right.verify_roundtrip()
+
+
+def _divided_substitute(c: RatFunc, mapping) -> RatFunc:
+    """``RatFunc.substitute`` without its unit-denominator path: the
+    numerator's and the denominator's images, divided."""
+    num = c.num.substitute_frac(mapping)
+    den = c.den.substitute_frac(mapping)
+    if den.num.is_zero():
+        raise DomainError("substitution produced a zero denominator")
+    return num / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(twist_coefficients())
+def test_unit_denominator_substitute_matches_dividing(case):
+    # over the denominator exactly 1 the numerator's image is returned as
+    # it is; an equal constant (Fraction 1) or another one is divided by
+    alpha, coeffs = case
+    ring = alpha.ring
+    forward = {n: RatFunc.of(img, ring.one())
+               for n, img in alpha.forward.images.items()}
+    fraction_one = Poly._raw(ring, {UNIT_MONOMIAL: Fraction(1)})
+    for c in coeffs:
+        for den in (ring.one(), fraction_one, ring.const(2)):
+            p = RatFunc(c.num, den)
+            for mapping in (forward, dict(alpha.inverse)):
+                assert _representation(p.substitute(mapping)) == \
+                    _representation(_divided_substitute(p, mapping))
+
+
+def test_roundtrip_skips_only_variables_both_maps_fix():
+    pring = ordinary_ring(["c", "d"])
+    c, d = pring.var("c"), pring.var("d")
+
+    def auto(inverse):
+        return Automorphism(PolySubst(pring, {"c": c + 1}),
+                            {n: RatFunc.of(pring.parse(t), pring.one())
+                             for n, t in inverse.items()})
+    assert auto({"c": "c - 1"}).verify_roundtrip()
+    assert auto({"c": "c - 1", "d": "d"}).verify_roundtrip()
+    # a moved variable whose inverse image is itself, or is wrong
+    assert not auto({}).verify_roundtrip()
+    assert not auto({"c": "c"}).verify_roundtrip()
+    assert not auto({"c": "c - 2"}).verify_roundtrip()
+    # a fixed variable whose inverse image is not itself
+    assert not auto({"c": "c - 1", "d": "2*d"}).verify_roundtrip()
+    assert not auto({"c": "c - 1", "d": "d + c"}).verify_roundtrip()
+    for alpha in SQREV_TWISTS:
+        assert alpha.verify_roundtrip()
+        fixed = [n for n in alpha.ring.names() if n not in alpha.forward.images]
+        assert len(fixed) == 4
+        for n in fixed:
+            twice = RatFunc.of(alpha.ring.parse(f"2*{n}"), alpha.ring.one())
+            wrong = Automorphism(alpha.forward, {**alpha.inverse, n: twice})
+            assert not wrong.verify_roundtrip()
 
 
 def test_twist_memo_keeps_the_coefficient_ring():

@@ -437,8 +437,7 @@ def constant_quotients(draw):
         c = draw(rationals)
         return c if draw(st.booleans()) else QQ.coerce(c)
 
-    a = Poly._raw(ring, {mono(): coeff()
-                         for _ in range(draw(st.integers(0, 4)))})
+    a = Poly(ring, {mono(): coeff() for _ in range(draw(st.integers(0, 4)))})
     m = mono()
     assume(not m.is_unit())
     return a, coeff() or 1, m
@@ -560,16 +559,92 @@ def _assert_same_coefficients(got: Poly, want: Poly) -> None:
 
 
 def _loop_product(p: Poly, q: Poly) -> Poly:
-    """The general double loop of ``Poly.__mul__``."""
+    """The general double loop of ``Poly.__mul__``, then the zero filter
+    that ``Poly._raw`` applied to every dict it was given."""
     terms = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             m, c = m1.mul(m2), c1 * c2
             terms[m] = terms[m] + c if m in terms else c
-    return Poly._raw(p.ring, terms)
+    return Poly._raw(p.ring, {m: c for m, c in terms.items() if c})
 
 
 qp_consts = st.builds(RatFunc.of, p_polys(), p_polys(nonzero=True))
+
+
+@st.composite
+def one_term_or_zero(draw, ring):
+    """Zero or one term over XAB or XQP: a constant when the drawn
+    monomial is the unit, a coefficient of several terms over Q(p)."""
+    if not draw(st.integers(0, 3)):
+        return ring.zero()
+    if ring is XAB:
+        m = Monomial([(0, draw(exps)), (1, draw(halves))])
+        c = draw(rationals.filter(bool))
+    else:
+        m = Monomial([(0, draw(exps))])
+        c = draw(qp_consts)
+    return ring.from_terms({m: c})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(one_term_or_zero(XAB), one_term_or_zero(XAB)),
+                 st.tuples(one_term_or_zero(XQP), one_term_or_zero(XQP))))
+@example((XQP.from_terms({Monomial([(0, 1)]): RatFunc.of(PRING.parse("p + 2"),
+                                                          PRING.parse("p - 1"))}),
+          XQP.from_terms({Monomial([(0, 2)]): RatFunc.of(PRING.parse("3*p^2 - p"),
+                                                          PRING.parse("p + 1"))})))
+@example((XQP.from_terms({Monomial([(0, 1)]): RatFunc.of(PRING.parse("p + 1"),
+                                                          PRING.one())}),
+          XQP.from_terms({Monomial([(0, 2)]): RatFunc.of(PRING.parse("p^2 + 1"),
+                                                          PRING.one())})))
+def test_one_term_product_matches_loop_product(pq):
+    # terms, term order and coefficient types, inside Q(p) coefficients too
+    p, q = pq
+    assert _ordered(p * q) == _ordered(_loop_product(p, q))
+    assert _ordered(q * p) == _ordered(_loop_product(q, p))
+
+
+def _ordered(p: Poly) -> list:
+    """Terms in dict order with coefficient types; a Q(p) coefficient as
+    its numerator's and denominator's terms, in order, with types."""
+    return [(m, type(c), _ordered(c.num) + ["/"] + _ordered(c.den))
+            if isinstance(c, RatFunc) else (m, type(c), c)
+            for m, c in p.terms.items()]
+
+
+def _no_zero_coefficient(p: Poly) -> bool:
+    return all(p.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs, rationals)
+@example((XAB.parse("x + ab"), XAB.parse("x - ab")), Fraction(0))
+@example((XAB.parse("x^2 - ab"), XAB.parse("ab - x^2")), Fraction(1, 2))
+@example((XAB.parse("x - ab"), XAB.parse("ab")), Fraction(-1))
+def test_results_hold_no_zero_coefficient(pq, c):
+    # _raw keeps zeros, so every loop that can cancel must drop them
+    p, q = pq
+    ring = p.ring
+    got = [p + q, q + p, p - q, p - p, p + (-p), p * q, (p + q) * (p - q),
+           p.scale(c), p.scale(0), q.scale(c), ring.const(c), ring.const(0),
+           p.substitute({"x": q}), (p - q).substitute({"x": q})]
+    if ring is XAB:
+        ab = RatFunc.of(XAB.var("ab"), XAB.one())
+        for r in (p.substitute_frac({"x": ab}),
+                  (p - q).substitute_frac({"x": RatFunc.of(q, XAB.one())})):
+            got += [r.num, r.den]
+    assert all(_no_zero_coefficient(r) for r in got)
+
+
+def test_var_at_exponent_one_is_built_once_per_ring():
+    ring = ordinary_ring(["x", "y"])
+    assert ring.var("x") is ring.var("x") is ring.var("x", 1)
+    assert ring.var("x") == Poly(ring, {Monomial([(0, 1)]): 1})
+    assert ring.var("x", 2) == ring.var("x") ** 2
+    assert ring.var("y") is not ordinary_ring(["x", "y"]).var("y")
+    with pytest.raises(StructureError):
+        ring.var("z")
 
 
 @settings(max_examples=80, deadline=None)
@@ -987,5 +1062,76 @@ def test_of_matches_reference_general_path(nd):
     num, den = nd
     got = RatFunc.of(num, den)
     want_num, want_den = _reference_of(num, den)
-    assert _typed_terms(got.num) == _typed_terms(want_num)
-    assert _typed_terms(got.den) == _typed_terms(want_den)
+    _assert_same_up_to_int(got.num, want_num)
+    _assert_same_up_to_int(got.den, want_den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(of_pairs())
+@example((OF_RING.parse("x"), OF_RING.parse("2*y")))
+@example((OF_RING.parse("x*y + ab"), OF_RING.parse("2*x + 4*y")))
+@example((OF_RING.parse("x + y"), OF_RING.const(2)))
+@example((OF_RING.parse("3*x"), OF_RING.parse("3/2*y*ab")))
+def test_of_keeps_integral_coefficients_int(nd):
+    # constant, one-term and longer denominators alike, on inputs whose
+    # integral coefficients are ints
+    num, den = (Poly(p.ring, {m: QQ.coerce(c) for m, c in p.terms.items()})
+                for p in nd)
+    r = RatFunc.of(num, den)
+    for p in (r.num, r.den):
+        assert all(type(c) is int for c in p.terms.values()
+                   if Fraction(c).denominator == 1)
+
+
+def _assert_same_up_to_int(got: Poly, want: Poly) -> None:
+    """got has want's terms, in want's order and with want's types,
+    except that an integral Fraction of want may be the equal int in
+    got: the reference makes a denominator monic by multiplying with the
+    inverse leading coefficient, ``of`` divides through ``field.div``."""
+    g, w = _typed_terms(got), _typed_terms(want)
+    assert [(m, c) for m, _, c in g] == [(m, c) for m, _, c in w]
+    for (_, gt, _), (_, wt, _) in zip(g, w):
+        assert gt is wt or (gt, wt) == (int, Fraction)
+
+
+def test_convert_adds_exponents_of_variables_renamed_together():
+    z = ordinary_ring(["z"])
+    p = (X * Y).convert(z, {"x": "z", "y": "z"})
+    assert p == z.var("z") ** 2 and str(p) == "z^2"
+    assert p.terms == {Monomial([(0, 2)]): 1}
+    q = (X * Y + X**2 - Y**2).convert(z, {"x": "z", "y": "z"})
+    assert q == z.var("z") ** 2 and q.terms == {Monomial([(0, 2)]): 1}
+
+
+RENAME_SRC = PolyRing(VarTable.make([("x", VarKind.ORDINARY), ("y", VarKind.ORDINARY),
+                                     ("w", VarKind.ORDINARY), ("ab", VarKind.BAR),
+                                     ("bb", VarKind.BAR)]))
+RENAME_DST = PolyRing(VarTable.make([("u", VarKind.ORDINARY), ("v", VarKind.ORDINARY),
+                                     ("cb", VarKind.BAR)]))
+
+
+@st.composite
+def rename_cases(draw):
+    """Two polynomials over RENAME_SRC and a rename that sends its
+    ordinary variables to u or v (often two of them to one) and both
+    bar variables to cb."""
+    def poly():
+        return RENAME_SRC.from_terms({
+            Monomial([(0, draw(exps)), (1, draw(exps)), (2, draw(exps)),
+                      (3, draw(halves)), (4, draw(halves))]): draw(rationals)
+            for _ in range(draw(st.integers(0, 3)))})
+    rename = {n: draw(st.sampled_from(["u", "v"])) for n in ("x", "y", "w")}
+    return poly(), poly(), {**rename, "ab": "cb", "bb": "cb"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rename_cases())
+def test_convert_is_a_ring_homomorphism_under_any_rename(case):
+    p, q, rename = case
+
+    def conv(f):
+        return f.convert(RENAME_DST, rename)
+    assert conv(p * q) == conv(p) * conv(q)
+    assert conv(p + q) == conv(p) + conv(q)
+    assert conv(RENAME_SRC.one()) == RENAME_DST.one()
+    assert all(len({i for i, _ in m}) == len(m) for m in conv(p * q).terms)

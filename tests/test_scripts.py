@@ -34,7 +34,10 @@ def test_vass_agreement_finds_no_mismatch(argv, monkeypatch, capsys):
 def test_mul_bench_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["mul_bench.py", "--repeat", "1"])
     load("mul_bench", monkeypatch).main()
-    assert "(median of 1, 900 result terms)" in capsys.readouterr().out
+    full, one_term = capsys.readouterr().out.splitlines()
+    assert full.endswith("(median of 1, 900 result terms)")
+    assert one_term.startswith("Poly.__mul__ 1x1 terms over Q(6 params): ")
+    assert one_term.endswith(" us (median of 1 batches of 1000)")
 
 
 def test_equiv_demo_checks_every_certificate(monkeypatch, capsys):

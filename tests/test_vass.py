@@ -13,7 +13,7 @@ from polyzero.errors import DomainError, StructureError
 from polyzero.poly import Poly, ordinary_ring
 from polyzero.vass import (AddVector, NAdd, NConst, NMul, NReg, NSubstX, NX,
                            NumericTransducer, ResetSet, ResetVass,
-                           brute_force_reach, compile_num, compile_to_transducer,
+                           _lift, brute_force_reach, compile_num, compile_to_transducer,
                            counters_of, normalize, run_endpoint, run_is_valid,
                            small_family, word_of_run)
 
@@ -396,6 +396,21 @@ def test_substitution_at_int_and_poly_replacements():
     for image in (x + 3, x * x - 2, ring.zero()):
         got = subst({"R": p, "S": image})
         assert got.terms == p.substitute({"x": image}).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(-3, 3),
+                 st.lists(st.integers(-2, 2), min_size=1, max_size=4).map(
+                     lambda cs: (*cs, 1))))
+@example((-1, 0, 1))
+@example(0)
+def test_lifted_values_hold_no_zero_coefficient(v):
+    # a dense value can hold inner zeros, a Poly term never does
+    ring = ordinary_ring(("x",))
+    p = _lift(ring, v)
+    assert all(p.terms.values())
+    coeffs = (v,) if isinstance(v, int) else v
+    assert p == sum((c * ring.var("x") ** i for i, c in enumerate(coeffs)), ring.zero())
 
 
 # ---------------------------------------------------------------------------
