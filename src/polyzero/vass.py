@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, StructureError
 from .poly import UNIT_MONOMIAL, Monomial, Poly, PolyRing, ordinary_ring
@@ -325,37 +325,49 @@ def _at(body: Value, v: Value) -> Value:
     if type(body) is int:
         return body
     acc: Value = 0
+    if type(v) is int:
+        for c in reversed(body):
+            acc = acc * v + c
+        return acc
     for c in reversed(body):
         acc = _add(_mul(acc, v), c)
     return acc
 
 
-def _compile(expr: NumExpr) -> Callable[[Mapping[str, Value]], Value]:
-    if isinstance(expr, NConst):
-        c = expr.value
-        return lambda val: c
+@lru_cache(maxsize=256)
+def _kernel(src: str) -> Callable[[Mapping[str, Value]], Value]:
+    """The function a generated ``lambda`` defines, compiled once per
+    source text; it is named ``<vass kernel>`` and keeps ``src``."""
+    fn = eval(compile(src, "<vass kernel>", "eval"),
+              {"__builtins__": {}, "_add": _add, "_mul": _mul, "_at": _at})
+    fn.source = src
+    return fn
+
+
+def _emit(expr: NumExpr, ints: Container[str]) -> tuple[str, bool]:
+    """Source of ``expr`` over the valuation ``v``, and whether it is an
+    ``int`` when the registers in ``ints`` are, which makes its sums and
+    products native.  Only ``int`` constants, the helpers and ``repr``'d
+    register names reach the source."""
+    if isinstance(expr, NReg) and type(expr.name) is str:
+        return f"v[{expr.name!r}]", expr.name in ints
+    if isinstance(expr, (NAdd, NMul)):
+        (left, li), (right, ri) = _emit(expr.left, ints), _emit(expr.right, ints)
+        op, helper = ("+", "_add") if isinstance(expr, NAdd) else ("*", "_mul")
+        out = f"({left} {op} {right})" if li and ri else f"{helper}({left}, {right})"
+        if isinstance(expr, NMul) and isinstance(expr.right, NReg):
+            # a zero register on the right (the output's R2) makes the left
+            # factor unneeded; over Z[x] it cannot raise, so no result changes
+            out = f"({right} and {out})"
+        return out, li and ri
+    if isinstance(expr, NConst) and type(expr.value) is int:
+        return f"({expr.value})", True
     if isinstance(expr, NX):
-        return lambda val: (0, 1)
-    if isinstance(expr, NReg):
-        return itemgetter(expr.name)
-    if isinstance(expr, NAdd):
-        left, right = _compile(expr.left), _compile(expr.right)
-        return lambda val: _add(left(val), right(val))
-    if isinstance(expr, NMul):
-        left, right = _compile(expr.left), _compile(expr.right)
-
-        def mul(val: Mapping[str, Value]) -> Value:
-            # a zero right factor, such as the output's R2, makes the left
-            # one (the output's R1[x := sum]) unneeded; over Z[x] it cannot
-            # raise, so skipping it changes no result
-            r = right(val)
-            return r if r == 0 else _mul(left(val), r)
-
-        return mul
+        return "(0, 1)", False
     if isinstance(expr, NSubstX):
-        body, repl = _compile(expr.body), _compile(expr.replacement)
-        return lambda val: _at(body(val), repl(val))
-    raise StructureError(f"not a numeric expression: {expr!r}")
+        (body, bi), (repl, ri) = _emit(expr.body, ints), _emit(expr.replacement, ints)
+        return (body, True) if bi else (f"_at({body}, {repl})", ri)
+    raise StructureError(f"not a numeric expression over int constants: {expr!r}")
 
 
 def _check_ring(ring: PolyRing) -> None:
@@ -381,21 +393,27 @@ def _lift(ring: PolyRing, v: Value) -> Poly:
                             for i, c in enumerate(v) if c})
 
 
+def _int_registers(start: Mapping[str, Value], transitions: Iterable) -> set[str]:
+    """The registers ``int`` along every run from ``start``: its ``int``
+    ones, less those an update can make a tuple, to a fixpoint."""
+    ints = {r for r, v in start.items() if type(v) is int}
+    while drop := {r for _, upd in transitions for r, e in upd.items()
+                   if r in ints and not _emit(e, ints)[1]}:
+        ints -= drop
+    return ints
+
+
 def compile_num(expr: NumExpr,
                 ring: PolyRing) -> Callable[[Mapping[str, int | Poly]], Poly]:
     """The expression as a function of a register valuation over Z[x],
-    whose values may be ``int`` or :class:`Poly`.  Inside, it runs on
-    :data:`Value` (a sum is a sum of coefficients, a product a
-    convolution, ``body[x := replacement]`` Horner's rule), and the
-    result is lifted to a :class:`Poly` of ``ring``."""
+    whose values may be ``int`` or :class:`Poly`: the function generated
+    as in :class:`NumericTransducer`, with no register assumed ``int``,
+    run on the valuation lowered to :data:`Value` and lifted to ``ring``.
+    A constant that is not an ``int`` raises :class:`StructureError`."""
     _check_ring(ring)
-    f = _compile(expr)
-
-    def run(val: Mapping[str, int | Poly]) -> Poly:
-        return _lift(ring, f({r: v if type(v) is int else _lower(v)
-                              for r, v in val.items()}))
-
-    return run
+    f = _kernel("lambda v: " + _emit(expr, ())[0])
+    return lambda val: _lift(ring, f({r: v if type(v) is int else _lower(v)
+                                      for r, v in val.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +426,18 @@ class NumericTransducer:
     Registers are exactly R1 (reachability test), R1aux (step counter),
     R2 (error flag), and S1..Sdim (counters).  The output substitutes
     the counter sum for x in R1 and multiplies by R2; substitution
-    appears nowhere else.  Every update and output expression is compiled
-    once, on construction, into a function of the valuation.
+    appears nowhere else.
 
-    Inside, a register holds a :data:`Value`: a plain ``int`` while its
-    value is constant, so S1..Sdim, R1aux and R2 stay machine integers,
-    and otherwise the tuple of its integer coefficients, which only R1
-    and ``x - (R1aux + 1)`` become.  An update is then integer sums and
-    convolutions, and the output's substitution is R1's value at the
-    integer counter sum by Horner's rule; no :class:`Poly` is built while
-    a word runs.  ``run`` and ``trace`` lift every value to a
-    :class:`Poly` of the ring, caching the :class:`Poly` of each constant
-    they have lifted, so they return :class:`Poly` values only; ``init``
-    keeps the :class:`Poly` initial values.
+    Inside, a register holds a :data:`Value`: an ``int`` while constant,
+    else the tuple of its integer coefficients.  Construction infers the
+    registers that stay ``int`` (S1..Sdim, R1aux and R2 of a compiled
+    VASS, not R1) and generates one function per transition, building
+    the whole new valuation, and one per output: native sums and products
+    over ``int`` registers, integer convolutions and Horner's rule
+    elsewhere, so no :class:`Poly` is built while a word runs.  ``run``
+    and ``trace`` lift every value to a :class:`Poly` of the ring, caching
+    the :class:`Poly` of each constant they have lifted; ``init`` keeps
+    the :class:`Poly` initial values.
 
     The machine remembers the states and valuations after every prefix
     of the last word it ran, and a new run or trace resumes from the
@@ -462,30 +479,33 @@ class NumericTransducer:
         if set(self.outputs) != set(self.states):
             raise StructureError("numeric outputs must cover every state")
         _check_ring(ring)
-        self._steps = {k: (tgt, {r: _compile(e) for r, e in upd.items()})
-                       for k, (tgt, upd) in self.transitions.items()}
-        self._outputs = {q: _compile(e) for q, e in self.outputs.items()}
-        self._consts: dict[int, Poly] = {}
         start = {r: _lower(p) for r, p in self.init.items()}
+        ints = _int_registers(start, self.transitions.values())
+        self._steps: dict[str, dict[str, tuple[str, Callable]]] = {}
+        for (q, a), (tgt, upd) in self.transitions.items():
+            self._steps.setdefault(q, {})[a] = (tgt, _kernel(
+                "lambda v: {" + ", ".join(
+                    f"{r!r}: {_emit(upd.get(r, NReg(r)), ints)[0]}"
+                    for r in self.registers) + "}" if upd else "lambda v: v"))
+        self._outputs = {q: _kernel("lambda v: " + _emit(e, ints)[0])
+                         for q, e in self.outputs.items()}
+        self._consts: dict[int, Poly] = {}
         self._last: tuple[tuple[str, ...], list[tuple[str, dict[str, Value]]]] = (
             (), [(self.initial_state, start)])
 
     def step(self, state: str, letter: str,
              valuation: Mapping[str, Value]) -> tuple[str, Mapping[str, Value]]:
-        """Target state and valuation after one letter.  This works on
-        the internal valuation, whose values are :data:`Value`: an
-        ``int`` for a constant register, a tuple of integer coefficients
-        of Z[x] (lowest degree first) otherwise; ``run`` and ``trace``
-        lift it to :class:`Poly`.  Every run and trace goes through this
-        method, one letter at a time."""
-        if (state, letter) not in self._steps:
-            raise DomainError(f"no transition from {state!r} on {letter!r}")
-        target, updates = self._steps[(state, letter)]
-        if not updates:
-            return target, valuation
-        new = {r: (updates[r](valuation) if r in updates else valuation[r])
-               for r in self.registers}
-        return target, new
+        """Target state and valuation after one letter, by the function
+        generated for the transition.  ``valuation`` holds :data:`Value`
+        and must have been reached from ``init``, since the registers
+        inferred ``int`` are added and multiplied natively; ``run`` and
+        ``trace`` go through this method one letter at a time and lift
+        its values to :class:`Poly`."""
+        try:
+            target, kernel = self._steps[state][letter]
+        except KeyError:
+            raise DomainError(f"no transition from {state!r} on {letter!r}") from None
+        return target, kernel(valuation)
 
     def _lift(self, v: Value) -> Poly:
         if type(v) is not int:

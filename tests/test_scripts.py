@@ -59,3 +59,15 @@ def test_traffic_lists_the_statements_a_search_pass_never_ran():
     assert status["closure_rounds"] == "never run"
     assert status["_chain"].startswith("run")
     assert status["buchberger"].startswith("run")
+
+
+def test_traffic_shows_a_vass_pass_running_the_generated_kernels():
+    p = subprocess.run([sys.executable, str(SCRIPTS / "traffic.py"),
+                        "--workload", "vass"],
+                       capture_output=True, text=True, check=True)
+    status = dict(line.split(" ", 1)[1].split(": ", 1)
+                  for line in p.stdout.splitlines())
+    assert status["_kernel"] == "run"
+    assert status["_int_registers"] == "run"
+    # only step's DomainError for an unknown letter is left unrun
+    assert status["NumericTransducer.step"].startswith("run")

@@ -484,6 +484,74 @@ def test_dense_values_match_the_reference_interpreter(expr, vals):
     assert type(after["R1"]) is (int if want.is_constant() else tuple)
 
 
+def test_register_made_polynomial_on_one_transition_only():
+    # S1 starts constant and only (q0, a) makes it a polynomial; R2 reads
+    # S1 and so drops out of the int registers a round later, while R1
+    # and R1aux stay int: S1[x := R1aux] is an integer
+    s1, r1aux, r2 = NReg("S1"), NReg("R1aux"), NReg("R2")
+    transitions = {
+        ("q0", "a"): ("q1", {"S1": NMul(s1, NX())}),
+        ("q0", "b"): ("q0", {"S1": NAdd(s1, NConst(-1)),
+                             "R1aux": NAdd(r1aux, NConst(1))}),
+        ("q1", "a"): ("q0", {"R2": NMul(r2, NAdd(s1, NConst(1))),
+                             "R1": NSubstX(s1, r1aux)}),
+        ("q1", "b"): ("q1", {}),
+    }
+    outputs = {"q0": NMul(NSubstX(r2, NAdd(r1aux, NConst(1))), NReg("R1")),
+               "q1": NAdd(s1, r2)}
+    init = {"R1": ZX.one(), "R1aux": ZX.zero(), "R2": ZX.one(),
+            "S1": ZX.const(2)}
+    t = NumericTransducer(("a", "b"), REGS, init, ("q0", "q1"), "q0",
+                          ("q0",), transitions, outputs, ZX)
+    kernel = t._steps["q1"]["a"][1]
+    assert "_mul(v['R2'], _add(v['S1'], (1)))" in kernel.source
+    assert "'R1': _at(v['S1'], v['R1aux'])" in kernel.source
+    assert "(v['R1aux'] + (1))" in t._steps["q0"]["b"][1].source
+    words = [tuple("ab"[i] for i in w) for w in all_words(2, 4)]
+    random.Random(21).shuffle(words)
+    for word in words:
+        steps, out = reference_run(t, word)
+        assert_identical(t.run(word), out, ZX)
+        trace = t.trace(word)
+        assert [s for s, _ in trace] == [s for s, _ in steps]
+        for (_, got), (_, want) in zip(trace, steps):
+            assert set(got) == set(want)
+            for r in want:
+                assert_identical(got[r], want[r], ZX)
+
+
+@pytest.mark.parametrize("bad", [NConst("1"), NConst(Fraction(1, 2)),
+                                 NConst(True), NReg(1)])
+def test_only_int_constants_and_str_registers_are_compiled(bad):
+    # the generated source holds nothing but int constants, the helpers
+    # and repr'd register names
+    for expr in (NAdd(NReg("S1"), bad), NSubstX(NConst(1), bad)):
+        with pytest.raises(StructureError):
+            compile_num(expr, ZX)
+        init = {r: ZX.one() for r in REGS}
+        for upd, out in (({"S1": expr}, NConst(0)), ({}, expr)):
+            with pytest.raises(StructureError):
+                NumericTransducer(("a",), REGS, init, ("q",), "q", (),
+                                  {("q", "a"): ("q", upd)}, {"q": out}, ZX)
+
+
+def test_machines_of_one_shape_share_their_kernels():
+    # the same effects on differently named states generate the same
+    # sources, so the second machine reuses the first one's functions
+    effects = [up(1, 2), down(2, 2)]
+    one = compile_to_transducer(loop_machine(2, effects))
+    two = compile_to_transducer(ResetVass(
+        2, ("p",), "p", ("p",), [("p", eff, "p") for eff in effects]))
+    for q, p in (("q0", "p"), ("_err", "_err")):
+        assert one._outputs[q] is two._outputs[p]
+        for a, (_, kernel) in one._steps[q].items():
+            assert two._steps[p][a][1] is kernel
+            assert kernel.__code__.co_filename == "<vass kernel>"
+            assert kernel.source.startswith("lambda v: ")
+    assert one._outputs["q0"].source == "lambda v: " \
+        "(v['R2'] and (_at(v['R1'], (v['S1'] + v['S2'])) * v['R2']))"
+
+
 def test_numeric_transducer_needs_the_ring_of_x():
     t = compile_to_transducer(loop_machine(1, [up(1, 1)]))
     with pytest.raises(StructureError):
