@@ -12,6 +12,7 @@ oracle for bounded run lengths.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -311,6 +312,14 @@ def _mul(a: Value, b: Value) -> Value:
         a, b = b, a
     if type(b) is int:
         return tuple([c * b for c in a]) if b else 0
+    if len(b) == 2:  # R1's linear factor x - (R1aux + 1)
+        c, d = b
+        out, prev = [], 0
+        for e in a:
+            out.append(c * e + d * prev)
+            prev = e
+        out.append(d * prev)
+        return tuple(out)
     out = [0] * (len(a) + len(b) - 1)
     for j, c in enumerate(b):
         if c:
@@ -337,24 +346,35 @@ def _at(body: Value, v: Value) -> Value:
 @lru_cache(maxsize=256)
 def _kernel(src: str) -> Callable[[Mapping[str, Value]], Value]:
     """The function a generated ``lambda`` defines, compiled once per
-    source text; it is named ``<vass kernel>`` and keeps ``src``."""
+    source text; its file is ``<vass kernel>``, its name ``kernel_`` and
+    the CRC-32 of ``src`` (so profiles tell kernels apart), and it keeps
+    ``src``."""
     fn = eval(compile(src, "<vass kernel>", "eval"),
               {"__builtins__": {}, "_add": _add, "_mul": _mul, "_at": _at})
+    name = f"kernel_{zlib.crc32(src.encode()):08x}"
+    fn.__code__ = fn.__code__.replace(co_name=name)
     fn.source = src
     return fn
 
 
-def _emit(expr: NumExpr, ints: Container[str]) -> tuple[str, bool]:
+def _emit(expr: NumExpr, ints: Container[str],
+          regs: Container[str] | None = None) -> tuple[str, bool]:
     """Source of ``expr`` over the valuation ``v``, and whether it is an
     ``int`` when the registers in ``ints`` are, which makes its sums and
     products native.  Only ``int`` constants, the helpers and ``repr``'d
-    register names reach the source."""
+    register names reach the source; a register outside ``regs``, when
+    given, raises :class:`StructureError`."""
     if isinstance(expr, NReg) and type(expr.name) is str:
+        if regs is not None and expr.name not in regs:
+            raise StructureError(f"undeclared register {expr.name!r}")
         return f"v[{expr.name!r}]", expr.name in ints
     if isinstance(expr, (NAdd, NMul)):
-        (left, li), (right, ri) = _emit(expr.left, ints), _emit(expr.right, ints)
+        (left, li), (right, ri) = (_emit(expr.left, ints, regs),
+                                   _emit(expr.right, ints, regs))
         op, helper = ("+", "_add") if isinstance(expr, NAdd) else ("*", "_mul")
         out = f"({left} {op} {right})" if li and ri else f"{helper}({left}, {right})"
+        if isinstance(expr, NAdd) and isinstance(expr.left, NX) and ri:
+            out = f"({right}, 1)"  # x + c for an int c: already a Value
         if isinstance(expr, NMul) and isinstance(expr.right, NReg):
             # a zero register on the right (the output's R2) makes the left
             # factor unneeded; over Z[x] it cannot raise, so no result changes
@@ -365,9 +385,21 @@ def _emit(expr: NumExpr, ints: Container[str]) -> tuple[str, bool]:
     if isinstance(expr, NX):
         return "(0, 1)", False
     if isinstance(expr, NSubstX):
-        (body, bi), (repl, ri) = _emit(expr.body, ints), _emit(expr.replacement, ints)
+        (body, bi), (repl, ri) = (_emit(expr.body, ints, regs),
+                                  _emit(expr.replacement, ints, regs))
         return (body, True) if bi else (f"_at({body}, {repl})", ri)
     raise StructureError(f"not a numeric expression over int constants: {expr!r}")
+
+
+def _is_int(expr: NumExpr, ints: Container[str]) -> bool:
+    """``_emit(expr, ints)[1]`` without building the source."""
+    if isinstance(expr, (NAdd, NMul)):
+        return _is_int(expr.left, ints) and _is_int(expr.right, ints)
+    if isinstance(expr, NSubstX):
+        return _is_int(expr.body, ints) or _is_int(expr.replacement, ints)
+    if isinstance(expr, NReg):
+        return expr.name in ints
+    return not isinstance(expr, NX)
 
 
 def _check_ring(ring: PolyRing) -> None:
@@ -398,7 +430,7 @@ def _int_registers(start: Mapping[str, Value], transitions: Iterable) -> set[str
     ones, less those an update can make a tuple, to a fixpoint."""
     ints = {r for r, v in start.items() if type(v) is int}
     while drop := {r for _, upd in transitions for r, e in upd.items()
-                   if r in ints and not _emit(e, ints)[1]}:
+                   if r in ints and not _is_int(e, ints)}:
         ints -= drop
     return ints
 
@@ -439,13 +471,22 @@ class NumericTransducer:
     the :class:`Poly` of each constant they have lifted; ``init`` keeps
     the :class:`Poly` initial values.
 
-    The machine remembers the states and valuations after every prefix
-    of the last word it ran, and a new run or trace resumes from the
-    longest prefix it shares with that word, so memory stays bounded by
-    the length of the last word.  A word that raises (an unknown letter)
-    leaves that memory as it was.  Valuations are never mutated: a step
-    that updates registers builds a fresh one, and a step that updates
-    none (into and inside the error state) returns the one it was given.
+    The machine remembers the last word it ran and the path of states
+    and valuations after each of its prefixes, so memory stays bounded
+    by the length of that word.  A new run or trace resumes from the
+    longest prefix it shares with the last word; one of the same length
+    that differs at most in its last letter redoes only the last step.
+    The new steps are kept aside and committed, the stored path cut
+    back in place and extended, only once the word's last step is done,
+    so a word that raises (an unknown letter) leaves the memory as it
+    was.  Valuations are never mutated: a step that updates registers
+    builds a fresh one, and a step that updates none (into and inside
+    the error state) returns the one it was given.
+
+    Construction raises :class:`StructureError` unless ``init`` gives
+    exactly the registers, every transition joins declared states on a
+    declared letter, and every update writes and every expression reads
+    declared registers only.
     """
 
     def __init__(self, letters: Sequence[str], registers: Sequence[str],
@@ -478,20 +519,32 @@ class NumericTransducer:
                                          f"{q!r} on {a!r}")
         if set(self.outputs) != set(self.states):
             raise StructureError("numeric outputs must cover every state")
+        regs = set(self.registers)
+        if set(self.init) != regs:
+            raise StructureError("init must give exactly the registers")
+        for (q, a), (tgt, upd) in self.transitions.items():
+            if q not in self.states or tgt not in self.states or a not in self.letters:
+                raise StructureError(f"transition {q!r} -{a!r}-> {tgt!r} "
+                                     "uses an undeclared state or letter")
+            if not upd.keys() <= regs:
+                raise StructureError(f"transition {q!r} -{a!r}-> {tgt!r} "
+                                     "updates an undeclared register")
         _check_ring(ring)
         start = {r: _lower(p) for r, p in self.init.items()}
         ints = _int_registers(start, self.transitions.values())
         self._steps: dict[str, dict[str, tuple[str, Callable]]] = {}
         for (q, a), (tgt, upd) in self.transitions.items():
+            fields = ", ".join(f"{r!r}: " + (_emit(upd[r], ints, regs)[0]
+                                             if r in upd else f"v[{r!r}]")
+                               for r in self.registers)
             self._steps.setdefault(q, {})[a] = (tgt, _kernel(
-                "lambda v: {" + ", ".join(
-                    f"{r!r}: {_emit(upd.get(r, NReg(r)), ints)[0]}"
-                    for r in self.registers) + "}" if upd else "lambda v: v"))
-        self._outputs = {q: _kernel("lambda v: " + _emit(e, ints)[0])
+                "lambda v: {" + fields + "}" if upd else "lambda v: v"))
+        self._outputs = {q: _kernel("lambda v: " + _emit(e, ints, regs)[0])
                          for q, e in self.outputs.items()}
         self._consts: dict[int, Poly] = {}
-        self._last: tuple[tuple[str, ...], list[tuple[str, dict[str, Value]]]] = (
-            (), [(self.initial_state, start)])
+        self._word: tuple[str, ...] = ()
+        self._stem: tuple[str, ...] | None = None  # all but its last letter
+        self._path: list[tuple[str, dict[str, Value]]] = [(self.initial_state, start)]
 
     def step(self, state: str, letter: str,
              valuation: Mapping[str, Value]) -> tuple[str, Mapping[str, Value]]:
@@ -517,21 +570,28 @@ class NumericTransducer:
 
     def _prefixes(self, word: Sequence[str]) -> list[tuple[str, dict[str, Value]]]:
         """(state, valuation) after every prefix of ``word``, resumed
-        from the longest prefix shared with the last word run."""
-        word = tuple(word)
-        last_word, last = self._last
+        from the longest prefix shared with the last word run; the
+        stored path itself, which the next run changes."""
+        word, path = tuple(word), self._path
+        if word and word[:-1] == self._stem:
+            state, vals = path[-2]
+            path[-1] = self.step(state, word[-1], vals)
+            self._word = word
+            return path
         k = 0
-        for a, b in zip(word, last_word):
+        for a, b in zip(word, self._word):
             if a != b:
                 break
             k += 1
-        out = last[:k + 1]
-        state, vals = out[-1]
+        state, vals = path[k]
+        new = []
         for letter in word[k:]:
             state, vals = self.step(state, letter, vals)
-            out.append((state, vals))
-        self._last = (word, out)
-        return out
+            new.append((state, vals))
+        del path[k + 1:]
+        path += new
+        self._word, self._stem = word, word[:-1] if word else None
+        return path
 
     def run(self, word: Sequence[str]) -> Poly:
         state, vals = self._prefixes(word)[-1]
@@ -572,40 +632,30 @@ def compile_to_transducer(v: ResetVass) -> NumericTransducer:
     states = v.states + (ERROR_STATE,)
 
     transitions: dict[tuple[str, str], tuple[str, dict[str, NumExpr]]] = {}
+    reg = {r: NReg(r) for r in registers}
+    one = NConst(1)
+    bump = NAdd(reg["R1aux"], one)
+    r1 = NMul(reg["R1"], NAdd(NX(), NMul(NConst(-1), bump)))
     for p in states:
         for i, (src, eff, tgt) in enumerate(v.transitions):
             key = (p, letters[i])
             if p == ERROR_STATE or p != src:
                 transitions[key] = (ERROR_STATE, {})
                 continue
-            upd: dict[str, NumExpr] = {}
-            post: dict[str, NumExpr] = {r: NReg(r) for r in counters}
             if isinstance(eff, AddVector):
-                for k, d in enumerate(eff.delta):
-                    if d != 0:
-                        post[counters[k]] = NAdd(NReg(counters[k]), NConst(d))
+                upd = {r: NAdd(reg[r], NConst(d))
+                       for r, d in zip(counters, eff.delta) if d}
             else:
-                for c in eff.coords:
-                    post[counters[c - 1]] = NConst(0)
+                upd = {r: NConst(0) for k, r in enumerate(counters, 1)
+                       if k in eff.coords}
+            guard: NumExpr = reg["R2"]
             for r in counters:
-                if post[r] != NReg(r):
-                    upd[r] = post[r]
-            guard: NumExpr = NReg("R2")
-            for r in counters:
-                guard = NMul(guard, NAdd(post[r], NConst(1)))
-            upd["R2"] = guard
-            bump = NAdd(NReg("R1aux"), NConst(1))
-            upd["R1"] = NMul(NReg("R1"), NAdd(NX(), NMul(NConst(-1), bump)))
-            upd["R1aux"] = bump
+                guard = NMul(guard, NAdd(upd.get(r, reg[r]), one))
+            upd.update(R2=guard, R1=r1, R1aux=bump)
             transitions[key] = (tgt, upd)
 
-    outputs: dict[str, NumExpr] = {}
-    for q in states:
-        if q in v.accepting:
-            outputs[q] = NMul(NSubstX(NReg("R1"), num_sum([NReg(r) for r in counters])),
-                              NReg("R2"))
-        else:
-            outputs[q] = NConst(0)
+    accept = NMul(NSubstX(reg["R1"], num_sum([reg[r] for r in counters])), reg["R2"])
+    outputs = {q: accept if q in v.accepting else NConst(0) for q in states}
     return NumericTransducer(letters, registers, init, states, v.initial,
                              v.accepting, transitions, outputs, ring,
                              name=v.name)

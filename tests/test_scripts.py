@@ -71,3 +71,31 @@ def test_traffic_shows_a_vass_pass_running_the_generated_kernels():
     assert status["_int_registers"] == "run"
     # only step's DomainError for an unknown letter is left unrun
     assert status["NumericTransducer.step"].startswith("run")
+    # both the one-step resume and the general one run
+    assert status["NumericTransducer._prefixes"] == "run"
+    # R1's products all take _mul's two-coefficient branch, every
+    # statement of it; the general convolution is left unrun
+    assert not two_coefficient_branch() & not_run(status["_mul"])
+
+
+def two_coefficient_branch() -> set[int]:
+    """The lines of the statements in ``vass._mul``'s ``len(b) == 2``
+    branch."""
+    import ast
+    src = SCRIPTS.parent / "src" / "polyzero" / "vass.py"
+    mul = next(f for f in ast.parse(src.read_text()).body
+               if isinstance(f, ast.FunctionDef) and f.name == "_mul")
+    branch = next(n for n in ast.walk(mul) if isinstance(n, ast.If)
+                  and ast.unparse(n.test).startswith("len(b) == 2"))
+    return {n.lineno for stmt in branch.body for n in ast.walk(stmt)
+            if isinstance(n, ast.stmt)}
+
+
+def not_run(status: str) -> set[int]:
+    """The lines that a ``traffic.py`` status lists as not run."""
+    _, _, spans = status.partition("not run: ")
+    lines: set[int] = set()
+    for span in filter(None, spans.split(", ")):
+        first, _, last = span.partition("-")
+        lines.update(range(int(first), int(last or first) + 1))
+    return lines

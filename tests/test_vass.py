@@ -3,12 +3,15 @@ compilation into a numeric register transducer over Z[x]."""
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polyzero import vass
 from polyzero.errors import DomainError, StructureError
 from polyzero.poly import Poly, ordinary_ring
 from polyzero.vass import (AddVector, NAdd, NConst, NMul, NReg, NSubstX, NX,
@@ -16,6 +19,7 @@ from polyzero.vass import (AddVector, NAdd, NConst, NMul, NReg, NSubstX, NX,
                            _lift, brute_force_reach, compile_num, compile_to_transducer,
                            counters_of, normalize, run_endpoint, run_is_valid,
                            small_family, word_of_run)
+from polyzero.vass import _emit, _int_registers, _is_int, _kernel, _mul
 
 
 def loop_machine(dim: int, effects, accepting=("q0",)) -> ResetVass:
@@ -632,3 +636,142 @@ def test_run_resumes_from_the_last_word():
     t.trace(["t0", "t1"])
     t.run(["t0"])
     assert letters == ["t0", "t0", "t1", "t1", "t1"]
+
+
+# ---------------------------------------------------------------------------
+# what construction rejects, the short arithmetic paths and the kernels
+
+
+ONE_STEP = {("q", "a"): ("q", {"R1": NMul(NReg("R1"), NReg("S1"))})}
+
+
+def tiny_machine(**changed) -> NumericTransducer:
+    """A one-state, one-letter machine over REGS, with ``changed``
+    constructor arguments."""
+    args = dict(letters=("a",), registers=REGS,
+                init={r: ZX.one() for r in REGS}, states=("q",),
+                initial_state="q", accepting=("q",), transitions=ONE_STEP,
+                outputs={"q": NReg("R1")}, ring=ZX)
+    return NumericTransducer(**{**args, **changed})
+
+
+UNDECLARED = {
+    "init lacks a register": dict(init={r: ZX.one() for r in REGS[:-1]}),
+    "init has an extra register": dict(
+        init={**{r: ZX.one() for r in REGS}, "S2": ZX.one()}),
+    "update of an undeclared register": dict(
+        transitions={("q", "a"): ("q", {"S2": NConst(1)})}),
+    "update reads an undeclared register": dict(
+        transitions={("q", "a"): ("q", {"R1": NAdd(NReg("S1"), NReg("S2"))})}),
+    "output reads an undeclared register": dict(
+        outputs={"q": NSubstX(NReg("R1"), NReg("S2"))}),
+    "transition from an undeclared state": dict(
+        transitions={**ONE_STEP, ("p", "a"): ("q", {})}),
+    "transition on an undeclared letter": dict(
+        transitions={**ONE_STEP, ("q", "b"): ("q", {})}),
+    "transition to an undeclared state": dict(
+        transitions={("q", "a"): ("p", {})}),
+}
+
+
+def test_tiny_machine_is_well_formed():
+    t = tiny_machine()
+    assert t.run(["a", "a"]) == ZX.one()
+
+
+@pytest.mark.parametrize("changed", UNDECLARED.values(), ids=UNDECLARED.keys())
+def test_construction_rejects_what_the_machine_does_not_declare(changed):
+    with pytest.raises(StructureError):
+        tiny_machine(**changed)
+
+
+def convolution(a, b):
+    """``_mul``'s general branch, kept here as the reference for its
+    short ones: the product of two values as a Value."""
+    a = (a,) if isinstance(a, int) else a
+    b = (b,) if isinstance(b, int) else b
+    out = [0] * (len(a) + len(b) - 1)
+    for j, c in enumerate(b):
+        if c:
+            for i, d in enumerate(a, j):
+                out[i] += c * d
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+nonzero = st.integers(-4, 4).filter(bool)
+values = st.one_of(st.integers(-4, 4), st.tuples(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=5), nonzero).map(
+        lambda p: (*p[0], p[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values, st.tuples(st.integers(-4, 4), nonzero))
+@example((2, -3, 1), (0, 1))    # a zero constant coefficient
+@example((2, -3, 1), (-3, 1))   # R1 times x - 3
+@example((0, 0, 5), (-1, -2))
+@example(3, (-2, 1))            # an int on the left
+@example(0, (-2, 1))
+def test_two_coefficient_products_match_the_convolution(a, b):
+    got = _mul(a, b)
+    assert got == convolution(a, b)
+    assert type(got) is (int if a == 0 else tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_exprs, st.sets(st.sampled_from(REGS)),
+       st.dictionaries(st.sampled_from(REGS), num_exprs, max_size=3))
+@example(NSubstX(NX(), NReg("S1")), {"S1"}, {})
+@example(NSubstX(NReg("R1"), NReg("S1")), {"R1"}, {})
+@example(NAdd(NX(), NConst(1)), set(), {})
+@example(NMul(NReg("S1"), NReg("R1")), {"S1"}, {"S1": NAdd(NReg("S1"), NX())})
+def test_int_inference_agrees_with_the_emitted_flag(expr, ints, upd):
+    # the walker that infers int registers types every expression as
+    # _emit does, and the inferred set is closed under every update
+    assert _is_int(expr, ints) == _emit(expr, ints)[1]
+    inferred = _int_registers({r: 0 if r in ints else (0, 1) for r in REGS},
+                              [("q", upd)])
+    assert inferred <= ints
+    assert all(_emit(e, inferred)[1] for r, e in upd.items() if r in inferred)
+
+
+def test_building_a_machine_emits_each_expression_once(monkeypatch):
+    top, depth = [], [0]
+    emit = vass._emit
+
+    def counted(expr, *args):
+        if not depth[0]:
+            top.append(id(expr))
+        depth[0] += 1
+        try:
+            return emit(expr, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(vass, "_emit", counted)
+    for v in FAMILY[:6]:
+        top.clear()
+        t = compile_to_transducer(v)
+        want = [id(e) for _, upd in t.transitions.values() for e in upd.values()]
+        want += [id(e) for e in t.outputs.values()]
+        assert sorted(top) == sorted(want), v.name
+
+
+def test_kernels_have_their_own_rows_in_a_profile():
+    sources = ("lambda v: v", "lambda v: (v['S1'] + (1))",
+               "lambda v: (v['S1'] + (2))")
+    keys = {(c.co_filename, c.co_firstlineno, c.co_name)
+            for c in (_kernel(s).__code__ for s in sources)}
+    assert len(keys) == len(sources)
+    assert all(k[0] == "<vass kernel>" for k in keys)
+    # a profile of a machine run has one row per kernel that ran
+    t = compile_to_transducer(FAMILY[0])
+    words = [word_of_run(FAMILY[0], w)
+             for w in all_words(len(FAMILY[0].transitions), 3)]
+    prof = cProfile.Profile()
+    prof.runcall(lambda: [t.run(w) for w in words])
+    ran = {e.code for e in prof.getstats()
+           if not isinstance(e.code, str) and e.code.co_filename == "<vass kernel>"}
+    rows = [k for k in pstats.Stats(prof).stats if k[0] == "<vass kernel>"]
+    assert len(rows) == len(ran) > 1
