@@ -693,7 +693,8 @@ def format_num_expr(e: NumExpr, prec: int = 0) -> str:
         return f"{format_num_expr(e.body, 3)}[x := {format_num_expr(e.replacement)}]"
     if isinstance(e, NAdd):
         right = e.right
-        if isinstance(right, NMul) and right.left == NConst(-1):
+        if (isinstance(right, NMul) and isinstance(right.left, NConst)
+                and right.left.value == -1):
             s = f"{format_num_expr(e.left, 1)} - {format_num_expr(right.right, 2)}"
         elif isinstance(right, NConst) and right.value < 0:
             s = f"{format_num_expr(e.left, 1)} - {-right.value}"

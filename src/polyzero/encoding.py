@@ -23,7 +23,6 @@ that function field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -146,22 +145,20 @@ class WordSubst:
 # polynomial substitutions and automorphisms of the letter field
 
 
-@dataclass(frozen=True)
 class PolySubst:
     """Simultaneous substitution of parameter variables by polynomials.
 
     The images lifted to :class:`RatFunc`, which ``apply_ratfunc``
     substitutes, are built on its first call and kept for the life of
-    the instance (which is immutable)."""
+    the instance, whose images are never changed."""
 
-    ring: PolyRing
-    images: Mapping[str, Poly]
-
-    def __post_init__(self):
-        for name, img in self.images.items():
-            self.ring.vartable.index(name)
-            if img.ring != self.ring:
+    def __init__(self, ring: PolyRing, images: Mapping[str, Poly]):
+        for name, img in images.items():
+            ring.vartable.index(name)
+            if img.ring != ring:
                 raise StructureError(f"image of {name!r} over a different ring")
+        self.ring = ring
+        self.images = images
 
     def is_identity(self) -> bool:
         return all(img == self.ring.var(name) for name, img in self.images.items())
@@ -202,7 +199,6 @@ def _memoised(memo: dict[tuple, RatFunc], c: RatFunc,
     return out
 
 
-@dataclass(frozen=True)
 class Automorphism:
     """Invertible endomorphism of the rational-function field over the
     parameter ring, given by forward polynomial images and inverse
@@ -217,11 +213,11 @@ class Automorphism:
     calls with new coefficients for each new value, keeps no memo that
     would grow with the value tables; ``verify_roundtrip`` keeps its
     forward images for the check only.  A coefficient over another ring
-    is substituted afresh.  The memo takes no part in ``==`` or
-    ``repr``."""
+    is substituted afresh."""
 
-    forward: PolySubst
-    inverse: Mapping[str, RatFunc]
+    def __init__(self, forward: PolySubst, inverse: Mapping[str, RatFunc]):
+        self.forward = forward
+        self.inverse = inverse
 
     @property
     def ring(self) -> PolyRing:
@@ -296,12 +292,15 @@ def letter_counts(word: Word, letters: Sequence[str]) -> list[int]:
     return [sum(1 for x in word if x == l) for l in letters]
 
 
-@dataclass(frozen=True)
 class ComInjReport:
-    injective: bool
-    letters: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]  # rows: counted letter, cols: source
-    det: Fraction
+    __slots__ = ("injective", "letters", "matrix", "det")
+
+    def __init__(self, injective: bool, letters: tuple[str, ...],
+                 matrix: tuple[tuple[Fraction, ...], ...], det: Fraction):
+        self.injective = injective
+        self.letters = letters
+        self.matrix = matrix  # rows: counted letter, cols: source
+        self.det = det
 
 
 def com_injective_check(ws: WordSubst, letters: Sequence[str]) -> ComInjReport:

@@ -63,7 +63,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .encoding import Automorphism, PolySubst
@@ -84,7 +83,6 @@ Value = tuple[Poly, ...]
 # grammars
 
 
-@dataclass(frozen=True)
 class Production:
     """One rule: lhs derives pmap applied to the twisted child values.
 
@@ -95,12 +93,19 @@ class Production:
     field automorphism captures the rule).
     """
 
-    lhs: str
-    rhs: tuple[str, ...]
-    pmap: PolyMap
-    twist: Automorphism | None = None
-    slot_sources: tuple[tuple[int, PolySubst | None], ...] | None = None
-    label: str | None = None
+    __slots__ = ("lhs", "rhs", "pmap", "twist", "slot_sources", "label")
+
+    def __init__(self, lhs: str, rhs: tuple[str, ...], pmap: PolyMap,
+                 twist: Automorphism | None = None,
+                 slot_sources: tuple[tuple[int, PolySubst | None], ...]
+                 | None = None,
+                 label: str | None = None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.pmap = pmap
+        self.twist = twist
+        self.slot_sources = slot_sources
+        self.label = label
 
     def arity(self) -> int:
         return len(self.rhs)
@@ -217,13 +222,16 @@ def productive_nonterminals(g: Grammar) -> frozenset[str]:
 # derivations and enumeration
 
 
-@dataclass(frozen=True)
 class Derivation:
     """Tree of production applications with the derived value cached."""
 
-    prod_index: int
-    children: tuple["Derivation", ...]
-    value: Value
+    __slots__ = ("prod_index", "children", "value")
+
+    def __init__(self, prod_index: int, children: tuple[Derivation, ...],
+                 value: Value):
+        self.prod_index = prod_index
+        self.children = children
+        self.value = value
 
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children)
@@ -336,12 +344,14 @@ def collect_samples(table: ValueTable, max_size: int,
     return out
 
 
-@dataclass(frozen=True)
 class Witness:
     """A derivation whose value is nonzero (modulo the ambient ideal)."""
 
-    derivation: Derivation
-    value: Value
+    __slots__ = ("derivation", "value")
+
+    def __init__(self, derivation: Derivation, value: Value):
+        self.derivation = derivation
+        self.value = value
 
 
 def _enum_rounds(table: ValueTable, max_size: int) -> Iterator[Witness | None]:
@@ -364,12 +374,15 @@ def nonzero_search(g: Grammar, max_size: int) -> Witness | None:
 # certificates
 
 
-@dataclass
 class InvariantCertificate:
     """Per-nonterminal ideals over (ambient variables + coordinates)."""
 
-    ideals: dict[str, Ideal]
-    grammar_name: str | None = None
+    __slots__ = ("ideals", "grammar_name")
+
+    def __init__(self, ideals: dict[str, Ideal],
+                 grammar_name: str | None = None):
+        self.ideals = ideals
+        self.grammar_name = grammar_name
 
     def ideal_for(self, nt: str) -> Ideal:
         if nt not in self.ideals:
@@ -377,10 +390,12 @@ class InvariantCertificate:
         return self.ideals[nt]
 
 
-@dataclass(frozen=True)
 class CertVerdict:
-    kind: str  # "zero-proved" | "closure-violation" | "conclusion-violation"
-    detail: str = ""
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str = ""):
+        self.kind = kind  # "zero-proved" | "closure-violation" | "conclusion-violation"
+        self.detail = detail
 
     def proved(self) -> bool:
         return self.kind == "zero-proved"
@@ -765,7 +780,6 @@ def closure_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
 # the zeroness driver
 
 
-@dataclass(frozen=True)
 class Budgets:
     """Work bounds: enumeration tree size, closure rounds, and a
     wall-clock deadline.  The deadline is checked between search steps
@@ -775,9 +789,12 @@ class Budgets:
     no later than its caller's deadline.  The two work bounds keep
     results machine-independent."""
 
-    size: int = 12
-    iters: int = 8
-    seconds: float = 60.0
+    __slots__ = ("size", "iters", "seconds")
+
+    def __init__(self, size: int = 12, iters: int = 8, seconds: float = 60.0):
+        self.size = size
+        self.iters = iters
+        self.seconds = seconds
 
     def inner(self, deadline: float) -> "Budgets":
         """Halved bounds for a nested search started now, inside a
@@ -787,12 +804,16 @@ class Budgets:
                        min(self.seconds / 2, deadline - time.monotonic()))
 
 
-@dataclass
 class ZeronessResult:
-    verdict: str  # "zero" | "nonzero" | "unknown"
-    certificate: InvariantCertificate | None = None
-    witness: Witness | None = None
-    detail: str = ""
+    __slots__ = ("verdict", "certificate", "witness", "detail")
+
+    def __init__(self, verdict: str,
+                 certificate: InvariantCertificate | None = None,
+                 witness: Witness | None = None, detail: str = ""):
+        self.verdict = verdict  # "zero" | "nonzero" | "unknown"
+        self.certificate = certificate
+        self.witness = witness
+        self.detail = detail
 
 
 _DONE = object()
@@ -921,13 +942,20 @@ def strip_twists(g: Grammar) -> Grammar:
 # zeroness through an independent inner system
 
 
-@dataclass
 class IndepResult:
-    verdict: str  # "zero" | "nonzero" | "unknown"
-    invariant: InvariantCertificate | None = None
-    quotient_result: ZeronessResult | None = None
-    witness_pair: tuple[Witness, Witness] | None = None
-    detail: str = ""
+    __slots__ = ("verdict", "invariant", "quotient_result", "witness_pair",
+                 "detail")
+
+    def __init__(self, verdict: str,
+                 invariant: InvariantCertificate | None = None,
+                 quotient_result: ZeronessResult | None = None,
+                 witness_pair: tuple[Witness, Witness] | None = None,
+                 detail: str = ""):
+        self.verdict = verdict  # "zero" | "nonzero" | "unknown"
+        self.invariant = invariant
+        self.quotient_result = quotient_result
+        self.witness_pair = witness_pair
+        self.detail = detail
 
 
 def indep_zeroness(outer: Grammar, inner: Grammar,
@@ -1077,14 +1105,20 @@ def indep_zeroness(outer: Grammar, inner: Grammar,
 # zeroness through a chain of substitutions
 
 
-@dataclass
 class ChainResult:
-    verdict: str  # "zero" | "nonzero" | "unknown"
-    invariant_gens: tuple[Poly, ...] = ()
-    link_results: tuple["ChainResult", ...] = ()
-    quotient_result: ZeronessResult | None = None
-    witness_value: Value | None = None
-    detail: str = ""
+    __slots__ = ("verdict", "invariant_gens", "link_results",
+                 "quotient_result", "witness_value", "detail")
+
+    def __init__(self, verdict: str, invariant_gens: tuple[Poly, ...] = (),
+                 link_results: tuple[ChainResult, ...] = (),
+                 quotient_result: ZeronessResult | None = None,
+                 witness_value: Value | None = None, detail: str = ""):
+        self.verdict = verdict  # "zero" | "nonzero" | "unknown"
+        self.invariant_gens = invariant_gens
+        self.link_results = link_results
+        self.quotient_result = quotient_result
+        self.witness_value = witness_value
+        self.detail = detail
 
 
 def chain_zeroness(grammars: Sequence[Grammar],

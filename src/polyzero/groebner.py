@@ -28,7 +28,6 @@ ideals of finite point sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
@@ -40,23 +39,65 @@ from .poly import (
 
 # ---------------------------------------------------------------------------
 # monomial orders
+#
+# An order is immutable, and equal to and hashed as the orders of its
+# class with the same names, so each one keys the bases cached per
+# ideal; its repr names it in errors.
 
 
-@dataclass(frozen=True)
-class Lex:
-    names: tuple[str, ...] | None = None
+class _NamedOrder:
+    """An order on the listed variables, or on the ring's in table
+    order when ``names`` is None."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple[str, ...] | None = None):
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(names={self.names!r})"
 
 
-@dataclass(frozen=True)
-class GrevLex:
-    names: tuple[str, ...] | None = None
+class Lex(_NamedOrder):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class GrevLex(_NamedOrder):
+    __slots__ = ()
+
+
 class BlockElim:
     """Elimination order: the front block dominates, grevlex inside blocks."""
 
-    front: tuple[str, ...]
+    __slots__ = ("front",)
+
+    def __init__(self, front: tuple[str, ...]):
+        object.__setattr__(self, "front", front)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BlockElim is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.front == other.front
+
+    def __hash__(self) -> int:
+        return hash((self.front,))
+
+    def __repr__(self) -> str:
+        return f"BlockElim(front={self.front!r})"
 
 
 Order = Lex | GrevLex | BlockElim

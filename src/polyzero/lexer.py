@@ -8,8 +8,6 @@ transducers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -23,12 +21,14 @@ SYMBOLS = (
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "ident" | "int" | "string" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "ident" | "int" | "string" | "sym" | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"

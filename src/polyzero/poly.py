@@ -36,7 +36,6 @@ constants and scalings drop a zero factor.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -72,19 +71,33 @@ def _norm_exp(e: Exponent) -> Exponent:
 # variable tables
 
 
-@dataclass(frozen=True)
 class VarTable:
-    """Ordered list of variable names with their kinds."""
+    """Ordered list of variable names with their kinds.  Immutable;
+    equal and hashed by its names and kinds, so that rings compare by
+    value."""
 
-    names: tuple[str, ...]
-    kinds: tuple[VarKind, ...]
+    __slots__ = ("names", "kinds", "_index")
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.kinds):
+    def __init__(self, names: tuple[str, ...], kinds: tuple[VarKind, ...]):
+        if len(names) != len(kinds):
             raise StructureError("variable table with mismatched name/kind lists")
-        if len(set(self.names)) != len(self.names):
-            raise StructureError(f"duplicate variable names in {self.names}")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        if len(set(names)) != len(names):
+            raise StructureError(f"duplicate variable names in {names}")
+        _set_names(self, names)
+        _set_kinds(self, kinds)
+        _set_index(self, {n: i for i, n in enumerate(names)})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("VarTable is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.names, self.kinds) == (other.names, other.kinds))
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.kinds))
 
     @staticmethod
     def make(pairs: Iterable[tuple[str, VarKind]]) -> "VarTable":
@@ -96,12 +109,12 @@ class VarTable:
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]  # type: ignore[attr-defined]
+            return self._index[name]
         except KeyError:
             raise StructureError(f"unknown variable {name!r}") from None
 
     def has(self, name: str) -> bool:
-        return name in self._index  # type: ignore[attr-defined]
+        return name in self._index
 
     def kind_of(self, i: int) -> VarKind:
         return self.kinds[i]
@@ -111,6 +124,10 @@ class VarTable:
         return VarTable(self.names + tuple(p[0] for p in pairs),
                         self.kinds + tuple(p[1] for p in pairs))
 
+
+# the slot setters, which VarTable's __setattr__ does not block
+_set_names, _set_kinds = VarTable.names.__set__, VarTable.kinds.__set__
+_set_index = VarTable._index.__set__
 
 EMPTY_VARTABLE = VarTable((), ())
 
@@ -346,13 +363,30 @@ Field = Union[RationalField, FractionField]
 # rings
 
 
-@dataclass(frozen=True)
 class PolyRing:
-    """Variable table plus coefficient field plus exponent mode."""
+    """Variable table plus coefficient field plus exponent mode.
+    Immutable; equal and hashed by those three.  Its instance dict also
+    holds what it builds once (``one``, the lex key, the variables)."""
 
-    vartable: VarTable
-    field: Field = QQ
-    mode: Mode = Mode.RING
+    def __init__(self, vartable: VarTable, field: Field = QQ,
+                 mode: Mode = Mode.RING):
+        d = self.__dict__  # past __setattr__, which blocks assignment
+        d["vartable"] = vartable
+        d["field"] = field
+        d["mode"] = mode
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("PolyRing is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.vartable, self.field, self.mode)
+            == (other.vartable, other.field, other.mode))
+
+    def __hash__(self) -> int:
+        return hash((self.vartable, self.field, self.mode))
 
     # -- constructors ------------------------------------------------------
 
@@ -1279,7 +1313,6 @@ def rational_pow(base: Fraction, exp: Fraction) -> Fraction:
 # polynomial maps
 
 
-@dataclass(frozen=True)
 class PolyMap:
     """Tuple of polynomials used as a map on value vectors.
 
@@ -1291,18 +1324,18 @@ class PolyMap:
     :meth:`apply` substitutes them straight into it.
     """
 
-    ring: PolyRing
-    slots: tuple[str, ...]
-    outputs: tuple[Poly, ...]
-
-    def __post_init__(self) -> None:
-        for s in self.slots:
-            self.ring.vartable.index(s)
-        if len(set(self.slots)) != len(self.slots):
+    def __init__(self, ring: PolyRing, slots: tuple[str, ...],
+                 outputs: tuple[Poly, ...]):
+        for s in slots:
+            ring.vartable.index(s)
+        if len(set(slots)) != len(slots):
             raise StructureError("duplicate slot names")
-        for p in self.outputs:
-            if p.ring != self.ring:
+        for p in outputs:
+            if p.ring != ring:
                 raise StructureError("map output over a different ring")
+        self.ring = ring
+        self.slots = slots
+        self.outputs = outputs
 
     @property
     def n_inputs(self) -> int:

@@ -12,7 +12,6 @@ equivalence becomes grammar zeroness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructureError, UnsupportedSubstitution
@@ -35,34 +34,42 @@ class RegisterExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Empty(RegisterExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Letter(RegisterExpr):
-    letter: str
+    __slots__ = ("letter",)
+
+    def __init__(self, letter: str):
+        self.letter = letter
 
 
-@dataclass(frozen=True)
 class Reg(RegisterExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class Concat(RegisterExpr):
-    left: RegisterExpr
-    right: RegisterExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: RegisterExpr, right: RegisterExpr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class Subst(RegisterExpr):
     """Replace every occurrence of one letter inside the body's value."""
 
-    body: RegisterExpr
-    letter: str
-    replacement: RegisterExpr
+    __slots__ = ("body", "letter", "replacement")
+
+    def __init__(self, body: RegisterExpr, letter: str,
+                 replacement: RegisterExpr):
+        self.body = body
+        self.letter = letter
+        self.replacement = replacement
 
 
 def word_expr(word: Iterable[str] | str) -> RegisterExpr:
@@ -249,15 +256,29 @@ def run(t: Transducer, word: Iterable[str] | str) -> Word | None:
 # update normalization: concatenations of constants and substituted registers
 
 
-@dataclass(frozen=True)
 class ConstWord:
-    word: Word
+    __slots__ = ("word",)
+
+    def __init__(self, word: Word):
+        self.word = word
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
 
 
-@dataclass(frozen=True)
 class RegOcc:
-    reg: str
-    subst: WordSubst
+    __slots__ = ("reg", "subst")
+
+    def __init__(self, reg: str, subst: WordSubst):
+        self.reg = reg
+        self.subst = subst
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.reg, self.subst) == (other.reg, other.subst)
 
 
 Item = ConstWord | RegOcc
@@ -458,18 +479,26 @@ def classify(t1: Transducer, t2: Transducer,
 # compilation to the difference grammar
 
 
-@dataclass
 class DiffCompilation:
     """Difference grammar of two transducers, or the separating word
     found already at the automaton level."""
 
-    classification: str
-    grammar: Grammar | None
-    mismatch_word: Word | None
-    pairs: tuple[tuple[str, str], ...]
-    names: dict[tuple[str, str], str]
-    access_words: dict[tuple[str, str], Word]
-    letters_ring: PolyRing
+    __slots__ = ("classification", "grammar", "mismatch_word", "pairs",
+                 "names", "access_words", "letters_ring")
+
+    def __init__(self, classification: str, grammar: Grammar | None,
+                 mismatch_word: Word | None,
+                 pairs: tuple[tuple[str, str], ...],
+                 names: dict[tuple[str, str], str],
+                 access_words: dict[tuple[str, str], Word],
+                 letters_ring: PolyRing):
+        self.classification = classification
+        self.grammar = grammar
+        self.mismatch_word = mismatch_word
+        self.pairs = pairs
+        self.names = names
+        self.access_words = access_words
+        self.letters_ring = letters_ring
 
 
 def to_difference_grammar(t1: Transducer, t2: Transducer,
@@ -658,14 +687,21 @@ def difference_value(comp: DiffCompilation,
 # the equivalence driver
 
 
-@dataclass
 class EquivVerdict:
-    verdict: str  # "equivalent" | "not-equivalent" | "unknown"
-    classification: str
-    witness_word: Word | None = None
-    outputs: tuple[Word | None, Word | None] | None = None
-    certificate: InvariantCertificate | None = None
-    detail: str = ""
+    __slots__ = ("verdict", "classification", "witness_word", "outputs",
+                 "certificate", "detail")
+
+    def __init__(self, verdict: str, classification: str,
+                 witness_word: Word | None = None,
+                 outputs: tuple[Word | None, Word | None] | None = None,
+                 certificate: InvariantCertificate | None = None,
+                 detail: str = ""):
+        self.verdict = verdict  # "equivalent" | "not-equivalent" | "unknown"
+        self.classification = classification
+        self.witness_word = witness_word
+        self.outputs = outputs
+        self.certificate = certificate
+        self.detail = detail
 
 
 def _confirmed(t1: Transducer, t2: Transducer, g: Grammar,

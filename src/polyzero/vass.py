@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Container, Iterable, Mapping, Sequence
@@ -26,22 +25,36 @@ from .poly import UNIT_MONOMIAL, Monomial, Poly, PolyRing, ordinary_ring
 # reset VASS
 
 
-@dataclass(frozen=True)
 class AddVector:
     """Add an integer vector to the counters (positionally indexed)."""
 
-    delta: tuple[int, ...]
+    __slots__ = ("delta",)
+
+    def __init__(self, delta: tuple[int, ...]):
+        self.delta = delta
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.delta == other.delta
 
     def is_unit(self) -> bool:
         nonzero = [d for d in self.delta if d != 0]
         return len(nonzero) == 1 and abs(nonzero[0]) == 1
 
 
-@dataclass(frozen=True)
 class ResetSet:
     """Reset the listed coordinates (1-based) to zero."""
 
-    coords: frozenset[int]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: frozenset[int]):
+        self.coords = coords
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
 
 
 Effect = AddVector | ResetSet
@@ -151,10 +164,17 @@ def normalize(v: ResetVass) -> ResetVass:
 # brute-force reachability oracle
 
 
-@dataclass(frozen=True)
 class ReachResult:
-    reachable: bool
-    run: tuple[int, ...] | None  # transition indices
+    __slots__ = ("reachable", "run")
+
+    def __init__(self, reachable: bool, run: tuple[int, ...] | None):
+        self.reachable = reachable
+        self.run = run  # transition indices
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.reachable, self.run) == (other.reachable, other.run)
 
 
 def brute_force_reach(v: ResetVass, max_len: int,
@@ -229,39 +249,56 @@ class NumExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NConst(NumExpr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    # names, in _emit's error, a constant that is not an int
+    def __repr__(self) -> str:
+        return f"NConst(value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class NX(NumExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NReg(NumExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    # names, in _emit's error, a register name that is not a str
+    def __repr__(self) -> str:
+        return f"NReg(name={self.name!r})"
 
 
-@dataclass(frozen=True)
 class NAdd(NumExpr):
-    left: NumExpr
-    right: NumExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: NumExpr, right: NumExpr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class NMul(NumExpr):
-    left: NumExpr
-    right: NumExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: NumExpr, right: NumExpr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class NSubstX(NumExpr):
     """Evaluate the body, then substitute x by the replacement's value."""
 
-    body: NumExpr
-    replacement: NumExpr
+    __slots__ = ("body", "replacement")
+
+    def __init__(self, body: NumExpr, replacement: NumExpr):
+        self.body = body
+        self.replacement = replacement
 
 
 def num_sum(exprs: Sequence[NumExpr]) -> NumExpr:
@@ -391,14 +428,21 @@ def _emit(expr: NumExpr, ints: Container[str],
     raise StructureError(f"not a numeric expression over int constants: {expr!r}")
 
 
-def _is_int(expr: NumExpr, ints: Container[str]) -> bool:
-    """``_emit(expr, ints)[1]`` without building the source."""
+def _is_int(expr: NumExpr, ints: Container[str], reads: list[str]) -> bool:
+    """``_emit(expr, ints)[1]`` without building the source.  Appends
+    to ``reads`` each register of ``ints`` that it reads: while they
+    stay ``int``, so does ``expr``."""
     if isinstance(expr, (NAdd, NMul)):
-        return _is_int(expr.left, ints) and _is_int(expr.right, ints)
+        return (_is_int(expr.left, ints, reads)
+                and _is_int(expr.right, ints, reads))
     if isinstance(expr, NSubstX):
-        return _is_int(expr.body, ints) or _is_int(expr.replacement, ints)
+        return (_is_int(expr.body, ints, reads)
+                or _is_int(expr.replacement, ints, reads))
     if isinstance(expr, NReg):
-        return expr.name in ints
+        if expr.name in ints:
+            reads.append(expr.name)
+            return True
+        return False
     return not isinstance(expr, NX)
 
 
@@ -427,11 +471,24 @@ def _lift(ring: PolyRing, v: Value) -> Poly:
 
 def _int_registers(start: Mapping[str, Value], transitions: Iterable) -> set[str]:
     """The registers ``int`` along every run from ``start``: its ``int``
-    ones, less those an update can make a tuple, to a fixpoint."""
+    ones, less those an update can make a tuple, to a fixpoint.  Each
+    update is typed once, and again only when a register it read was
+    dropped."""
     ints = {r for r, v in start.items() if type(v) is int}
-    while drop := {r for _, upd in transitions for r, e in upd.items()
-                   if r in ints and not _is_int(e, ints)}:
-        ints -= drop
+    todo = [(r, e) for _, upd in transitions for r, e in upd.items()
+            if r in ints]
+    readers: dict[str, list[tuple[str, NumExpr]]] = {}
+    while todo:
+        r, e = todo.pop()
+        if r not in ints:
+            continue
+        reads: list[str] = []
+        if _is_int(e, ints, reads):
+            for s in reads:
+                readers.setdefault(s, []).append((r, e))
+        else:
+            ints.discard(r)
+            todo += readers.pop(r, ())
     return ints
 
 

@@ -1,8 +1,12 @@
 """Every name a module of the package or a script imports is used in
-that module, and every function of the package is referenced."""
+that module, every function of the package is referenced, and importing
+the package runs no code but its own modules'."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,62 @@ def test_no_unreferenced_functions():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in refs)
     assert not unreferenced, f"functions nobody references: {unreferenced}"
+
+
+# The modules perfbench imports (workloads.import_polyzero), which load
+# the whole package.
+PERFBENCH_MODULES = ("cli", "dsl", "errors", "grammar", "groebner", "linalg",
+                     "poly", "reports", "transducer", "vass")
+
+# Imports the modules named in its first argument, then records the code
+# object of every ``exec`` audit event (the body of a module, or code that
+# a module generates and runs) while the package's modules are imported.
+_RECORD_IMPORT = """
+import importlib, sys
+for name in sys.argv[1].split(","):
+    importlib.import_module(name)
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(args[0]))
+for name in sys.argv[2:]:
+    importlib.import_module("polyzero." + name)
+for code in ran:
+    print(code.co_name, code.co_filename)
+"""
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level modules that absolute imports name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_importing_the_package_runs_only_its_modules():
+    # the modules it imports from outside are loaded first, so what runs
+    # during the import is the package's own code
+    outside = set().union(*(_imported_modules(ast.parse(path.read_text()))
+                            for path in PACKAGE.glob("*.py")))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src"))
+    p = subprocess.run(
+        [sys.executable, "-c", _RECORD_IMPORT, ",".join(sorted(outside)),
+         *PERFBENCH_MODULES],
+        capture_output=True, text=True, check=True, env=env)
+    ran = [line.split(" ", 1) for line in p.stdout.splitlines()]
+    foreign = [f"{name} in {file}" for name, file in ran
+               if name != "<module>" or Path(file).parent != PACKAGE]
+    assert not foreign, f"{len(foreign)} code objects run beside the " \
+        f"modules' own bodies, first {foreign[:3]}"
+    assert sorted(Path(file) for _, file in ran) == sorted(PACKAGE.glob("*.py"))
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    # a dataclass compiles each method it generates when its module is
+    # imported; the package writes its value classes' methods out
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if "dataclasses" in _imported_modules(ast.parse(path.read_text()))]
+    assert not importers, f"modules importing dataclasses: {importers}"

@@ -729,11 +729,42 @@ def test_two_coefficient_products_match_the_convolution(a, b):
 def test_int_inference_agrees_with_the_emitted_flag(expr, ints, upd):
     # the walker that infers int registers types every expression as
     # _emit does, and the inferred set is closed under every update
-    assert _is_int(expr, ints) == _emit(expr, ints)[1]
+    reads: list[str] = []
+    assert _is_int(expr, ints, reads) == _emit(expr, ints)[1]
+    # the registers it reports reading are int, and keep it int alone
+    assert set(reads) <= ints
+    if _emit(expr, ints)[1]:
+        assert _emit(expr, set(reads))[1]
     inferred = _int_registers({r: 0 if r in ints else (0, 1) for r in REGS},
                               [("q", upd)])
     assert inferred <= ints
     assert all(_emit(e, inferred)[1] for r, e in upd.items() if r in inferred)
+
+
+def int_registers_by_rounds(start, transitions) -> set[str]:
+    """``_int_registers`` as whole rounds over every update until a
+    round drops nothing, kept here as the reference for its worklist."""
+    ints = {r for r, v in start.items() if type(v) is int}
+    while drop := {r for _, upd in transitions for r, e in upd.items()
+                   if r in ints and not _is_int(e, ints, [])}:
+        ints -= drop
+    return ints
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.sampled_from(REGS)),
+       st.lists(st.dictionaries(st.sampled_from(REGS), num_exprs, max_size=4),
+                max_size=4))
+# drops that reach registers whose updates were typed int before
+@example({"R1aux", "R2", "S1"},
+         [{"R2": NMul(NReg("R1"), NX())}, {"S1": NAdd(NReg("S1"), NReg("R2"))}])
+@example({"R1", "R1aux", "R2"},
+         [{"R2": NReg("S1")}, {"R1aux": NReg("R2")}, {"R1": NReg("R1aux")}])
+def test_int_registers_worklist_matches_the_rounds(ints, updates):
+    start = {r: 0 if r in ints else (0, 1) for r in REGS}
+    transitions = [("q", upd) for upd in updates]
+    assert _int_registers(start, transitions) == \
+        int_registers_by_rounds(start, transitions)
 
 
 def test_building_a_machine_emits_each_expression_once(monkeypatch):
