@@ -9,7 +9,7 @@ the initial nonterminal is zero (in quotient mode: zero modulo an
 ambient ideal).
 
 Zeroness of a *unary* grammar, one whose productions each have at most
-one child and no slot wiring, is decided by the backward chain
+one child, is decided by the backward chain
 (:func:`_backward_chain`; Benedikt, Duff, Sharad & Worrell, LICS 2017;
 Seidl, Maneth & Kemper, JACM 2018).  Starting from the initial
 coordinates, every generator is pulled back through every production
@@ -17,7 +17,7 @@ into an ideal per nonterminal; a pulled-back generator failing at a
 base value spells a *witness* (a derivation with a nonzero value), and
 the fixpoint, reached because the ideals ascend in a Noetherian ring,
 is an invariant certificate.  Every difference grammar that transducer
-equivalence builds outside the general fragment is unary.
+equivalence builds is unary; the general fragment builds none.
 
 The same chain, run in two stages, decides :func:`indep_zeroness` (and
 ``eqsat`` through it) and :func:`chain_zeroness` when their grammars
@@ -65,7 +65,7 @@ import time
 from collections import deque
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .encoding import Automorphism, PolySubst
+from .encoding import Automorphism
 from .errors import (
     CertificateError, DimensionError, EmptyLanguageError, StructureError,
 )
@@ -86,25 +86,20 @@ Value = tuple[Poly, ...]
 class Production:
     """One rule: lhs derives pmap applied to the twisted child values.
 
-    ``slot_sources`` optionally rewires map inputs: each entry picks a
-    coordinate of the concatenated child vector and may push a
-    polynomial substitution into it (used for register updates that
-    substitute different words in different registers, where no single
-    field automorphism captures the rule).
+    The map's slots read the children's coordinates in order, after the
+    optional ``twist`` has acted on their coefficients; ``label`` names
+    the input letter of a difference grammar's step.
     """
 
-    __slots__ = ("lhs", "rhs", "pmap", "twist", "slot_sources", "label")
+    __slots__ = ("lhs", "rhs", "pmap", "twist", "label")
 
     def __init__(self, lhs: str, rhs: tuple[str, ...], pmap: PolyMap,
                  twist: Automorphism | None = None,
-                 slot_sources: tuple[tuple[int, PolySubst | None], ...]
-                 | None = None,
                  label: str | None = None):
         self.lhs = lhs
         self.rhs = rhs
         self.pmap = pmap
         self.twist = twist
-        self.slot_sources = slot_sources
         self.label = label
 
     def arity(self) -> int:
@@ -114,10 +109,11 @@ class Production:
 class Grammar:
     """Nonterminals with dimensions, productions, and a value ring.
 
-    ``ring`` is where coordinate values live: its variables are the
-    ambient value variables (may be none) and its field carries the
-    coefficients.  ``ambient`` optionally makes values count as zero
-    whenever they lie in that ideal (quotient mode).
+    A production's map takes as many inputs as its children have
+    coordinates together.  ``ring`` is where coordinate values live:
+    its variables are the ambient value variables (may be none) and its
+    field carries the coefficients.  ``ambient`` optionally makes values
+    count as zero whenever they lie in that ideal (quotient mode).
     """
 
     def __init__(self, nonterminals: dict[str, int], initial: str,
@@ -145,13 +141,7 @@ class Grammar:
                     raise StructureError(f"production uses undeclared {r!r}")
             flat_dim = sum(self.nonterminals[r] for r in prod.rhs)
             n_in = prod.pmap.n_inputs
-            if prod.slot_sources is not None:
-                if len(prod.slot_sources) != n_in:
-                    raise DimensionError("slot wiring does not match map arity")
-                for src, _ in prod.slot_sources:
-                    if not 0 <= src < flat_dim:
-                        raise DimensionError("slot source out of range")
-            elif n_in != flat_dim:
+            if n_in != flat_dim:
                 raise DimensionError(
                     f"map arity {n_in} does not match child dimensions {flat_dim}")
             if prod.pmap.n_outputs != self.nonterminals[prod.lhs]:
@@ -180,19 +170,7 @@ class Grammar:
         flat: list[Poly] = [c for tup in child_values for c in tup]
         if prod.twist is not None:
             flat = [c.map_coefficients(prod.twist.apply) for c in flat]
-        if prod.slot_sources is not None:
-            slots = []
-            for src, subst in prod.slot_sources:
-                v = flat[src]
-                if subst is not None:
-                    if isinstance(self.ring.field, FractionField):
-                        v = v.map_coefficients(subst.apply_ratfunc)
-                    else:
-                        v = subst.apply_poly(v)
-                slots.append(v)
-        else:
-            slots = flat
-        return prod.pmap.apply(tuple(slots))
+        return prod.pmap.apply(tuple(flat))
 
     def coord_names(self, nt: str) -> tuple[str, ...]:
         k = self.nt_index(nt)
@@ -454,9 +432,6 @@ def _closure_violation(g: Grammar, cert: InvariantCertificate,
     """None if the production preserves the certificate, else a reason.
     The production's child block ideal is taken from ``blocks`` (keyed
     by children) or added there."""
-    if prod.slot_sources is not None:
-        raise CertificateError(
-            "certificates are not defined for slot-substitution productions")
     lhs_ideal = cert.ideal_for(prod.lhs)
     lhs_coords = g.coord_names(prod.lhs)
     if prod.arity() == 0:
@@ -535,9 +510,8 @@ def check_certificate(g: Grammar, cert: InvariantCertificate,
 
 
 def _is_unary(g: Grammar) -> bool:
-    """Every production has at most one child and no slot wiring."""
-    return all(p.arity() <= 1 and p.slot_sources is None
-               for p in g.productions)
+    """Every production has at most one child."""
+    return all(p.arity() <= 1 for p in g.productions)
 
 
 _R = TypeVar("_R")
@@ -741,8 +715,6 @@ def closure_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
     they fail on the values of the next derivation size."""
     g = table.g
     productive = productive_nonterminals(g)
-    # certificates are undefined there: leave the refusal to check_certificate
-    filtered = all(p.slot_sources is None for p in g.productions)
     for i in itertools.count():
         # candidate degree, sample size and sample cap of round i
         degree, size, cap = ((1 if i % 2 == 0 else 2), 2 + i // 2,
@@ -769,7 +741,7 @@ def closure_rounds(table: ValueTable) -> Iterator[InvariantCertificate | None]:
         if not ideals[g.initial].gens and g.ambient is None:
             yield None
             continue
-        if filtered and not _holds_on_fresh_values(
+        if not _holds_on_fresh_values(
                 g, ideals, samples, collect_samples(table, size + 1, 2 * cap)):
             yield None
             continue
@@ -928,14 +900,8 @@ def to_field_view(g: Grammar) -> Grammar:
         outs = tuple(structure_poly(p, mring) for p in prod.pmap.outputs)
         prods.append(Production(prod.lhs, prod.rhs,
                                 PolyMap(mring, prod.pmap.slots, outs),
-                                prod.twist, prod.slot_sources, prod.label))
+                                prod.twist, prod.label))
     return Grammar(g.nonterminals, g.initial, prods, vring, None, g.name)
-
-
-def strip_twists(g: Grammar) -> Grammar:
-    prods = [Production(p.lhs, p.rhs, p.pmap, None, p.slot_sources, p.label)
-             for p in g.productions]
-    return Grammar(g.nonterminals, g.initial, prods, g.ring, g.ambient, g.name)
 
 
 # ---------------------------------------------------------------------------

@@ -477,22 +477,3 @@ def image_closure(I: Ideal, f: PolyMap, out_names: Sequence[str],
     elim = eliminate(big, ring.vartable.names)
     out_ring = ordinary_ring(out_names, ring.field, ring.mode)
     return elim.converted(out_ring)
-
-
-def vanishing_ideal_of_points(ring: PolyRing,
-                              points: Iterable[tuple[Coeff, ...]]) -> Ideal:
-    """Radical ideal of a finite set of rational points (intersection of
-    maximal ideals); the unit ideal for the empty set."""
-    points = list(points)
-    if not points:
-        return Ideal(ring, [ring.one()])
-    result: Ideal | None = None
-    names = ring.vartable.names
-    for pt in points:
-        if len(pt) != len(names):
-            raise StructureError("point dimension does not match the ring")
-        pt_ideal = Ideal(ring, [ring.var(n) - ring.const(v)
-                                for n, v in zip(names, pt)])
-        result = pt_ideal if result is None else ideal_intersect(result, pt_ideal)
-    return result
-

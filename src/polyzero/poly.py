@@ -1365,17 +1365,6 @@ class PolyMap:
         mapping = dict(zip(self.slots, args))
         return tuple(p.substitute(mapping, target_ring=vring) for p in self.outputs)
 
-    def compose(self, inner: "PolyMap") -> "PolyMap":
-        """self after inner: slots of the result are the inner map's slots."""
-        if len(inner.outputs) != len(self.slots):
-            raise StructureError(
-                f"composing arity {len(self.slots)} map with {len(inner.outputs)} outputs")
-        if self.ambient_names() != inner.ambient_names():
-            raise StructureError("composition with different ambient variables")
-        mapping = dict(zip(self.slots, inner.outputs))
-        outs = tuple(p.substitute(mapping, target_ring=inner.ring) for p in self.outputs)
-        return PolyMap(inner.ring, inner.slots, outs)
-
     def eval_at(self, point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         """Evaluate at a rational point (no ambient variables allowed)."""
         if self.ambient_names():

@@ -7,19 +7,21 @@ expression at accepting states.  Two transducers are equivalent when
 they produce the same output on every input word.  The reduction
 encodes register contents through the string encoding and builds a
 grammar whose derived values are the encoded output differences, so
-equivalence becomes grammar zeroness.
+equivalence becomes grammar zeroness.  That holds in the twist-free and
+the simultaneous fragments; a pair in the general fragment gets no
+grammar and is refuted by running both transducers on words.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructureError, UnsupportedSubstitution
 from .poly import (EMPTY_VARTABLE, FractionField, Mode, Poly, PolyMap,
                    PolyRing, VarKind, VarTable)
-from .encoding import (Automorphism, PolySubst, Word, WordSubst, as_word,
-                       com_injective_check, encode_ring, encode_word,
-                       induced_subst, invert_substitution)
+from .encoding import (Word, WordSubst, as_word, com_injective_check,
+                       encode_ring, encode_word, invert_substitution)
 from .grammar import (Budgets, Grammar, InvariantCertificate, Production,
                       Witness, zeroness)
 
@@ -102,21 +104,6 @@ def eval_expr(expr: RegisterExpr, valuation: Mapping[str, Word]) -> Word:
         repl = eval_expr(expr.replacement, valuation)
         return WordSubst({expr.letter: repl}).apply_word(
             eval_expr(expr.body, valuation))
-    raise StructureError(f"not a register expression: {expr!r}")
-
-
-def format_expr(expr: RegisterExpr) -> str:
-    if isinstance(expr, Empty):
-        return '""'
-    if isinstance(expr, Letter):
-        return repr(expr.letter) if expr.letter == "#" else expr.letter
-    if isinstance(expr, Reg):
-        return expr.name
-    if isinstance(expr, Concat):
-        return f"{format_expr(expr.left)} . {format_expr(expr.right)}"
-    if isinstance(expr, Subst):
-        return (f"{format_expr(expr.body)}[{format_expr(Letter(expr.letter))}"
-                f" := {format_expr(expr.replacement)}]")
     raise StructureError(f"not a register expression: {expr!r}")
 
 
@@ -480,24 +467,23 @@ def classify(t1: Transducer, t2: Transducer,
 
 
 class DiffCompilation:
-    """Difference grammar of two transducers, or the separating word
-    found already at the automaton level."""
+    """Difference grammar of two transducers, or none: an acceptance
+    mismatch gives the separating word found at the automaton level
+    instead, and a general site leaves the pair to the word search."""
 
     __slots__ = ("classification", "grammar", "mismatch_word", "pairs",
-                 "names", "access_words", "letters_ring")
+                 "names", "letters_ring")
 
     def __init__(self, classification: str, grammar: Grammar | None,
                  mismatch_word: Word | None,
                  pairs: tuple[tuple[str, str], ...],
                  names: dict[tuple[str, str], str],
-                 access_words: dict[tuple[str, str], Word],
                  letters_ring: PolyRing):
         self.classification = classification
         self.grammar = grammar
         self.mismatch_word = mismatch_word
         self.pairs = pairs
         self.names = names
-        self.access_words = access_words
         self.letters_ring = letters_ring
 
 
@@ -508,35 +494,64 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
 
     One nonterminal per reachable state pair holds the encoded register
     contents of both transducers (tilde and bar per register); reading
-    a letter becomes a linear production; the initial nonterminal S
-    derives the difference of the encoded outputs wherever both states
-    accept.  When exactly one side accepts, the access word separates
-    the transducers outright and no grammar is built.
+    a letter becomes a linear production, twisted in the simultaneous
+    fragment by the automorphism that inverts the site's common
+    substitution; the initial nonterminal S derives the difference of
+    the encoded outputs wherever both states accept.  No grammar is
+    built when exactly one side accepts, where the access word
+    separates the transducers outright, nor when a site is general,
+    where no automorphism captures the update.
     """
     letters = _common_input(t1, t2, input_letters)
     alphabet = t1.alphabet
     lring = encode_ring(alphabet)
-    field = FractionField(lring)
-    vring = PolyRing(EMPTY_VARTABLE, field, Mode.FIELD)
     an1 = letter_occurrence_analysis(t1)
     an2 = letter_occurrence_analysis(t2)
-    r1 = len(t1.registers)
+    norm1 = {key: _norm_updates(t1, upd)
+             for key, (_, upd) in t1.transitions.items()}
+    norm2 = {key: _norm_updates(t2, upd)
+             for key, (_, upd) in t2.transitions.items()}
 
+    order, access = _product_pairs(t1, t2, letters)
+    names = {pair: f"{pair[0]}|{pair[1]}" for pair in order}
+    mismatch = next((p for p in order
+                     if (p[0] in t1.accepting) != (p[1] in t2.accepting)), None)
+
+    sites: list[tuple[str, tuple[str, str], list[Spec], str | None]] = []
+    for pair in order:
+        q1, q2 = pair
+        for a in letters:
+            tgt = (t1.transitions[(q1, a)][0], t2.transitions[(q2, a)][0])
+            specs = ([(True, items) for items in norm1[(q1, a)].values()]
+                     + [(False, items) for items in norm2[(q2, a)].values()])
+            sites.append((names[tgt], pair, specs, a))
+    for pair in order:
+        q1, q2 = pair
+        if q1 in t1.accepting and q2 in t2.accepting:
+            specs = [(True, normalize_expr(t1.outputs[q1], alphabet)),
+                     (False, normalize_expr(t2.outputs[q2], alphabet))]
+            sites.append(("S", pair, specs, None))
+    kinds = [_classify_site(specs, pair, an1, an2, alphabet)
+             for _, pair, specs, _ in sites]
+    classification = max((kind for kind, _ in kinds), key=_SEVERITY.get,
+                         default=NO_SUBST)
+    if mismatch is not None or classification == GENERAL:
+        return DiffCompilation(classification, None,
+                               None if mismatch is None else access[mismatch],
+                               order, names, lring)
+
+    field = FractionField(lring)
+    vring = PolyRing(EMPTY_VARTABLE, field, Mode.FIELD)
+    r1 = len(t1.registers)
     slot_pairs: list[tuple[str, VarKind]] = []
     for i in range(r1):
         slot_pairs += [(f"y{i}t", VarKind.ORDINARY), (f"y{i}b", VarKind.BAR)]
     for j in range(len(t2.registers)):
         slot_pairs += [(f"z{j}t", VarKind.ORDINARY), (f"z{j}b", VarKind.BAR)]
-    slot_names = tuple(n for n, _ in slot_pairs)
-    plain_ring = PolyRing(VarTable.make(slot_pairs), field, Mode.FIELD)
+    slots = tuple(n for n, _ in slot_pairs)
+    mring = PolyRing(VarTable.make(slot_pairs), field, Mode.FIELD)
 
-    def flat_tilde(owner1: bool, reg: str) -> int:
-        if owner1:
-            return 2 * t1.registers.index(reg)
-        return 2 * r1 + 2 * t2.registers.index(reg)
-
-    def fold(items: Sequence[Item], mring: PolyRing,
-             slot_of: "Callable", owner1: bool) -> tuple[Poly, Poly]:
+    def fold(owner1: bool, items: Sequence[Item]) -> tuple[Poly, Poly]:
         tilde, bar = mring.zero(), mring.one()
         for it in items:
             if isinstance(it, ConstWord):
@@ -544,117 +559,42 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
                 part = (mring.const(field.coerce(tp)),
                         mring.const(field.coerce(bp)))
             else:
-                part = slot_of(owner1, it)
+                ti = (2 * t1.registers.index(it.reg) if owner1 else
+                      2 * r1 + 2 * t2.registers.index(it.reg))
+                part = mring.var(slots[ti]), mring.var(slots[ti + 1])
             tilde = tilde * part[1] + part[0]
             bar = bar * part[1]
         return tilde, bar
 
-    def build(lhs: str, src: tuple[str, str], specs: Sequence[Spec],
-              kind: str, common: WordSubst, as_output: bool,
-              label: str | None) -> Production:
-        twist: Automorphism | None = None
-        sources: tuple[tuple[int, PolySubst | None], ...] | None = None
-        if kind == GENERAL:
-            occ_pairs: list[tuple[str, VarKind]] = []
-            wiring: list[tuple[int, PolySubst | None]] = []
-            owners: dict[int, tuple[str, str]] = {}
-            k = 0
-            for owner1, items in specs:
-                for it in items:
-                    if isinstance(it, RegOcc):
-                        occ_pairs += [(f"u{k}t", VarKind.ORDINARY),
-                                      (f"u{k}b", VarKind.BAR)]
-                        ps = (None if it.subst.is_identity() else
-                              induced_subst(it.subst, alphabet, lring))
-                        ti = flat_tilde(owner1, it.reg)
-                        wiring += [(ti, ps), (ti + 1, ps)]
-                        k += 1
-            mring = PolyRing(VarTable.make(occ_pairs), field, Mode.FIELD)
-            counter = iter(range(k))
-
-            def slot_of(owner1: bool, it: RegOcc) -> tuple[Poly, Poly]:
-                i = next(counter)
-                return mring.var(f"u{i}t"), mring.var(f"u{i}b")
-
-            slots = tuple(n for n, _ in occ_pairs)
-            sources = tuple(wiring)
-        else:
-            mring = plain_ring
-            slots = slot_names
-            if kind == SIMULTANEOUS:
-                twist = invert_substitution(common, alphabet, lring)
-
-            def slot_of(owner1: bool, it: RegOcc) -> tuple[Poly, Poly]:
-                ti = flat_tilde(owner1, it.reg)
-                return mring.var(slot_names[ti]), mring.var(slot_names[ti + 1])
-
-        folds = [fold(items, mring, slot_of, owner1)
-                 for owner1, items in specs]
-        if as_output:
-            outputs: tuple[Poly, ...] = (folds[0][0] - folds[1][0],)
-        else:
-            outputs = tuple(c for f in folds for c in f)
-        pmap = PolyMap(mring, slots, outputs)
-        return Production(lhs, (names[src],), pmap, twist, sources, label)
-
-    order, access = _product_pairs(t1, t2, letters)
-    names = {pair: f"{pair[0]}|{pair[1]}" for pair in order}
-    mismatch = next((p for p in order
-                     if (p[0] in t1.accepting) != (p[1] in t2.accepting)), None)
-
-    sites: list[tuple[str, tuple[str, str], list[Spec], str, WordSubst,
-                      bool, str | None]] = []
-    severity = NO_SUBST
-    for pair in order:
-        q1, q2 = pair
-        for a in letters:
-            tgt1, upd1 = t1.transitions[(q1, a)]
-            tgt2, upd2 = t2.transitions[(q2, a)]
-            specs = ([(True, normalize_expr(upd1.get(r, Reg(r)), alphabet))
-                      for r in t1.registers]
-                     + [(False, normalize_expr(upd2.get(r, Reg(r)), alphabet))
-                        for r in t2.registers])
-            kind, common = _classify_site(specs, pair, an1, an2, alphabet)
-            if _SEVERITY[kind] > _SEVERITY[severity]:
-                severity = kind
-            sites.append((names[(tgt1, tgt2)], pair, specs, kind, common,
-                          False, a))
-    for pair in order:
-        q1, q2 = pair
-        if q1 in t1.accepting and q2 in t2.accepting:
-            specs = [(True, normalize_expr(t1.outputs[q1], alphabet)),
-                     (False, normalize_expr(t2.outputs[q2], alphabet))]
-            kind, common = _classify_site(specs, pair, an1, an2, alphabet)
-            if _SEVERITY[kind] > _SEVERITY[severity]:
-                severity = kind
-            sites.append(("S", pair, specs, kind, common, True, None))
-
-    if mismatch is not None:
-        return DiffCompilation(severity, None, access[mismatch], order,
-                               names, access, lring)
-
     start = order[0]
     base_consts = []
-    for t, owner_regs in ((t1, t1.registers), (t2, t2.registers)):
-        for r in owner_regs:
+    for t in (t1, t2):
+        for r in t.registers:
             tp, bp = encode_word(t.init[r], lring)
             base_consts += [vring.const(field.coerce(tp)),
                             vring.const(field.coerce(bp))]
     productions = [Production(names[start], (),
                               PolyMap(vring, (), tuple(base_consts)))]
-    for lhs, src, specs, kind, common, as_output, label in sites:
-        productions.append(build(lhs, src, specs, kind, common, as_output,
-                                 label))
+    for (lhs, src, specs, label), (kind, common) in zip(sites, kinds):
+        folds = [fold(owner1, items) for owner1, items in specs]
+        if label is None:
+            outputs: tuple[Poly, ...] = (folds[0][0] - folds[1][0],)
+        else:
+            outputs = tuple(c for f in folds for c in f)
+        twist = (invert_substitution(common, alphabet, lring)
+                 if kind == SIMULTANEOUS else None)
+        productions.append(Production(lhs, (names[src],),
+                                      PolyMap(mring, slots, outputs), twist,
+                                      label))
 
-    dim = 2 * (r1 + len(t2.registers))
     nts: dict[str, int] = {"S": 1}
     for pair in order:
-        nts[names[pair]] = dim
+        nts[names[pair]] = len(slots)
     tag = None
     if t1.name or t2.name:
         tag = f"{t1.name or 't1'}-vs-{t2.name or 't2'}"
     g = Grammar(nts, "S", productions, vring, name=tag)
-    return DiffCompilation(severity, g, None, order, names, access, lring)
+    return DiffCompilation(classification, g, None, order, names, lring)
 
 
 def difference_value(comp: DiffCompilation,
@@ -662,7 +602,8 @@ def difference_value(comp: DiffCompilation,
     """Replay a word through the difference grammar's productions; None
     when the pair reached is not jointly accepting."""
     if comp.grammar is None:
-        raise StructureError("no grammar was built (acceptance mismatch)")
+        raise StructureError("no grammar was built (acceptance mismatch "
+                             "or general fragment)")
     g = comp.grammar
     pair_of = {v: k for k, v in comp.names.items()}
     cur = comp.pairs[0]
@@ -713,16 +654,57 @@ def _confirmed(t1: Transducer, t2: Transducer, g: Grammar,
     return word, (out1, out2)
 
 
+def _word_search(t1: Transducer, t2: Transducer,
+                 pairs: Sequence[tuple[str, str]], letters: Sequence[str],
+                 budgets: Budgets) -> EquivVerdict:
+    """Refute a general pair by running both transducers on the words of
+    length 0 to ``budgets.size - 2``, shortest first.
+
+    Words of one length are taken by the jointly accepting pair they
+    reach, in the breadth-first order of ``pairs``; the words reaching a
+    pair are those reaching each pair before it in that order, each
+    extended by every letter leading to it, in letter order.  The
+    deadline is checked before every word.
+    """
+    accepting = [p for p in pairs
+                 if p[0] in t1.accepting and p[1] in t2.accepting]
+    if not accepting:
+        return EquivVerdict("equivalent", GENERAL, detail="no derivable values")
+    deadline = time.monotonic() + budgets.seconds
+    moves = [(p, a, (t1.transitions[(p[0], a)][0],
+                     t2.transitions[(p[1], a)][0]))
+             for p in pairs for a in letters]
+    words: dict[tuple[str, str], list[Word]] = {p: [] for p in pairs}
+    words[pairs[0]].append(())
+    for n in range(budgets.size - 1):
+        if n:
+            longer: dict[tuple[str, str], list[Word]] = {p: [] for p in pairs}
+            for p, a, tgt in moves:
+                longer[tgt] += [w + (a,) for w in words[p]]
+            words = longer
+        for word in (w for p in accepting for w in words[p]):
+            if time.monotonic() > deadline:
+                return EquivVerdict("unknown", GENERAL,
+                                    detail="time budget exhausted")
+            outs = (run(t1, word), run(t2, word))
+            if outs[0] != outs[1]:
+                return EquivVerdict("not-equivalent", GENERAL,
+                                    witness_word=word, outputs=outs,
+                                    detail="separating word derived")
+    return EquivVerdict("unknown", GENERAL, detail="work budgets exhausted")
+
+
 def equivalence_check(t1: Transducer, t2: Transducer,
                       budgets: Budgets = Budgets(),
                       input_letters: Sequence[str] | None = None,
                       certificates: Sequence[InvariantCertificate] = (),
                       comp: DiffCompilation | None = None) -> EquivVerdict:
     """Equivalence on all words over the (optionally restricted) input
-    letters.  Zeroness machinery runs in full on the twist-free and
-    simultaneous fragments; the general fragment gets its refutation
-    search alone, under the same deadline, and no certificates.  Every
-    separating word is replayed through both transducers.
+    letters.  Zeroness of the difference grammar decides the twist-free
+    and simultaneous fragments; the general fragment, which has no
+    grammar, is refuted by running both transducers on words, shortest
+    first, and takes no certificates.  Every separating word is replayed
+    through both transducers.
 
     ``comp`` is ``to_difference_grammar(t1, t2, input_letters)`` when the
     caller has already compiled it; it is compiled here otherwise.
@@ -738,11 +720,9 @@ def equivalence_check(t1: Transducer, t2: Transducer,
                             witness_word=word, outputs=(out1, out2),
                             detail="acceptance mismatch")
     g = comp.grammar
-    assert g is not None
-    if comp.classification == GENERAL:
-        # no invariant round: certificates are not checked on the
-        # slot-wired grammars of this fragment
-        budgets, certificates = Budgets(budgets.size, 0, budgets.seconds), ()
+    if g is None:
+        return _word_search(t1, t2, comp.pairs,
+                            _common_input(t1, t2, input_letters), budgets)
     res = zeroness(g, budgets, certificates)
     if res.verdict == "zero":
         return EquivVerdict("equivalent", comp.classification,

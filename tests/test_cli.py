@@ -189,6 +189,19 @@ def test_unknown_flag_is_input_error():
                 "nonnegative") in p.stderr
 
 
+def test_general_pair_reads_no_certificate(tmp_path):
+    # the general fragment builds no grammar to read a certificate over,
+    # so a malformed file is not read, as on an acceptance mismatch
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    p = cli("equiv", _inp("marks1.tr"), _inp("marks2.tr"),
+            "--check-certificate", str(bad))
+    rep = report_of(p)
+    assert p.returncode == 1
+    assert rep["classification"] == "general"
+    assert rep["witness"]["word"] == "b"
+
+
 def test_certificate_for_wrong_grammar_is_input_error(tmp_path):
     cert = tmp_path / "c.json"
     p = cli("zeroness", _inp("twist_demo.pg"), "--emit-certificate", str(cert))

@@ -1,10 +1,11 @@
 """Golden reports: the exact stdout and exit code of a fixed set of
 command lines, compared byte for byte with the files in tests/golden/.
 
-The commands are the bundled corpus (every automatic search and the
-sqrev pair over Q(params)), the substitution commands that run the
-exact linear algebra, and a VASS compilation.  A refactor of the exact
-core must leave every one of them unchanged.  To record the files
+The commands are the bundled corpus (every automatic search, the
+sqrev pair over Q(params) and a pair in the general fragment), the
+substitution commands that run the exact linear algebra, and a VASS
+compilation.  A refactor of the exact core must leave every one of them
+unchanged.  To record the files
 afresh at some commit, run ``python tests/test_golden_reports.py``.
 """
 
@@ -45,6 +46,8 @@ COMMANDS = {
     "equiv-sqrev-bounded": ("equiv", "inputs/sqrev1.tr", "inputs/sqrev2.tr",
                             "--budget-iters", "1", "--budget-size", "5",
                             *_SECONDS),
+    "equiv-marks": ("equiv", "inputs/marks1.tr", "inputs/marks2.tr",
+                    *_SECONDS),
     "zeroness-twist-starved": ("zeroness", "inputs/twist_demo.pg",
                                "--budget-size", "2", "--budget-iters", "0",
                                *_SECONDS),

@@ -24,7 +24,7 @@ from polyzero.grammar import (
     Production, ValueTable, Witness, attach_polymap, chain_zeroness, check_certificate,
     closure_rounds, collect_samples, enumerate_values,
     indep_zeroness, low_degree_vanishing, nonzero_search,
-    productive_nonterminals, strip_twists, to_field_view, vanishes_at,
+    productive_nonterminals, to_field_view, vanishes_at,
     zeroness, _monomials_upto,
 )
 from polyzero.poly import (
@@ -459,14 +459,11 @@ def test_twist_applies_to_coefficients():
     assert vals[1] == (fc(g.ring, pring.parse("c + 1")),) * 2
 
 
-def test_twisted_zeroness_and_strip():
+def test_twisted_zeroness():
     g = twisted_pair_grammar()
     r = zeroness(g, SMALL)
     assert r.verdict == "zero"
     assert check_certificate(g, r.certificate).proved()
-    g2 = strip_twists(g)
-    vals = [v for v, _ in enumerate_values(g2, 3, nonterminal="M")]
-    assert vals[0] == vals[1]  # without the twist the step is the identity
 
 
 # --- quotient mode ----------------------------------------------------------
@@ -1139,23 +1136,6 @@ def test_rev_id_binary_witness_needs_no_failing_closure_check(monkeypatch):
     assert r.verdict == "nonzero"
     assert r.witness.derivation.labels_inside_out(g) == ["b", "a"]
     assert "closure-violation" not in verdicts
-
-
-def test_slot_wired_grammar_still_refuses_certificates():
-    # Z runs (0, 0), (1, 0), (2, 1), ...; the round-0 candidate z2 fails
-    # at size 3, but slot wiring must reach check_certificate unfiltered
-    vring = scalar_ring(QQ)
-    m = slot_ring(vring, ["z1", "z2"])
-    z1, z2 = m.var("z1"), m.var("z2")
-    g = Grammar(
-        {"S": 1, "Z": 2}, "S",
-        [Production("Z", (), const_map(vring, [vring.zero(), vring.zero()])),
-         Production("Z", ("Z",), PolyMap(m, ("z1", "z2"), (z1 + 1, z1 + z2)),
-                    slot_sources=((0, None), (1, None))),
-         Production("S", ("Z",), PolyMap(m, ("z1", "z2"), (z1 - z1,)))],
-        vring)
-    with pytest.raises(CertificateError):
-        zeroness(g, Budgets(size=6, iters=2, seconds=30.0))
 
 
 # --- the backward chain -----------------------------------------------------

@@ -11,7 +11,6 @@ from polyzero.errors import DomainError, StructureError
 from polyzero.groebner import (
     BlockElim, GrevLex, Ideal, Lex, _monic, buchberger, eliminate,
     ideal_intersect, image_closure, leading, normal_form, order_key,
-    vanishing_ideal_of_points,
 )
 from polyzero.poly import (
     FractionField, Mode, Monomial, Poly, PolyMap, PolyRing, RatFunc, VarKind,
@@ -160,17 +159,6 @@ def test_image_soundness_random_points():
         w = f.eval_at(v)
         for g in img.gens:
             assert g.evaluate({"y1": w[0], "y2": w[1]}) == 0
-
-
-def test_vanishing_ideal_of_points():
-    ring = ordinary_ring(["x", "y"])
-    V = vanishing_ideal_of_points(ring, [(Fraction(0), Fraction(0)),
-                                         (Fraction(1), Fraction(1))])
-    assert V.member(ring.var("x") - ring.var("y"))
-    assert V.member(ring.var("x") ** 2 - ring.var("x"))
-    assert not V.member(ring.var("x"))
-    empty = vanishing_ideal_of_points(ring, [])
-    assert empty.is_trivial()
 
 
 def test_quotient_zero_test():

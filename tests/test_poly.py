@@ -165,14 +165,6 @@ def test_ratfunc_evaluation_agreement():
         assert r.evaluate(pt) == s.evaluate(pt)
 
 
-def test_polymap_compose_square():
-    ring = ordinary_ring(["x1"])
-    sq = PolyMap(ring, ("x1",), (ring.var("x1") ** 2,))
-    fourth = sq.compose(sq)
-    assert fourth.outputs[0] == ring.var("x1") ** 4
-    assert fourth.eval_at((Fraction(2),)) == (Fraction(16),)
-
-
 def test_polymap_apply_with_ambient():
     value_ring = ordinary_ring(["c"])
     mring = map_ring_over(value_ring, [("s1", VarKind.ORDINARY)])

@@ -1,6 +1,7 @@
 """Transducer semantics, update analysis, and the reduction to
 difference grammars."""
 
+import random
 import time
 
 import pytest
@@ -226,6 +227,88 @@ def conflicting_substitutions() -> Transducer:
         {"q": Concat(Reg("R"), Reg("S"))})
 
 
+_OUTPUTS = (concat_exprs(Reg("R"), Reg("S")), Reg("R"),
+            concat_exprs(Reg("S"), Letter("#"), Reg("R")))
+
+
+def _random_update(rng, reg: str):
+    """Letters and registers concatenated, or a register with the mark
+    ``#`` replaced by a short word (erased, doubled, or marked by a
+    letter), or a reset to a constant."""
+    kind = rng.choice(["concat", "concat", "subst", "subst", "reset"])
+    letter = Letter(rng.choice("ab#"))
+    if kind == "reset":
+        return word_expr(rng.choice(["", "#", "a"]))
+    if kind == "concat":
+        parts = [Reg(reg), letter]
+        if rng.random() < 0.3:
+            parts.append(Reg("S" if reg == "R" else "R"))
+        rng.shuffle(parts)
+        return concat_exprs(*parts)
+    repl = word_expr(rng.choice(["", "a", "#a", "#b", "b#", "##"]))
+    body = Subst(Reg(rng.choice([reg, reg, "R", "S"])), "#", repl)
+    return body if rng.random() < 0.5 else concat_exprs(body, letter)
+
+
+def _random_device(rng, states, like=None) -> Transducer:
+    """A machine on the states with fresh transitions, taking its
+    initial values, acceptance and outputs from ``like`` when given and
+    drawing them otherwise."""
+    transitions = {}
+    for q in states:
+        for a in ("a", "b"):
+            transitions[(q, a)] = (rng.choice(states), {
+                r: _random_update(rng, r) for r in ("R", "S")
+                if rng.random() < 0.8})
+    if like is None:
+        accepting = [q for q in states if rng.random() < 0.7] or [states[0]]
+        like = Transducer(
+            ("a", "b", "#"), ("R", "S"),
+            {r: rng.choice(["", "#", "a#", "#b"]) for r in "RS"},
+            states, states[0], accepting, transitions,
+            {q: rng.choice(_OUTPUTS) for q in accepting})
+    return Transducer(like.alphabet, like.registers, like.init, states,
+                      states[0], like.accepting, transitions, like.outputs)
+
+
+def _mutant(rng, t: Transducer) -> Transducer:
+    """t with one update redrawn or dropped, or one output redrawn; the
+    states, targets and acceptance stay."""
+    transitions = {key: (tgt, dict(upd))
+                   for key, (tgt, upd) in t.transitions.items()}
+    outputs = dict(t.outputs)
+    key = rng.choice(sorted(transitions))
+    what = rng.choice(["update", "update", "drop", "output"])
+    if what == "update":
+        r = rng.choice(t.registers)
+        transitions[key][1][r] = _random_update(rng, r)
+    elif what == "drop":
+        transitions[key][1].pop(rng.choice(t.registers), None)
+    else:
+        outputs[rng.choice(sorted(outputs))] = rng.choice(_OUTPUTS)
+    return Transducer(t.alphabet, t.registers, t.init, t.states,
+                      t.initial_state, t.accepting, transitions, outputs)
+
+
+def random_general_pair(seed) -> tuple[Transducer, Transducer]:
+    """A seeded pair of one- to three-state transducers with registers R
+    and S over ``a``, ``b`` and the mark ``#``, updated by concatenation
+    and substitution of the mark: two independent machines, a machine
+    and a mutant of it, or a machine and itself.  Draws until the pair
+    is in the general fragment and both machines accept the same
+    words."""
+    rng = random.Random(seed)
+    while True:
+        states = ("p", "q", "r")[:rng.randint(1, 3)]
+        t1 = _random_device(rng, states)
+        how = rng.choice(["mutant", "mutant", "other", "self"])
+        t2 = (_mutant(rng, t1) if how == "mutant" else
+              _random_device(rng, states, t1) if how == "other" else t1)
+        comp = to_difference_grammar(t1, t2)
+        if comp.classification == GENERAL and comp.mismatch_word is None:
+            return t1, t2
+
+
 def test_classify_conflicting_substitutions_general():
     t = conflicting_substitutions()
     assert classify(t, t) == GENERAL
@@ -268,8 +351,7 @@ def test_difference_grammar_shape_rev_id():
     kinds = [(p.lhs, p.arity(), p.label) for p in g.productions]
     assert kinds == [("q|q", 0, None), ("q|q", 1, "a"), ("q|q", 1, "b"),
                      ("S", 1, None)]
-    assert all(p.twist is None and p.slot_sources is None
-               for p in g.productions)
+    assert all(p.twist is None for p in g.productions)
 
 
 def test_sqrev_grammar_carries_twists():
@@ -400,13 +482,14 @@ def test_equivalence_general_fragment_refutation():
 
 
 def test_general_fragment_keeps_the_deadline():
-    # enumeration up to size 8 takes far longer than the half-second
-    # deadline, which must end the run
+    # the 2^39 - 1 words up to length 38 take far longer than half a
+    # second to run, so only the deadline can end the search
     t = conflicting_substitutions()
     start = time.monotonic()
-    verdict = equivalence_check(t, t, Budgets(size=8, iters=8, seconds=0.5))
-    assert time.monotonic() - start < 5
+    verdict = equivalence_check(t, t, Budgets(size=40, iters=8, seconds=0.5))
+    assert time.monotonic() - start < 2
     assert verdict.verdict == "unknown"
+    assert verdict.detail == "time budget exhausted"
     assert verdict.classification == GENERAL
 
 

@@ -39,10 +39,8 @@ RECORDS = [
     (encoding.ComInjReport, "injective, letters, matrix, det",
      dict(injective=True, letters=("a",), matrix=((Fraction(1),),),
           det=Fraction(1))),
-    (grammar.Production,
-     "lhs, rhs, pmap, twist=None, slot_sources=None, label=None",
-     dict(lhs="S", rhs=("S",), pmap=PMAP, twist=None,
-          slot_sources=((0, SUBST),), label="a")),
+    (grammar.Production, "lhs, rhs, pmap, twist=None, label=None",
+     dict(lhs="S", rhs=("S",), pmap=PMAP, twist=None, label="a")),
     (grammar.Derivation, "prod_index, children, value",
      dict(prod_index=1, children=(DERIV,), value=(R.zero(),))),
     (grammar.Witness, "derivation, value",
@@ -81,10 +79,9 @@ RECORDS = [
     (transducer.RegOcc, "reg, subst",
      dict(reg="R", subst=WordSubst({"a": "b"}))),
     (transducer.DiffCompilation, "classification, grammar, mismatch_word, "
-     "pairs, names, access_words, letters_ring",
+     "pairs, names, letters_ring",
      dict(classification="no-subst", grammar=None, mismatch_word=("a",),
-          pairs=(("p", "q"),), names={("p", "q"): "p|q"},
-          access_words={("p", "q"): ()}, letters_ring=R)),
+          pairs=(("p", "q"),), names={("p", "q"): "p|q"}, letters_ring=R)),
     (transducer.EquivVerdict, "verdict, classification, witness_word=None, "
      "outputs=None, certificate=None, detail=''",
      dict(verdict="not-equivalent", classification="no-subst",
