@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Microbenchmark of ``Poly.__mul__`` on two shapes, each printed on its
-own line:
+"""Microbenchmark of ``Poly.__mul__`` on two shapes and of one Groebner
+reduction, each printed on its own line:
 
 * two seeded 30-term polynomials in 8 ordinary variables with small
   rational coefficients: the median time of one product in
@@ -9,7 +9,12 @@ own line:
   six letter variables of the sqrev pair, whose coefficients are
   quotients of monomials (the shape of most products of the twisted
   backward chain): the median over batches of the time of one product
-  in microseconds.
+  in microseconds;
+* one ``normal_form`` of a seeded polynomial in three coordinates over
+  the same Q(params), modulo the reduced GrevLex basis of two seeded
+  generators with such coefficients (the reductions of the backward
+  chain and of ``check_certificate``): the median time of one
+  reduction in microseconds.
 
     PYTHONPATH=src python3 scripts/mul_bench.py [--seed N] [--repeat N]
 """
@@ -23,6 +28,7 @@ import time
 from fractions import Fraction
 
 from polyzero.encoding import encode_ring
+from polyzero.groebner import GrevLex, buchberger, leading, normal_form, order_key
 from polyzero.poly import FractionField, Monomial, RatFunc, VarKind, ordinary_ring
 
 NVARS, NTERMS = 8, 30
@@ -44,22 +50,48 @@ def operands(seed: int):
     return poly(), poly()
 
 
-def one_term_operands(seed: int):
-    rng = random.Random(seed)
-    params = encode_ring(["a", "b", "#"])
-    ring = ordinary_ring(["y0", "y1"], FractionField(params))
-
+def quotient_coefficients(rng: random.Random, params):
+    """A function drawing quotients of two monomials in the parameters,
+    with half-integral exponents on the bar variables, over Q(params)."""
     def mono():
         return Monomial((i, rng.randint(0, 2) if kind is VarKind.ORDINARY
                          else Fraction(rng.randint(0, 4), 2))
                         for i, kind in enumerate(params.vartable.kinds))
 
+    return lambda: RatFunc.of(params.from_monomial(mono(), rng.randint(1, 9)),
+                              params.from_monomial(mono()))
+
+
+def one_term_operands(seed: int):
+    rng = random.Random(seed)
+    params = encode_ring(["a", "b", "#"])
+    ring = ordinary_ring(["y0", "y1"], FractionField(params))
+    coeff = quotient_coefficients(rng, params)
+
     def poly(i):
-        c = RatFunc.of(params.from_monomial(mono(), rng.randint(1, 9)),
-                       params.from_monomial(mono()))
+        c = coeff()
         return ring.from_terms({Monomial(((i, rng.randint(1, 3)),)): c})
 
     return len(params.vartable), poly(0), poly(1)
+
+
+def reduction_operands(seed: int):
+    """(nparams, f, basis triples, key): an 8-term f of degree up to 3
+    and the reduced GrevLex basis of two two-term generators of degree
+    up to 2, in three coordinates over Q(params)."""
+    rng = random.Random(seed)
+    params = encode_ring(["a", "b", "#"])
+    ring = ordinary_ring(["y0", "y1", "y2"], FractionField(params))
+    coeff = quotient_coefficients(rng, params)
+
+    def poly(nterms, deg):
+        return ring.from_terms({Monomial((i, rng.randint(0, deg)) for i in range(3)):
+                                coeff() for _ in range(nterms)})
+
+    key = order_key(GrevLex(), ring)
+    gens = [poly(2, 2), poly(2, 2)]
+    basis = [(*leading(b, key), b) for b in buchberger(gens, GrevLex())]
+    return len(params.vartable), poly(8, 3), basis, key
 
 
 def main() -> None:
@@ -86,6 +118,16 @@ def main() -> None:
     print(f"Poly.__mul__ 1x1 terms over Q({nparams} params): "
           f"{1e6 * statistics.median(times) / BATCH:.3f} us "
           f"(median of {args.repeat} batches of {BATCH})")
+    nparams, f, basis, key = reduction_operands(args.seed)
+    remainder = normal_form(f, basis, key)
+    times = []
+    for _ in range(args.repeat):
+        t0 = time.perf_counter()
+        normal_form(f, basis, key)
+        times.append(time.perf_counter() - t0)
+    print(f"normal_form of {len(f.terms)} terms mod {len(basis)} GrevLex basis "
+          f"polys over Q({nparams} params): {1e6 * statistics.median(times):.1f} us "
+          f"(median of {args.repeat}, {len(remainder.terms)} remainder terms)")
 
 
 if __name__ == "__main__":

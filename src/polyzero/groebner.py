@@ -28,6 +28,7 @@ ideals of finite point sets.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
@@ -42,7 +43,7 @@ from .poly import (
 #
 # An order is immutable, and equal to and hashed as the orders of its
 # class with the same names, so each one keys the bases cached per
-# ideal; its repr names it in errors.
+# ideal and the keys order_key builds once; its repr names it in errors.
 
 
 class _NamedOrder:
@@ -103,11 +104,13 @@ class BlockElim:
 Order = Lex | GrevLex | BlockElim
 
 KeyFn = Callable[[Monomial], tuple]
+Entry = tuple[Monomial, Coeff, Poly]  # (lm, lc, p), as normal_form takes it
 
 
 def _grev_key(indices: Sequence[int]) -> KeyFn:
     """Total degree of the given variables, then their negated
-    exponents from the last variable back."""
+    exponents from the last variable back; ``key.heap`` is its negation,
+    read in the same one walk."""
     n = len(indices)
     place = {i: n - 1 - k for k, i in enumerate(indices)}
 
@@ -115,17 +118,25 @@ def _grev_key(indices: Sequence[int]) -> KeyFn:
         total: Exponent = 0
         neg: list[Exponent] = [0] * n
         for i, e in m:
-            k = place.get(i)
-            if k is not None:
-                total += e
-                neg[k] = -e
+            total += e
+            neg[place[i]] = -e
         return total, tuple(neg)
 
+    def heap(m: Monomial) -> tuple:
+        total: Exponent = 0
+        exps: list[Exponent] = [0] * n
+        for i, e in m:
+            total -= e
+            exps[place[i]] = e
+        return total, tuple(exps)
+
+    key.heap = heap
     return key
 
 
 def _block_key(front: Sequence[int], back: Sequence[int]) -> KeyFn:
-    """The grevlex keys of the front and of the back variables."""
+    """The grevlex keys of the front and of the back variables;
+    ``key.heap`` is its negation, read in the same one walk."""
     sizes = (len(front), len(back))
     place = {i: (0, sizes[0] - 1 - k) for k, i in enumerate(front)}
     place.update((i, (1, sizes[1] - 1 - k)) for k, i in enumerate(back))
@@ -139,12 +150,24 @@ def _block_key(front: Sequence[int], back: Sequence[int]) -> KeyFn:
             negs[b][k] = -e
         return (totals[0], tuple(negs[0])), (totals[1], tuple(negs[1]))
 
+    def heap(m: Monomial) -> tuple:
+        totals: list[Exponent] = [0, 0]
+        exps = ([0] * sizes[0], [0] * sizes[1])
+        for i, e in m:
+            b, k = place[i]
+            totals[b] -= e
+            exps[b][k] = e
+        return (totals[0], tuple(exps[0])), (totals[1], tuple(exps[1]))
+
+    key.heap = heap
     return key
 
 
+@lru_cache(maxsize=256)
 def order_key(order: Order, ring: PolyRing) -> KeyFn:
-    """Sort key of the order; only an order that names every variable
-    of the ring once, or a front of distinct ones, is total."""
+    """Sort key of the order, with its descending key as ``key.heap``,
+    built once per order and ring; only an order that names every
+    variable of the ring once, or a front of distinct ones, is total."""
     vt = ring.vartable
     if isinstance(order, (Lex, GrevLex)):
         names = order.names if order.names is not None else vt.names
@@ -190,44 +213,31 @@ def _monic(p: Poly, key: KeyFn) -> Poly:
                               for m, c in p.terms.items()})
 
 
-def _lead_triple(p: Poly, key: KeyFn) -> tuple[Monomial, Coeff, Poly]:
+def _lead_triple(p: Poly, key: KeyFn) -> Entry:
     """(leading monomial, leading coefficient, p), as normal_form takes it."""
     lm, lc = leading(p, key)
     return lm, lc, p
 
 
-def _reversed_key(k: tuple) -> tuple:
-    """Elementwise negation: reverses the comparison of order keys."""
-    return tuple(_reversed_key(x) if isinstance(x, tuple) else -x for x in k)
-
-
-def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
-                key: KeyFn) -> Poly:
+def normal_form(f: Poly, basis: Sequence[Entry], key: KeyFn) -> Poly:
     """Fully reduced remainder of f modulo the basis (deterministic).
 
     The remainder is one mutable term dict.  Its leading term comes off
-    a heap of reversed order keys, each computed once per call; a
+    a heap of descending keys, ``key.heap`` of each monomial pushed; a
     monomial that cancels leaves a stale heap entry, skipped when
     popped.  A leading term divisible by the leading monomial of a
-    basis entry (the first one, in basis order) is reduced by
-    subtracting ``q * t * b`` term by term, ``work[m] + (-(c * q))``;
-    the leading term itself cancels exactly in both fields, so it is
-    dropped.  Any other leading term moves to the output.
+    basis entry (the first one, in basis order) is reduced by adding
+    ``-q * t * b`` term by term, ``work[m] + c * nq`` with ``nq = -q``
+    negated once per step; the leading term itself cancels exactly in
+    both fields, so it is dropped.  Any other leading term moves to the
+    output.
     """
     ring = f.ring
     div = ring.field.div
+    heap_key = key.heap
     work = dict(f.terms)
-    rkeys: dict[Monomial, tuple] = {}
-    monos: dict[tuple, Monomial] = {}
-
-    def rkey(m: Monomial) -> tuple:
-        k = rkeys.get(m)
-        if k is None:
-            k = rkeys[m] = _reversed_key(key(m))
-            monos[k] = m
-        return k
-
-    heap = [rkey(m) for m in work]
+    monos = {heap_key(m): m for m in work}
+    heap = list(monos)
     heapify(heap)
     out: dict[Monomial, Coeff] = {}
     while heap:
@@ -238,12 +248,12 @@ def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
         for bm, bc, b in basis:
             if bm.divides(lm):
                 t = lm.div(bm)
-                q = div(lc, bc)
+                nq = -div(lc, bc)
                 for m, c in b.terms.items():
                     if m == bm:
                         continue
                     m = m.mul(t)
-                    c = -(c * q)
+                    c = c * nq
                     if m in work:
                         c = work[m] + c
                         if c:
@@ -252,7 +262,9 @@ def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
                             del work[m]
                     else:
                         work[m] = c
-                        heappush(heap, rkey(m))
+                        k = heap_key(m)
+                        monos[k] = m
+                        heappush(heap, k)
                 break
         else:
             out[lm] = lc
@@ -261,8 +273,7 @@ def normal_form(f: Poly, basis: Sequence[tuple[Monomial, Coeff, Poly]],
     return Poly._raw(ring, out)
 
 
-def s_polynomial(f: tuple[Monomial, Coeff, Poly], g: tuple[Monomial, Coeff, Poly],
-                 ring: PolyRing) -> Poly:
+def s_polynomial(f: Entry, g: Entry, ring: PolyRing) -> Poly:
     l = f[0].lcm(g[0])
     field = ring.field
     tf = ring.from_monomial(l.div(f[0]), field.div(field.one(), f[1]))
@@ -290,7 +301,7 @@ def buchberger(gens: Iterable[Poly], order: Order) -> tuple[Poly, ...]:
             raise StructureError("generators over different rings")
     _require_nonnegative(gens)
     key = order_key(order, ring)
-    entries: list[tuple[Monomial, Coeff, Poly]] = []
+    entries: list[Entry] = []
     sugars: list[Exponent] = []
     pending: dict[tuple[int, int], tuple] = {}
 
@@ -359,12 +370,12 @@ class Ideal:
             if g.ring != ring:
                 raise StructureError("ideal generator over a different ring")
         self.gens = gens
-        self._bases: dict[Order, tuple[tuple[Monomial, Coeff, Poly], ...]] = {}
+        self._bases: dict[Order, tuple[Entry, ...]] = {}
 
     def __repr__(self) -> str:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
-    def _basis(self, order: Order) -> tuple[tuple[Monomial, Coeff, Poly], ...]:
+    def _basis(self, order: Order) -> tuple[Entry, ...]:
         """Reduced basis of the generators as the (lm, lc, p) triples
         that normal_form takes; every basis of the ideal is computed
         here, once per order."""
@@ -384,6 +395,8 @@ class Ideal:
 
     def reduce(self, f: Poly) -> Poly:
         """Normal form of f modulo a Groebner basis of the ideal."""
+        if f.ring != self.ring:
+            raise StructureError("reducing a polynomial over a different ring")
         if f.is_zero() or not self.gens:
             return f
         _require_nonnegative([f])

@@ -22,15 +22,17 @@ through ``field.div``: a bare ``/`` of two ``int`` would give a float.
 A :class:`Monomial` is the tuple of its ``(index, exponent)`` pairs.
 :class:`Poly` validates every exponent and drops every zero coefficient
 on construction, except in the trusted ``Poly._raw`` behind sums,
-negations, products, scalings, substitutions, the ring constants, the
-divisions by a monomial in ``RatFunc.of`` and ``poly_exact_div``, and
-Groebner remainders: sums of valid exponents over one ring are valid, a
-constant has only the unit monomial, and those quotient exponents are
-nonnegative where they must be.  ``_raw`` takes the dict it is given as
-the polynomial's own, unchecked and uncopied, so its callers hand it a
-dict they have just built that holds no zero coefficient: the sum,
-product and substitution loops drop a term that cancels, and the
-constants and scalings drop a zero factor.
+negations, products, scalings, substitutions, coefficient maps, the ring
+constants, the divisions by a monomial in ``RatFunc.of`` (one term over
+one term is a merge) and ``poly_exact_div``, and Groebner remainders:
+sums of valid exponents over one ring are valid, a coefficient map keeps
+the monomials, a constant has only the unit monomial, and those quotient
+exponents are nonnegative where they must be.  ``_raw`` takes the dict
+it is given as the polynomial's own, unchecked and uncopied, so its
+callers hand it a dict they have just built that holds no zero
+coefficient: the sum, product, substitution and coefficient-map loops
+drop a term that cancels or maps to zero, and the constants and
+scalings drop a zero factor.
 """
 
 from __future__ import annotations
@@ -473,18 +475,24 @@ def scalar_ring(field: Field) -> PolyRing:
 
 def lex_walk(indices: Sequence[int]) -> Callable[[Monomial], tuple[Exponent, ...]]:
     """Sort key of the lex order on the given variables, in their order:
-    their exponents, read in one walk over a monomial's exponents."""
+    their exponents, read in one walk over a monomial's exponents;
+    ``key.heap``, their negations, is its descending key."""
     n = len(indices)
     place = {i: k for k, i in enumerate(indices)}
 
     def key(m: Monomial) -> tuple[Exponent, ...]:
         out: list[Exponent] = [0] * n
         for i, e in m:
-            k = place.get(i)
-            if k is not None:
-                out[k] = e
+            out[place[i]] = e
         return tuple(out)
 
+    def heap(m: Monomial) -> tuple[Exponent, ...]:
+        out: list[Exponent] = [0] * n
+        for i, e in m:
+            out[place[i]] = -e
+        return tuple(out)
+
+    key.heap = heap
     return key
 
 
@@ -690,7 +698,8 @@ class Poly:
 
     def map_coefficients(self, fn: Callable[[Coeff], Coeff]) -> "Poly":
         coerce = self.ring.field.coerce
-        return Poly(self.ring, {m: coerce(fn(c)) for m, c in self.terms.items()})
+        return Poly._raw(self.ring, {m: k for m, c in self.terms.items()
+                                     if (k := coerce(fn(c)))})
 
     def convert(self, target_ring: PolyRing,
                 rename: dict[str, str] | None = None) -> "Poly":
@@ -910,7 +919,9 @@ class RatFunc:
     denominator is made monic (lex leading coefficient 1) by dividing
     every coefficient through ``field.div``, so integral ones are
     ``int``; a constant denominator ``c`` goes straight to that result,
-    ``(num/c, 1)``, and so does one term over one term.  When both
+    ``(num/c, 1)``, and so does one term over one term, split in one
+    merge of the exponent tuples: a positive exponent difference goes
+    up, a negative one down, as cancelling their gcd leaves.  When both
     operands of ``+``, ``-`` or ``*`` are polynomials (denominator
     exactly ``1``), the result is ``(num1 op num2, 1)`` without ``of``:
     the same numerator terms, coefficient types and denominator
@@ -952,17 +963,28 @@ class RatFunc:
                     num = _div_coefficients(num, dc)
                 return cls(num, ring.one())
             if len(num.terms) == 1:
-                # the general path below, on one term over one term
+                # the general path below, on one term over one term; an
+                # exponent of dm alone stays down, as gcd(nm, dm) leaves it
                 (nm, nc), = num.terms.items()
-                content = nm.gcd(dm)
-                if not content.is_unit():
-                    nm, dm = nm.div(content), dm.div(content)
-                q = nm.div(dm) if dm else nm
-                if all(e >= 0 for _, e in q):
+                top, bottom, j = [], [], 0
+                for i, e in nm:
+                    while j < len(dm) and dm[j][0] < i:
+                        bottom.append(dm[j])
+                        j += 1
+                    if j < len(dm) and dm[j][0] == i:
+                        e = _norm_exp(e - dm[j][1])
+                        j += 1
+                    if e:
+                        (top if e > 0 else bottom).append((i, e if e > 0 else -e))
+                bottom += dm[j:]
+                if not bottom or all(e < 0 for _, e in bottom):
+                    q = (Monomial(top + [(i, -e) for i, e in bottom]) if bottom
+                         else Monomial._of(top))  # nm/dm is a monomial
                     return cls(Poly._raw(ring, {q: field.div(nc, dc)}), ring.one())
                 if dc != 1:
                     nc, dc = field.div(nc, dc), 1
-                return cls(Poly._raw(ring, {nm: nc}), Poly._raw(ring, {dm: dc}))
+                return cls(Poly._raw(ring, {Monomial._of(top): nc}),
+                           Poly._raw(ring, {Monomial._of(bottom): dc}))
         content = _poly_content(num).gcd(_poly_content(den))
         if not content.is_unit():
             num = _poly_div_mono(num, content)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import assume, given, settings
@@ -400,6 +401,11 @@ def formula_key(order, ring):
     return grev(idx)
 
 
+def _reversed_key(k: tuple) -> tuple:
+    """Elementwise negation: reverses the comparison of order keys."""
+    return tuple(_reversed_key(x) if isinstance(x, tuple) else -x for x in k)
+
+
 def _typed(k):
     """A key with the type of every entry, so that 1 and Fraction(1) differ."""
     if isinstance(k, tuple):
@@ -413,6 +419,8 @@ def test_order_keys_match_their_formulas(monos, order):
     key, formula = order_key(order, KEYS), formula_key(order, KEYS)
     for m in monos:
         assert _typed(key(m)) == _typed(formula(m))
+        # the descending heap key is the formula's, every entry negated
+        assert _typed(key.heap(m)) == _typed(_reversed_key(formula(m)))
     assert sorted(monos, key=key) == sorted(monos, key=formula)
 
 
@@ -619,3 +627,127 @@ def test_one_pass_basis_matches_the_fixpoint_reference(case):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+# ---------------------------------------------------------------------------
+# normal_form against the heap loop it had before descending heap keys
+
+
+def reversed_key_normal_form(f: Poly, basis, key) -> Poly:
+    """``normal_form`` with the order key of each monomial negated
+    afterwards, memoised per call, and each term of ``q * t * b``
+    subtracted as ``-(c * q)``."""
+    ring = f.ring
+    div = ring.field.div
+    work = dict(f.terms)
+    rkeys, monos = {}, {}
+
+    def rkey(m):
+        k = rkeys.get(m)
+        if k is None:
+            k = rkeys[m] = _reversed_key(key(m))
+            monos[k] = m
+        return k
+
+    heap = [rkey(m) for m in work]
+    heapify(heap)
+    out = {}
+    while heap:
+        lm = monos[heappop(heap)]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
+        for bm, bc, b in basis:
+            if bm.divides(lm):
+                t = lm.div(bm)
+                q = div(lc, bc)
+                for m, c in b.terms.items():
+                    if m == bm:
+                        continue
+                    m = m.mul(t)
+                    c = -(c * q)
+                    if m in work:
+                        c = work[m] + c
+                        if c:
+                            work[m] = c
+                        else:
+                            del work[m]
+                    else:
+                        work[m] = c
+                        heappush(heap, rkey(m))
+                break
+        else:
+            out[lm] = lc
+    return Poly._raw(ring, out)
+
+
+def typed_terms(p: Poly) -> list:
+    """Terms in dict order with the type of every exponent and
+    coefficient, a RatFunc's numerator and denominator terms too."""
+    def coeff(c):
+        if isinstance(c, RatFunc):
+            return typed_terms(c.num), typed_terms(c.den)
+        return type(c), c
+    return [(tuple((i, type(e), e) for i, e in m), coeff(c))
+            for m, c in p.terms.items()]
+
+
+@st.composite
+def reduction_cases(draw):
+    """A polynomial and one or two basis entries, over QQ or Q(a, b),
+    with half-integral exponents on the bar variable.  The entries need
+    not form a Groebner basis: ``normal_form`` reduces by any list, and
+    no ``buchberger`` run keeps the Q(a, b) draws slow.  Sizes are small
+    for the same reason: a reduction over Q(a, b) multiplies RatFunc
+    coefficients at every step."""
+    ring = draw(st.sampled_from(BASIS_RINGS))
+    order = draw(st.sampled_from([Lex(), Lex(("ab", "z", "y")), GrevLex(),
+                                  GrevLex(("z", "ab", "y")), BlockElim(("y",)),
+                                  BlockElim(("ab", "z"))]))
+
+    def poly(most):
+        terms = {}
+        for _ in range(draw(st.integers(1, most))):
+            if ring is BASIS_RINGS[0]:
+                c = draw(small_rationals.filter(bool))
+            else:
+                c = RatFunc.of(draw(ab_polys(nonzero=True)),
+                               draw(ab_polys(nonzero=True)))
+            terms[Monomial(enumerate(draw(basis_exps)))] = c
+        return ring.from_terms(terms)
+
+    return poly(5), [poly(3) for _ in range(draw(st.integers(1, 2)))], order
+
+
+@settings(max_examples=120, deadline=None)
+@given(reduction_cases())
+def test_normal_form_matches_the_reversed_key_loop(case):
+    f, polys, order = case
+    key = order_key(order, f.ring)
+    basis = [(*leading(b, key), b) for b in polys]
+    got = normal_form(f, basis, key)
+    assert typed_terms(got) == typed_terms(reversed_key_normal_form(f, basis, key))
+
+
+def test_reduce_refuses_a_polynomial_over_another_ring():
+    # the order key names the ideal's variables only, so z has no place
+    # in it; an ideal without generators refuses f all the same
+    R = ordinary_ring(["x", "y"])
+    f = Yv + Zv + Zv**2
+    for I in (Ideal(R, [R.var("x")]), Ideal(R, [])):
+        with pytest.raises(StructureError, match="different ring"):
+            I.reduce(f)
+        with pytest.raises(StructureError, match="different ring"):
+            I.member(f)
+
+
+def test_order_key_is_built_once_per_order_and_ring():
+    assert order_key(GrevLex(), XYZ) is order_key(GrevLex(), XYZ)
+    assert order_key(Lex(), XYZ) is not order_key(GrevLex(), XYZ)
+
+
+def test_intersection_reduces_against_its_seeded_basis():
+    # ideal_intersect seeds the grevlex basis; reduce keys it by the order
+    I = ideal_intersect(Ideal(XYZ, [Xv]), Ideal(XYZ, [Yv]))
+    assert I.reduce(Xv * Yv * Zv + Zv) == Zv
+    assert I.member(Xv**2 * Yv) and not I.member(Xv)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polyzero.errors import DomainError, ParseError, StructureError
 from polyzero.poly import (
     QQ, UNIT_MONOMIAL, FractionField, Mode, Monomial, Poly, PolyMap, PolyRing,
-    RatFunc, VarKind, VarTable, _cancel_univariate, _poly_content,
+    RatFunc, VarKind, VarTable, _cancel_univariate, _is_one, _poly_content,
     _poly_div_mono, flatten_poly, map_ring_over, ordinary_ring, poly_exact_div,
     rational_pow, structure_poly,
 )
@@ -1084,6 +1084,81 @@ def _assert_same_up_to_int(got: Poly, want: Poly) -> None:
     assert [(m, c) for m, _, c in g] == [(m, c) for m, _, c in w]
     for (_, gt, _), (_, wt, _) in zip(g, w):
         assert gt is wt or (gt, wt) == (int, Fraction)
+
+
+def _gcd_path_of(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """``RatFunc.of`` on one term over one non-constant term as it was
+    before the merge: the gcd of the two monomials cancelled from each,
+    then the quotient of what is left, each through ``Monomial.div``."""
+    ring, field = num.ring, num.ring.field
+    (nm, nc), = num.terms.items()
+    (dm, dc), = den.terms.items()
+    content = nm.gcd(dm)
+    if not content.is_unit():
+        nm, dm = nm.div(content), dm.div(content)
+    q = nm.div(dm) if dm else nm
+    if all(e >= 0 for _, e in q):
+        return Poly._raw(ring, {q: field.div(nc, dc)}), ring.one()
+    if dc != 1:
+        nc, dc = field.div(nc, dc), 1
+    return Poly._raw(ring, {nm: nc}), Poly._raw(ring, {dm: dc})
+
+
+@st.composite
+def one_term_pairs(draw):
+    """One term over one non-constant term, in ring or field mode, with
+    half-integral bar exponents (negative in field mode), int or
+    Fraction coefficients, and the denominator often a divisor or a
+    multiple of the numerator's monomial."""
+    ring = draw(st.sampled_from([OF_RING, OF_FIELD]))
+    lo = -3 if ring.mode is Mode.FIELD else 0
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                     st.integers(lo, 4).map(lambda k: Fraction(k, 2)))
+    nm = Monomial(enumerate(draw(exps)))
+    dm = Monomial(enumerate(draw(exps)))
+    shape = draw(st.sampled_from(["any", "divides", "divided"]))
+    if shape == "divides":
+        nm = nm.mul(dm)
+    elif shape == "divided":
+        dm = dm.mul(nm)
+    assume(not dm.is_unit())
+    nc, dc = draw(rationals.filter(bool)), draw(rationals.filter(bool))
+    return (Poly(ring, {nm: QQ.coerce(nc)}), Poly(ring, {dm: QQ.coerce(dc)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_pairs())
+@example((OF_RING.parse("3*ab^(3/2)*x"), OF_RING.parse("2*ab^(1/2)*y")))
+@example((OF_RING.parse("5"), OF_RING.parse("x*ab^(1/2)")))
+@example((OF_RING.parse("6*x^2*y*ab"), OF_RING.parse("3*x*ab^(1/2)")))
+@example((OF_RING.parse("x^2"), OF_RING.parse("y*ab^(1/2)")))
+@example((OF_RING.parse("x"), OF_RING.parse("2/3*y")))
+@example((OF_FIELD.parse("y"), OF_FIELD.parse("4*x*ab^(-1/2)")))
+@example((OF_FIELD.parse("x"), OF_FIELD.parse("ab^(-1)")))
+def test_one_term_of_matches_the_gcd_path(nd):
+    # exact terms and types: integral coefficients stay int
+    got = RatFunc.of(*nd)
+    want_num, want_den = _gcd_path_of(*nd)
+    assert _typed_terms(got.num) == _typed_terms(want_num)
+    assert _typed_terms(got.den) == _typed_terms(want_den)
+
+
+def test_map_coefficients_drops_a_term_mapped_to_zero():
+    p = X**2 + 2 * X * Y + 3 * Y + 4
+    got = p.map_coefficients(lambda c: 0 if c == 2 else c * Fraction(1, 2))
+    assert list(got.terms.items()) == [(m, c) for m, c in
+                                       [(Monomial([(0, 2)]), Fraction(1, 2)),
+                                        (Monomial([(1, 1)]), Fraction(3, 2)),
+                                        (UNIT_MONOMIAL, 2)]]
+    assert [type(c) for c in got.terms.values()] == [Fraction, Fraction, int]
+    assert p.map_coefficients(lambda c: 0).is_zero()
+
+
+def test_is_one_holds_for_a_unit_that_is_not_the_shared_one():
+    unit = Poly(XY, {UNIT_MONOMIAL: 1})
+    assert unit is not XY.one() and _is_one(unit) and _is_one(XY.one())
+    assert not _is_one(Poly(XY, {UNIT_MONOMIAL: Fraction(1)}))
+    assert not _is_one(XY.const(2)) and not _is_one(X)
 
 
 def test_convert_adds_exponents_of_variables_renamed_together():

@@ -38,10 +38,13 @@ def test_vass_agreement_finds_no_mismatch(argv, monkeypatch, capsys):
 def test_mul_bench_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["mul_bench.py", "--repeat", "1"])
     load("mul_bench", monkeypatch).main()
-    full, one_term = capsys.readouterr().out.splitlines()
+    full, one_term, reduction = capsys.readouterr().out.splitlines()
     assert full.endswith("(median of 1, 900 result terms)")
     assert one_term.startswith("Poly.__mul__ 1x1 terms over Q(6 params): ")
     assert one_term.endswith(" us (median of 1 batches of 1000)")
+    assert reduction.startswith(
+        "normal_form of 8 terms mod 3 GrevLex basis polys over Q(6 params): ")
+    assert reduction.endswith(" us (median of 1, 7 remainder terms)")
 
 
 def test_equiv_demo_checks_every_certificate(monkeypatch, capsys):
@@ -58,24 +61,26 @@ def test_equiv_demo_checks_every_certificate(monkeypatch, capsys):
     assert capsys.readouterr().out == out
 
 
-def test_traffic_lists_the_statements_a_search_pass_never_ran():
-    # a subprocess: the script traces lines and imports polyzero afresh
+def traffic(workload: str) -> dict[str, str]:
+    """``scripts/traffic.py``'s status of each function after one pass
+    of the workload, by qualified name.  A subprocess: the script traces
+    lines and imports polyzero afresh."""
     p = subprocess.run([sys.executable, str(SCRIPTS / "traffic.py"),
-                        "--workload", "search"],
+                        "--workload", workload],
                        capture_output=True, text=True, check=True)
-    status = dict(line.split(" ", 1)[1].split(": ", 1)
-                  for line in p.stdout.splitlines())
+    return dict(line.split(" ", 1)[1].split(": ", 1)
+                for line in p.stdout.splitlines())
+
+
+def test_traffic_lists_the_statements_a_search_pass_never_ran():
+    status = traffic("search")
     assert status["closure_rounds"] == "never run"
     assert status["_chain"].startswith("run")
     assert status["buchberger"].startswith("run")
 
 
 def test_traffic_shows_a_vass_pass_running_the_generated_kernels():
-    p = subprocess.run([sys.executable, str(SCRIPTS / "traffic.py"),
-                        "--workload", "vass"],
-                       capture_output=True, text=True, check=True)
-    status = dict(line.split(" ", 1)[1].split(": ", 1)
-                  for line in p.stdout.splitlines())
+    status = traffic("vass")
     assert status["_kernel"] == "run"
     assert status["_int_registers"] == "run"
     # only step's DomainError for an unknown letter is left unrun
@@ -84,18 +89,29 @@ def test_traffic_shows_a_vass_pass_running_the_generated_kernels():
     assert status["NumericTransducer._prefixes"] == "run"
     # R1's products all take _mul's two-coefficient branch, every
     # statement of it; the general convolution is left unrun
-    assert not two_coefficient_branch() & not_run(status["_mul"])
+    assert not branch_lines("vass", "_mul", "len(b) == 2") & not_run(status["_mul"])
 
 
-def two_coefficient_branch() -> set[int]:
-    """The lines of the statements in ``vass._mul``'s ``len(b) == 2``
-    branch."""
+def test_traffic_shows_a_qfield_pass_running_the_one_term_merge():
+    status = traffic("qfield")
+    # every statement of RatFunc.of's one-term-over-one-term path runs,
+    # the merge of nm and dm and both of its returns
+    merge = branch_lines("poly", "of", "len(num.terms) == 1")
+    assert len(merge) > 10
+    assert not merge & not_run(status["RatFunc.of"])
+    assert status["normal_form"].startswith("run")
+
+
+def branch_lines(module: str, function: str, test: str) -> set[int]:
+    """The lines of the statements in the branch of the function named
+    ``function`` in ``polyzero/<module>.py`` whose test starts with
+    ``test``."""
     import ast
-    src = SCRIPTS.parent / "src" / "polyzero" / "vass.py"
-    mul = next(f for f in ast.parse(src.read_text()).body
-               if isinstance(f, ast.FunctionDef) and f.name == "_mul")
-    branch = next(n for n in ast.walk(mul) if isinstance(n, ast.If)
-                  and ast.unparse(n.test).startswith("len(b) == 2"))
+    src = SCRIPTS.parent / "src" / "polyzero" / f"{module}.py"
+    fn = next(f for f in ast.walk(ast.parse(src.read_text()))
+              if isinstance(f, ast.FunctionDef) and f.name == function)
+    branch = next(n for n in ast.walk(fn) if isinstance(n, ast.If)
+                  and ast.unparse(n.test).startswith(test))
     return {n.lineno for stmt in branch.body for n in ast.walk(stmt)
             if isinstance(n, ast.stmt)}
 
