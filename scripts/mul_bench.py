@@ -14,7 +14,11 @@ reduction, each printed on its own line:
   the same Q(params), modulo the reduced GrevLex basis of two seeded
   generators with such coefficients (the reductions of the backward
   chain and of ``check_certificate``): the median time of one
-  reduction in microseconds.
+  reduction in microseconds;
+* ``invert_substitution`` of the twist ``# -> #a`` of the sqrev pair,
+  over its three letters and over eight, as the difference grammar
+  inverts it at each simultaneous site: the median time of one
+  inversion in milliseconds.
 
     PYTHONPATH=src python3 scripts/mul_bench.py [--seed N] [--repeat N]
 """
@@ -27,12 +31,13 @@ import statistics
 import time
 from fractions import Fraction
 
-from polyzero.encoding import encode_ring
+from polyzero.encoding import WordSubst, encode_ring, invert_substitution
 from polyzero.groebner import GrevLex, buchberger, leading, normal_form, order_key
 from polyzero.poly import FractionField, Monomial, RatFunc, VarKind, ordinary_ring
 
 NVARS, NTERMS = 8, 30
 BATCH = 1000
+TWIST_LETTERS = (("a", "b", "#"), ("a", "b", "c", "d", "e", "f", "g", "#"))
 
 
 def operands(seed: int):
@@ -128,6 +133,19 @@ def main() -> None:
     print(f"normal_form of {len(f.terms)} terms mod {len(basis)} GrevLex basis "
           f"polys over Q({nparams} params): {1e6 * statistics.median(times):.1f} us "
           f"(median of {args.repeat}, {len(remainder.terms)} remainder terms)")
+    twist = WordSubst({"#": "#a"})
+    medians = []
+    for letters in TWIST_LETTERS:
+        ring = encode_ring(letters)
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            invert_substitution(twist, letters, ring)
+            times.append(time.perf_counter() - t0)
+        medians.append(f"{1000 * statistics.median(times):.3f} ms over "
+                       f"{len(letters)} letters")
+    print(f"invert_substitution # -> #a: {', '.join(medians)} "
+          f"(median of {args.repeat})")
 
 
 if __name__ == "__main__":

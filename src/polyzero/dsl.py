@@ -21,7 +21,7 @@ from .encoding import (Automorphism, PolySubst, WordSubst,
 from .errors import ParseError
 from .grammar import Grammar, Production
 from .lexer import Token, TokenStream, tokenize
-from .poly import (QQ, FractionField, Mode, Poly, PolyMap, PolyRing, VarKind,
+from .poly import (QQ, Mode, Poly, PolyMap, PolyRing, VarKind,
                    VarTable, flat_ring_for, parse_poly_tokens, structure_poly)
 from .transducer import (Concat, Letter, Reg, RegisterExpr, Subst,
                          Transducer, word_expr)
@@ -590,7 +590,7 @@ def parse_grammar(text: str, name: str | None = None) -> Grammar:
     # coefficient field
     if param_pairs:
         param_ring = PolyRing(VarTable.make(param_pairs))
-        field = FractionField(param_ring)
+        field = param_ring.fraction_field
     else:
         param_ring = None
         field = QQ

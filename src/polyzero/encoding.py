@@ -18,7 +18,9 @@ the induced substitution extends to an automorphism of the rational
 function field in the letter variables: the multiplicative subsystem is
 solved by inverting the count matrix in the exponents (hence fractional
 exponents), and the additive subsystem is then a linear system over
-that function field.
+that function field.  Both solves cover only the letters that the
+substitution moves: a letter it leaves fixed is its own image in both
+systems, so its variables are their own inverse images.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import DomainError, NotComInjective, StructureError
 from .linalg import mat_det, mat_inverse
 from .poly import (
-    FractionField, Monomial, Poly, PolyMap, PolyRing, QQ, RatFunc, VarKind,
+    Monomial, Poly, PolyMap, PolyRing, QQ, RatFunc, VarKind,
     VarTable,
 )
 
@@ -324,8 +326,26 @@ def single_letter_nonvanishing(ws: WordSubst, letters: Sequence[str],
     return sigma in ws.image(sigma)
 
 
+def count_inverse(ws: WordSubst, letters: Sequence[str]
+                  ) -> tuple[tuple[int, ...], list[list]] | None:
+    """The positions in ``letters`` of the letters that ``ws`` moves, and
+    the inverse over QQ of the letter-count matrix restricted to them
+    (rows: counted letter, columns: source), or None when that block is
+    singular.  A letter left fixed has a unit column in the whole
+    matrix, so the whole matrix has the block's determinant, and ``ws``
+    is com-injective exactly when this is not None."""
+    letters = tuple(letters)
+    moved = tuple(i for i, s in enumerate(letters) if s in ws.mapping)
+    images = [ws.mapping[letters[i]] for i in moved]
+    inv = mat_inverse([[img.count(letters[i]) for img in images]
+                       for i in moved], QQ)
+    return None if inv is None else (moved, inv)
+
+
 def invert_substitution(ws: WordSubst, letters: Sequence[str],
-                        ring: PolyRing | None = None) -> Automorphism:
+                        ring: PolyRing | None = None, *,
+                        counts: tuple[tuple[int, ...], list[list]] | None = None
+                        ) -> Automorphism:
     """Automorphism induced by a com-injective word substitution.
 
     The multiplicative variables transform by the letter-count matrix in
@@ -335,57 +355,116 @@ def invert_substitution(ws: WordSubst, letters: Sequence[str],
     coefficients; substituting the multiplicative inverses into that
     matrix and inverting it over the function field yields the additive
     inverse images.
+
+    Both solves cost only the k letters that ``ws`` moves.  A fixed
+    letter's column of the count matrix and its row of the additive
+    system are unit vectors, so its two variables are their own inverse
+    images, and the count inverse comes from the k x k block of moved
+    letters (:func:`count_inverse`, or ``counts`` when the caller has
+    it).  The additive system is inverted by the Gauss-Jordan
+    elimination of :mod:`linalg` on ``[T | I]``, run on the k moved
+    rows only and kept sparse: a fixed letter's row is never changed
+    and pivots its own column; an operation on a zero entry, which
+    leaves the other operand's representation as it is, is skipped, and
+    a constant entry is not substituted into.
+    Every other operation is the full elimination's, in its order, so
+    the images are written exactly as that elimination writes them.
     """
     letters = tuple(letters)
     if ring is None:
         ring = encode_ring(letters)
-    report = com_injective_check(ws, letters)
-    if not report.injective:
-        raise NotComInjective(
-            f"letter-count matrix is singular (det = {report.det})")
+    if counts is None:
+        counts = count_inverse(ws, letters)
+    if counts is None:
+        raise NotComInjective("letter-count matrix is singular (det = 0)")
+    moved, einv = counts
     n = len(letters)
-    einv = mat_inverse(report.matrix, QQ)
-    assert einv is not None
+    names = [letter_var_names(l) for l in letters]
+    index = ring.vartable.index
+    place = {l: i for i, l in enumerate(letters)}
+    images = [ws.mapping[letters[i]] for i in moved]
 
-    # multiplicative inverses: bar(tau) -> prod_sigma bar(sigma)^einv[sigma][tau]
+    # multiplicative inverses: bar(tau) -> prod_sigma bar(sigma)^einv[sigma][tau],
+    # where a fixed sigma's entry is -sum_mu count(sigma, mu) * einv[mu][tau]
     bar_inverse: dict[str, RatFunc] = {}
-    for ti, tau in enumerate(letters):
+    block = {ti: c for c, ti in enumerate(moved)}
+    for ti in range(n):
+        tb = names[ti][1]
+        c = block.get(ti)
+        if c is None:
+            bar_inverse[tb] = RatFunc(ring.var(tb), ring.one())
+            continue
+        exps: dict[int, Fraction] = {}
+        for r, si in enumerate(moved):
+            exps[si] = einv[r][c]
+        for r, img in enumerate(images):
+            for letter in img:
+                si = place.get(letter)
+                if si is not None and si not in block:
+                    exps[si] = exps.get(si, 0) - einv[r][c]
         pos, neg = [], []
-        for si, sigma in enumerate(letters):
-            e = einv[si][ti]
-            if e == 0:
-                continue
-            idx = ring.vartable.index(letter_var_names(sigma)[1])
-            (pos if e > 0 else neg).append((idx, e if e > 0 else -e))
-        bar_inverse[letter_var_names(tau)[1]] = RatFunc(
-            ring.from_monomial(Monomial(pos)), ring.from_monomial(Monomial(neg)))
+        for si, e in exps.items():
+            if e:
+                (pos if e > 0 else neg).append(
+                    (index(names[si][1]), e if e > 0 else -e))
+        bar_inverse[tb] = RatFunc(ring.from_monomial(Monomial(pos)),
+                                  ring.from_monomial(Monomial(neg)))
 
-    # additive system: tilde'(sigma) = sum_tau T[sigma][tau] * tilde(tau)
-    field = FractionField(ring)
-    that: list[list[RatFunc]] = []
-    for sigma in letters:
-        tilde, _ = encode_word(ws.image(sigma), ring)
-        row = []
-        for tau in letters:
-            taut = letter_var_names(tau)[0]
-            ti = ring.vartable.index(taut)
-            coeff = ring.zero()
-            for m, c in tilde.terms.items():
-                if m.exp(ti) == 1:
-                    coeff = coeff + ring.from_monomial(
-                        Monomial((i, e) for i, e in m if i != ti), c)
-            row.append(field.coerce(coeff).substitute(bar_inverse))
-        that.append(row)
-    tinv = mat_inverse(that, field)
-    if tinv is None:
-        raise NotComInjective("additive subsystem is singular")
+    # additive system: tilde'(sigma) = sum_tau T[sigma][tau] * tilde(tau);
+    # the moved rows of [T | I], column j < n of T and n + j of I
+    field = ring.fraction_field
+    one, zero = field.one(), field.zero()
+    tilde_col = {index(t): j for j, (t, _) in enumerate(names)}
+    rows: dict[int, dict[int, RatFunc]] = {}
+    for si, img in zip(moved, images):
+        tilde, _ = encode_word(img, ring)
+        coeffs: dict[int, dict[Monomial, int]] = {}
+        for m, c in tilde.terms.items():
+            # each term holds one additive variable, at exponent 1
+            ti = next(i for i, _ in m if i in tilde_col)
+            coeffs.setdefault(tilde_col[ti], {})[
+                Monomial._of(tuple(p for p in m if p[0] != ti))] = c
+        row = rows[si] = {n + si: one}
+        for tj, terms in coeffs.items():
+            coeff = field.coerce(Poly(ring, terms))
+            row[tj] = (coeff if coeff.num.is_constant()
+                       else coeff.substitute(bar_inverse))
+    at = {p: p for p in moved}  # moved position -> the row there
+    for col in range(n):
+        if col in block:
+            piv = next((p for p in moved if p >= col and col in rows[at[p]]),
+                       None)
+            if piv is None:
+                raise NotComInjective("additive subsystem is singular")
+            at[col], at[piv] = at[piv], at[col]
+            prow = rows[at[col]]
+            inv = field.div(one, prow.pop(col))
+            for j, x in prow.items():
+                prow[j] = x * inv
+        else:
+            prow = {n + col: one}  # the fixed letter's row, past its pivot
+        for row in rows.values():
+            if row is prow:
+                continue
+            factor = row.pop(col, None)
+            if factor is None:
+                continue
+            for j, y in prow.items():
+                x = row.get(j, zero) - factor * y
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
     tilde_inverse: dict[str, RatFunc] = {}
-    for ti, tau in enumerate(letters):
-        acc = field.zero()
-        for si, sigma in enumerate(letters):
-            acc = acc + tinv[ti][si] * field.coerce(
-                ring.var(letter_var_names(sigma)[0]))
-        tilde_inverse[letter_var_names(tau)[0]] = acc
+    for ti in range(n):
+        tt = names[ti][0]
+        if ti not in block:
+            tilde_inverse[tt] = RatFunc(ring.var(tt), ring.one())
+            continue
+        acc = zero
+        for j, c in sorted(rows[at[ti]].items()):
+            acc = acc + c * field.coerce(ring.var(names[j - n][0]))
+        tilde_inverse[tt] = acc
 
     alpha = Automorphism(induced_subst(ws, letters, ring),
                          {**tilde_inverse, **bar_inverse})

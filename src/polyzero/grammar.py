@@ -890,7 +890,7 @@ def to_field_view(g: Grammar) -> Grammar:
         raise StructureError("field view needs plain rational coefficients")
     if g.ambient is not None:
         raise StructureError("field view of a quotient grammar")
-    field = FractionField(g.ring)
+    field = g.ring.fraction_field
     vring = PolyRing(EMPTY_VARTABLE, field, Mode.FIELD)
     prods = []
     for prod in g.productions:

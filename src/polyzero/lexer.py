@@ -8,17 +8,22 @@ transducers).
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 
-IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-IDENT_CONT = IDENT_START | set("0123456789")
-
-# Multi-character operators first so maximal munch works.
-SYMBOLS = (
-    "->", ":=", "-[", "]->",
-    "(", ")", "{", "}", "[", "]",
-    "+", "-", "*", "/", "^", "=", ",", ";", ".", ":",
-)
+# One alternative per token class, tried in this order at each position;
+# the symbols are ordered so that the first match is the longest
+# (maximal munch), multi-character operators first.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<string>'[^'\n]*'|"[^"\n]*")
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<sym>->|:=|-\[|\]->|[(){}\[\]+\-*/^=,;.:])
+""", re.VERBOSE)
 
 
 class Token:
@@ -35,60 +40,32 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens of ``text``, each matched by ``_TOKEN`` at the current
+    position, then the end-of-input token.  A comment does not move the
+    column; a string token's text is what lies between its quotes."""
     toks: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
+    match = _TOKEN.match
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+        m = match(text, i)
+        if m is None:
+            ch = text[i]
+            if ch in ("'", '"'):
+                raise ParseError("unterminated string literal", line, col)
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        kind, j = m.lastgroup, m.end()
+        if kind == "newline":
             line += 1
             col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in ("'", '"'):
-            j = i + 1
-            while j < n and text[j] != ch:
-                if text[j] == "\n":
-                    raise ParseError("unterminated string literal", line, col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line, col)
-            toks.append(Token("string", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
+        elif kind == "string":
+            toks.append(Token(kind, text[i + 1 : j - 1], line, col))
             col += j - i
-            i = j
-            continue
-        if ch in IDENT_START:
-            j = i
-            while j < n and text[j] in IDENT_CONT:
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
+        elif kind != "comment":
+            if kind != "space":
+                toks.append(Token(kind, m.group(), line, col))
             col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i = j
     toks.append(Token("eof", "", line, col))
     return toks
 

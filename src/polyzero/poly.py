@@ -24,20 +24,23 @@ A :class:`Monomial` is the tuple of its ``(index, exponent)`` pairs.
 on construction, except in the trusted ``Poly._raw`` behind sums,
 negations, products, scalings, substitutions, coefficient maps, the ring
 constants, the divisions by a monomial in ``RatFunc.of`` (one term over
-one term is a merge) and ``poly_exact_div``, and Groebner remainders:
-sums of valid exponents over one ring are valid, a coefficient map keeps
-the monomials, a constant has only the unit monomial, and those quotient
-exponents are nonnegative where they must be.  ``_raw`` takes the dict
-it is given as the polynomial's own, unchecked and uncopied, so its
-callers hand it a dict they have just built that holds no zero
-coefficient: the sum, product, substitution and coefficient-map loops
-drop a term that cancels or maps to zero, and the constants and
+one term is a merge) and ``poly_exact_div``, the product that moves a
+one-term denominator's negative exponents up in ``RatFunc.of``, and
+Groebner remainders: sums of valid exponents over one ring are valid, a
+coefficient map keeps the monomials, a constant has only the unit
+monomial, those quotient exponents are nonnegative where they must be,
+and only a bar variable has a negative exponent to move.  ``_raw``
+takes the dict it is given as the polynomial's own, unchecked and
+uncopied, so its callers hand it a dict they have just built that holds
+no zero coefficient: the sum, product, substitution and coefficient-map
+loops drop a term that cancels or maps to zero, and the constants and
 scalings drop a zero factor.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -75,8 +78,8 @@ def _norm_exp(e: Exponent) -> Exponent:
 
 class VarTable:
     """Ordered list of variable names with their kinds.  Immutable;
-    equal and hashed by its names and kinds, so that rings compare by
-    value."""
+    equal and hashed by its names and kinds, so that equal tables find
+    one interned ring."""
 
     __slots__ = ("names", "kinds", "_index")
 
@@ -312,11 +315,11 @@ class FractionField:
 
     def coerce(self, x: object) -> "RatFunc":
         if isinstance(x, RatFunc):
-            if x.ring is not self.param_ring and x.ring != self.param_ring:
+            if x.ring is not self.param_ring:
                 raise StructureError("rational function over a different parameter ring")
             return x
         if isinstance(x, Poly):
-            if x.ring is not self.param_ring and x.ring != self.param_ring:
+            if x.ring is not self.param_ring:
                 raise StructureError("parameter polynomial over a different ring")
             return RatFunc.of(x, self.param_ring.one())
         if isinstance(x, (int, Fraction)):
@@ -348,8 +351,8 @@ class FractionField:
         return 1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FractionField) and (
-            self.param_ring is other.param_ring or self.param_ring == other.param_ring)
+        return (isinstance(other, FractionField)
+                and self.param_ring is other.param_ring)
 
     def __hash__(self) -> int:
         return hash(("FractionField", self.param_ring.vartable.names))
@@ -367,28 +370,29 @@ Field = Union[RationalField, FractionField]
 
 class PolyRing:
     """Variable table plus coefficient field plus exponent mode.
-    Immutable; equal and hashed by those three.  Its instance dict also
-    holds what it builds once (``one``, the lex key, the variables)."""
 
-    def __init__(self, vartable: VarTable, field: Field = QQ,
-                 mode: Mode = Mode.RING):
-        d = self.__dict__  # past __setattr__, which blocks assignment
-        d["vartable"] = vartable
-        d["field"] = field
-        d["mode"] = mode
+    Interned: the constructor returns the one live ring for its
+    (variable table, field, mode), kept in ``_RINGS``, which holds rings
+    weakly, so equal rings are one object and compare and hash by
+    identity.  Immutable.  Its instance dict holds what it builds once:
+    ``one``, the variables, the lex key, its fraction field and its flat
+    ring."""
+
+    def __new__(cls, vartable: VarTable, field: Field = QQ,
+                mode: Mode = Mode.RING) -> "PolyRing":
+        key = (vartable, field, mode)
+        ring = _RINGS.get(key)
+        if ring is None:
+            ring = object.__new__(cls)
+            d = ring.__dict__  # past __setattr__, which blocks assignment
+            d["vartable"] = vartable
+            d["field"] = field
+            d["mode"] = mode
+            _RINGS[key] = ring
+        return ring
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PolyRing is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.vartable, self.field, self.mode)
-            == (other.vartable, other.field, other.mode))
-
-    def __hash__(self) -> int:
-        return hash((self.vartable, self.field, self.mode))
 
     # -- constructors ------------------------------------------------------
 
@@ -427,6 +431,19 @@ class PolyRing:
         # each variable at exponent 1, built once per ring, as ``one`` is
         return {}
 
+    @cached_property
+    def fraction_field(self) -> FractionField:
+        """The field of rational functions over this ring."""
+        return FractionField(self)
+
+    @cached_property
+    def _flat_ring(self) -> "PolyRing":
+        # see flat_ring_for
+        if not isinstance(self.field, FractionField):
+            return self
+        pt = self.field.param_ring.vartable
+        return PolyRing(self.vartable.extended(zip(pt.names, pt.kinds)))
+
     def from_terms(self, terms: dict[Monomial, object]) -> "Poly":
         return Poly(self, {m: self.field.coerce(c) for m, c in terms.items()})
 
@@ -458,6 +475,10 @@ class PolyRing:
 
     def parse(self, text: str) -> "Poly":
         return _parse_poly(self, text)
+
+
+_RINGS: "weakref.WeakValueDictionary[tuple, PolyRing]" = (
+    weakref.WeakValueDictionary())
 
 
 def ordinary_ring(names: Iterable[str], field: Field = QQ, mode: Mode = Mode.RING) -> PolyRing:
@@ -574,7 +595,7 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring is not other.ring:
             raise StructureError("polynomials over different rings")
 
     def __add__(self, other: object) -> "Poly":
@@ -683,8 +704,7 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return ((self.ring is other.ring or self.ring == other.ring)
-                and self.terms == other.terms)
+        return self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
         try:
@@ -733,7 +753,7 @@ class Poly:
         """
         ring = target_ring if target_ring is not None else self.ring
         for name, img in mapping.items():
-            if img.ring is not ring and img.ring != ring:
+            if img.ring is not ring:
                 raise StructureError(f"image of {name!r} lives in a different ring")
         names = self.ring.vartable.names
         coerce = ring.field.coerce
@@ -809,7 +829,7 @@ class Poly:
                     img = mapping.get(names[i])
                     if img is None:
                         n, d = ring.var(names[i]), one
-                    elif img.ring is not ring and img.ring != ring:
+                    elif img.ring is not ring:
                         raise StructureError(
                             f"image of {names[i]!r} lives in a different ring")
                     else:
@@ -921,7 +941,9 @@ class RatFunc:
     ``int``; a constant denominator ``c`` goes straight to that result,
     ``(num/c, 1)``, and so does one term over one term, split in one
     merge of the exponent tuples: a positive exponent difference goes
-    up, a negative one down, as cancelling their gcd leaves.  When both
+    up, a negative one down, as cancelling their gcd leaves.  A one-term
+    denominator keeps no negative exponent: each moves up into the
+    numerator, so one term over one term has one shape.  When both
     operands of ``+``, ``-`` or ``*`` are polynomials (denominator
     exactly ``1``), the result is ``(num1 op num2, 1)`` without ``of``:
     the same numerator terms, coefficient types and denominator
@@ -949,7 +971,7 @@ class RatFunc:
     @classmethod
     def of(cls, num: Poly, den: Poly) -> "RatFunc":
         ring = num.ring
-        if ring is not den.ring and ring != den.ring:
+        if ring is not den.ring:
             raise StructureError("numerator and denominator over different rings")
         if den.is_zero():
             raise DomainError("zero denominator")
@@ -963,28 +985,35 @@ class RatFunc:
                     num = _div_coefficients(num, dc)
                 return cls(num, ring.one())
             if len(num.terms) == 1:
-                # the general path below, on one term over one term; an
-                # exponent of dm alone stays down, as gcd(nm, dm) leaves it
+                # the general path below, on one term over one term: the
+                # quotient nm/dm in one merge, its positive exponents up
+                # and its negative ones down
                 (nm, nc), = num.terms.items()
                 top, bottom, j = [], [], 0
                 for i, e in nm:
                     while j < len(dm) and dm[j][0] < i:
-                        bottom.append(dm[j])
+                        k, d = dm[j]
+                        (bottom if d > 0 else top).append((k, d if d > 0 else -d))
                         j += 1
                     if j < len(dm) and dm[j][0] == i:
                         e = _norm_exp(e - dm[j][1])
                         j += 1
                     if e:
                         (top if e > 0 else bottom).append((i, e if e > 0 else -e))
-                bottom += dm[j:]
-                if not bottom or all(e < 0 for _, e in bottom):
-                    q = (Monomial(top + [(i, -e) for i, e in bottom]) if bottom
-                         else Monomial._of(top))  # nm/dm is a monomial
-                    return cls(Poly._raw(ring, {q: field.div(nc, dc)}), ring.one())
+                for k, d in dm[j:]:
+                    (bottom if d > 0 else top).append((k, d if d > 0 else -d))
+                if not bottom:  # nm/dm is a monomial
+                    return cls(Poly._raw(ring, {Monomial._of(top): field.div(nc, dc)}),
+                               ring.one())
                 if dc != 1:
                     nc, dc = field.div(nc, dc), 1
                 return cls(Poly._raw(ring, {Monomial._of(top): nc}),
                            Poly._raw(ring, {Monomial._of(bottom): dc}))
+            up = [(i, -e) for i, e in dm if e < 0]
+            if up:  # a negative exponent of the denominator moves up
+                up = Monomial._of(up)
+                num = Poly._raw(ring, {m.mul(up): c for m, c in num.terms.items()})
+                den = Poly._raw(ring, {dm.mul(up): dc})
         content = _poly_content(num).gcd(_poly_content(den))
         if not content.is_unit():
             num = _poly_div_mono(num, content)
@@ -1001,13 +1030,12 @@ class RatFunc:
 
     def _coerce(self, other: object) -> "RatFunc":
         if isinstance(other, RatFunc):
-            if other.num.ring is not self.num.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise StructureError("rational functions over different rings")
             return other
         if isinstance(other, (int, Fraction)):
             return RatFunc.of(self.ring.const(other), self.ring.one())
-        if isinstance(other, Poly) and (other.ring is self.ring
-                                        or other.ring == self.ring):
+        if isinstance(other, Poly) and other.ring is self.ring:
             return RatFunc.of(other, self.ring.one())
         return NotImplemented
 
@@ -1353,7 +1381,7 @@ class PolyMap:
         if len(set(slots)) != len(slots):
             raise StructureError("duplicate slot names")
         for p in outputs:
-            if p.ring != ring:
+            if p.ring is not ring:
                 raise StructureError("map output over a different ring")
         self.ring = ring
         self.slots = slots
@@ -1521,11 +1549,9 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 
 def flat_ring_for(ring: PolyRing) -> PolyRing:
     """Rational-coefficient ring whose variables are the ring's own plus
-    the coefficient-field parameters (identity when already flat)."""
-    if not isinstance(ring.field, FractionField):
-        return ring
-    pt = ring.field.param_ring.vartable
-    return PolyRing(ring.vartable.extended(zip(pt.names, pt.kinds)))
+    the coefficient-field parameters (identity when already flat), built
+    once per ring."""
+    return ring._flat_ring
 
 
 def flatten_poly(p: Poly, flat_ring: PolyRing) -> Poly:

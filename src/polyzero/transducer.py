@@ -18,9 +18,9 @@ import time
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructureError, UnsupportedSubstitution
-from .poly import (EMPTY_VARTABLE, FractionField, Mode, Poly, PolyMap,
+from .poly import (EMPTY_VARTABLE, Mode, Poly, PolyMap,
                    PolyRing, VarKind, VarTable)
-from .encoding import (Word, WordSubst, as_word, com_injective_check,
+from .encoding import (Automorphism, Word, WordSubst, as_word, count_inverse,
                        encode_ring, encode_word, invert_substitution)
 from .grammar import (Budgets, Grammar, InvariantCertificate, Production,
                       Witness, zeroness)
@@ -339,12 +339,21 @@ def _norm_updates(t: Transducer, updates: Mapping[str, RegisterExpr]
 # letter occurrence analysis
 
 
-def letter_occurrence_analysis(t: Transducer) -> dict[tuple[str, str],
-                                                      frozenset[str]]:
-    """Superset of the letters occurring in each register at each
-    reachable state, by fixpoint over the update expressions."""
-    norm = {key: _norm_updates(t, upd)
+def _norm_transitions(t: Transducer
+                      ) -> dict[tuple[str, str], dict[str, tuple[Item, ...]]]:
+    return {key: _norm_updates(t, upd)
             for key, (_, upd) in t.transitions.items()}
+
+
+def letter_occurrence_analysis(
+        t: Transducer,
+        norm: Mapping[tuple[str, str], Mapping[str, Sequence[Item]]] | None = None
+        ) -> dict[tuple[str, str], frozenset[str]]:
+    """Superset of the letters occurring in each register at each
+    reachable state, by fixpoint over the update expressions; ``norm``
+    is ``_norm_transitions(t)`` when the caller has it."""
+    if norm is None:
+        norm = _norm_transitions(t)
     occ: dict[tuple[str, str], frozenset[str]] = {
         (t.initial_state, r): frozenset(w) for r, w in t.init.items()}
     reached = {t.initial_state}
@@ -388,13 +397,17 @@ Spec = tuple[bool, tuple[Item, ...]]
 def _classify_site(specs: Sequence[Spec], pair: tuple[str, str],
                    an1: Mapping[tuple[str, str], frozenset[str]],
                    an2: Mapping[tuple[str, str], frozenset[str]],
-                   alphabet: Sequence[str]) -> tuple[str, WordSubst]:
+                   alphabet: Sequence[str],
+                   counts: dict[WordSubst, tuple | None]
+                   ) -> tuple[str, WordSubst]:
     """Kind of one production site and the substitution shared by all
     register occurrences in it.
 
     An occurrence's substitution only matters on letters that can occur
     in the register it reads, so a common substitution is acceptable
     when it agrees with each occurrence on that occurrence's letters.
+    It is com-injective when its :func:`count_inverse`, kept in
+    ``counts`` for the inversion, exists.
     """
     occs: list[tuple[WordSubst, frozenset[str]]] = []
     for owner1, items in specs:
@@ -415,7 +428,9 @@ def _classify_site(specs: Sequence[Spec], pair: tuple[str, str],
                for subst, letters in occs):
             if cand.is_identity():
                 return NO_SUBST, cand
-            if com_injective_check(cand, alphabet).injective:
+            if cand not in counts:
+                counts[cand] = count_inverse(cand, alphabet)
+            if counts[cand] is not None:
                 return SIMULTANEOUS, cand
             return GENERAL, cand
     return GENERAL, identity
@@ -496,21 +511,19 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
     contents of both transducers (tilde and bar per register); reading
     a letter becomes a linear production, twisted in the simultaneous
     fragment by the automorphism that inverts the site's common
-    substitution; the initial nonterminal S derives the difference of
-    the encoded outputs wherever both states accept.  No grammar is
-    built when exactly one side accepts, where the access word
-    separates the transducers outright, nor when a site is general,
-    where no automorphism captures the update.
+    substitution (built once per distinct substitution, from the count
+    inverse that classified it); the initial nonterminal S derives the
+    difference of the encoded outputs wherever both states accept.  No
+    grammar is built when exactly one side accepts, where the access
+    word separates the transducers outright, nor when a site is
+    general, where no automorphism captures the update.
     """
     letters = _common_input(t1, t2, input_letters)
     alphabet = t1.alphabet
     lring = encode_ring(alphabet)
-    an1 = letter_occurrence_analysis(t1)
-    an2 = letter_occurrence_analysis(t2)
-    norm1 = {key: _norm_updates(t1, upd)
-             for key, (_, upd) in t1.transitions.items()}
-    norm2 = {key: _norm_updates(t2, upd)
-             for key, (_, upd) in t2.transitions.items()}
+    norm1, norm2 = _norm_transitions(t1), _norm_transitions(t2)
+    an1 = letter_occurrence_analysis(t1, norm1)
+    an2 = letter_occurrence_analysis(t2, norm2)
 
     order, access = _product_pairs(t1, t2, letters)
     names = {pair: f"{pair[0]}|{pair[1]}" for pair in order}
@@ -531,7 +544,8 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
             specs = [(True, normalize_expr(t1.outputs[q1], alphabet)),
                      (False, normalize_expr(t2.outputs[q2], alphabet))]
             sites.append(("S", pair, specs, None))
-    kinds = [_classify_site(specs, pair, an1, an2, alphabet)
+    counts: dict[WordSubst, tuple | None] = {}
+    kinds = [_classify_site(specs, pair, an1, an2, alphabet, counts)
              for _, pair, specs, _ in sites]
     classification = max((kind for kind, _ in kinds), key=_SEVERITY.get,
                          default=NO_SUBST)
@@ -540,7 +554,7 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
                                None if mismatch is None else access[mismatch],
                                order, names, lring)
 
-    field = FractionField(lring)
+    field = lring.fraction_field
     vring = PolyRing(EMPTY_VARTABLE, field, Mode.FIELD)
     r1 = len(t1.registers)
     slot_pairs: list[tuple[str, VarKind]] = []
@@ -575,14 +589,19 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
                             vring.const(field.coerce(bp))]
     productions = [Production(names[start], (),
                               PolyMap(vring, (), tuple(base_consts)))]
+    twists: dict[WordSubst, Automorphism] = {}
     for (lhs, src, specs, label), (kind, common) in zip(sites, kinds):
         folds = [fold(owner1, items) for owner1, items in specs]
         if label is None:
             outputs: tuple[Poly, ...] = (folds[0][0] - folds[1][0],)
         else:
             outputs = tuple(c for f in folds for c in f)
-        twist = (invert_substitution(common, alphabet, lring)
-                 if kind == SIMULTANEOUS else None)
+        twist = None
+        if kind == SIMULTANEOUS:
+            twist = twists.get(common)
+            if twist is None:
+                twist = twists[common] = invert_substitution(
+                    common, alphabet, lring, counts=counts[common])
         productions.append(Production(lhs, (names[src],),
                                       PolyMap(mring, slots, outputs), twist,
                                       label))

@@ -9,6 +9,7 @@ from polyzero.dsl import (format_numeric_transducer, parse_grammar,
                           parse_transducer, parse_vass, parse_word_subst)
 from polyzero.errors import ParseError
 from polyzero.grammar import enumerate_values
+from polyzero.lexer import tokenize
 from polyzero.transducer import run
 from polyzero.vass import AddVector, ResetSet, compile_to_transducer, normalize
 
@@ -131,6 +132,35 @@ def test_grammar_rejects_variable_parameter_clash():
 def test_grammar_rejects_unknown_nonterminal_in_production():
     with pytest.raises(ParseError):
         parse_grammar("nonterminal A dim 1; A -> p(B); polymap p(v) = (v);")
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer
+
+
+def test_tokens_carry_kind_text_and_position():
+    text = "R = '#' . a1 -> ]-> x; # note\n\t-[ 12 :=\"ab\" # last"
+    got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    assert got == [
+        ("ident", "R", 1, 1), ("sym", "=", 1, 3), ("string", "#", 1, 5),
+        ("sym", ".", 1, 9), ("ident", "a1", 1, 11), ("sym", "->", 1, 14),
+        ("sym", "]->", 1, 17), ("ident", "x", 1, 21), ("sym", ";", 1, 22),
+        ("sym", "-[", 2, 2), ("int", "12", 2, 5), ("sym", ":=", 2, 8),
+        ("string", "ab", 2, 10),
+        # a comment does not move the column
+        ("eof", "", 2, 15)]
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ('x = "ab\n"', "unterminated string literal", 1, 5),
+    ("x . 'ab", "unterminated string literal", 1, 5),
+    ("a -> b;\n  c ! d", "unexpected character '!'", 2, 5),
+    ("# only a comment\n\t@", "unexpected character '@'", 2, 2),
+])
+def test_tokenize_locates_its_errors(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        tokenize(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
 
 
 _TR_HEAD = ('transducer {\nalphabet a;\nregisters R = "";\n'

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyzero.encoding import (
-    Automorphism, WordSubst, com_injective_check, concat_map, encode_ring,
-    encode_word, identity_automorphism, induced_subst, invert_substitution,
-    letter_var_names, single_letter_nonvanishing,
+    Automorphism, WordSubst, _coeff_key, com_injective_check, concat_map,
+    count_inverse, encode_ring, encode_word, identity_automorphism,
+    induced_subst, invert_substitution, letter_var_names,
+    single_letter_nonvanishing,
 )
 from polyzero.errors import DomainError, NotComInjective
-from polyzero.poly import RatFunc
+from polyzero.linalg import mat_inverse
+from polyzero.poly import QQ, Monomial, RatFunc
 
 AB = encode_ring(["a", "b"])
 
@@ -163,6 +165,108 @@ def test_invert_rejects_singular():
         invert_substitution(WordSubst({"a": "ab", "b": "ab"}), ["a", "b"], AB)
     with pytest.raises(NotComInjective):
         invert_substitution(WordSubst({"a": ""}), ["a"])
+
+
+def _full_elimination_inverse(ws, letters, ring):
+    """``invert_substitution`` by full elimination: the n x n count
+    inverse, and Gauss-Jordan on the whole n x 2n additive system
+    ``[T | I]``, fixed letters included."""
+    letters = tuple(letters)
+    report = com_injective_check(ws, letters)
+    if not report.injective:
+        raise NotComInjective(
+            f"letter-count matrix is singular (det = {report.det})")
+    einv = mat_inverse(report.matrix, QQ)
+    bar_inverse = {}
+    for ti, tau in enumerate(letters):
+        pos, neg = [], []
+        for si, sigma in enumerate(letters):
+            e = einv[si][ti]
+            if e == 0:
+                continue
+            idx = ring.vartable.index(letter_var_names(sigma)[1])
+            (pos if e > 0 else neg).append((idx, e if e > 0 else -e))
+        bar_inverse[letter_var_names(tau)[1]] = RatFunc(
+            ring.from_monomial(Monomial(pos)), ring.from_monomial(Monomial(neg)))
+    field = ring.fraction_field
+    that = []
+    for sigma in letters:
+        tilde, _ = encode_word(ws.image(sigma), ring)
+        row = []
+        for tau in letters:
+            ti = ring.vartable.index(letter_var_names(tau)[0])
+            coeff = ring.zero()
+            for m, c in tilde.terms.items():
+                if m.exp(ti) == 1:
+                    coeff = coeff + ring.from_monomial(
+                        Monomial((i, e) for i, e in m if i != ti), c)
+            row.append(field.coerce(coeff).substitute(bar_inverse))
+        that.append(row)
+    tinv = mat_inverse(that, field)
+    if tinv is None:
+        raise NotComInjective("additive subsystem is singular")
+    tilde_inverse = {}
+    for ti, tau in enumerate(letters):
+        acc = field.zero()
+        for si, sigma in enumerate(letters):
+            acc = acc + tinv[ti][si] * field.coerce(
+                ring.var(letter_var_names(sigma)[0]))
+        tilde_inverse[letter_var_names(tau)[0]] = acc
+    return {**tilde_inverse, **bar_inverse}
+
+
+def _random_subst(rng, letters):
+    """Some of the letters moved, each mostly to a word of itself and at
+    most one other letter (com-injective more often than not), or else
+    to at most one letter."""
+    mapping = {}
+    for letter in rng.sample(letters, rng.randint(1, len(letters))):
+        w = [rng.choice(letters) for _ in range(rng.randint(0, 1))]
+        if rng.random() < 0.85:
+            w.insert(rng.randint(0, len(w)), letter)
+        mapping[letter] = "".join(w)
+    return WordSubst(mapping)
+
+
+@pytest.mark.parametrize("letters", ["abc", "abcd"])
+def test_inverse_images_are_written_as_full_elimination_writes_them(letters):
+    # the sparse solve on the moved letters against the full elimination:
+    # the same images, term for term with their coefficient types, in the
+    # same order, and the same substitutions rejected
+    ring = encode_ring(list(letters))
+    rng = random.Random(2026 + len(letters))
+    cases = [WordSubst({"a": "ab", "b": "babb"}), WordSubst({"c": "ca"}),
+             WordSubst({"a": "ca", "c": "ac"})]
+    cases += [_random_subst(rng, letters) for _ in range(300)]
+    inverted = 0
+    for ws in cases:
+        try:
+            want = _full_elimination_inverse(ws, letters, ring)
+        except NotComInjective as e:
+            assert count_inverse(ws, letters) is None
+            with pytest.raises(NotComInjective) as got:
+                invert_substitution(ws, letters, ring)
+            assert str(got.value) == str(e)
+            continue
+        got = invert_substitution(ws, letters, ring).inverse
+        assert list(got) == list(want)
+        assert [_coeff_key(c) for c in got.values()] == \
+            [_coeff_key(c) for c in want.values()], ws
+        inverted += 1
+    assert inverted > 150
+
+
+def test_count_inverse_covers_only_the_moved_letters():
+    # b and c counted in b -> bbca and c -> cb: [[2, 1], [1, 1]]
+    ws = WordSubst({"b": "bbca", "c": "cb"})
+    moved, inv = count_inverse(ws, ["a", "b", "c", "d"])
+    assert moved == (1, 2)
+    assert inv == [[1, -1], [-1, 2]]
+    # [[1, 1], [1, 1]] for b -> bca and c -> cb: singular
+    assert count_inverse(WordSubst({"b": "bca", "c": "cb"}), "abcd") is None
+    assert count_inverse(WordSubst({}), "ab") == ((), [])
+    rep = com_injective_check(ws, ["a", "b", "c", "d"])
+    assert rep.injective and rep.det == 1
 
 
 def test_identity_automorphism():

@@ -634,9 +634,51 @@ def test_var_at_exponent_one_is_built_once_per_ring():
     assert ring.var("x") is ring.var("x") is ring.var("x", 1)
     assert ring.var("x") == Poly(ring, {Monomial([(0, 1)]): 1})
     assert ring.var("x", 2) == ring.var("x") ** 2
-    assert ring.var("y") is not ordinary_ring(["x", "y"]).var("y")
+    # rings are interned, so an equal ring is this one, with its variables
+    assert ring.var("y") is ordinary_ring(["x", "y"]).var("y")
     with pytest.raises(StructureError):
         ring.var("z")
+
+
+def test_equal_rings_are_one_object():
+    # every constructor returns the one live ring for its variable
+    # table, field and mode
+    from polyzero.dsl import parse_grammar
+    from polyzero.encoding import encode_ring, letter_pairs
+    from polyzero.poly import flat_ring_for
+    lring = encode_ring(["a", "b"])
+    assert PolyRing(VarTable.make(letter_pairs(["a", "b"]))) is lring
+    assert lring.extended([("y", VarKind.ORDINARY)]) is PolyRing(
+        VarTable.make(letter_pairs(["a", "b"]) + [("y", VarKind.ORDINARY)]))
+    assert ordinary_ring(["x"]).extended([("y", VarKind.ORDINARY)]) \
+        is ordinary_ring(["x", "y"])
+    assert ordinary_ring(["x"], QQ, Mode.FIELD) is not ordinary_ring(["x"])
+    field = lring.fraction_field
+    assert field is lring.fraction_field and FractionField(lring) == field
+    over = ordinary_ring(["y"], field)
+    assert over is ordinary_ring(["y"], FractionField(lring))
+    flat = flat_ring_for(over)
+    assert flat is PolyRing(VarTable.make(
+        [("y", VarKind.ORDINARY)] + letter_pairs(["a", "b"])))
+    assert flat_ring_for(flat) is flat
+    g = parse_grammar("params b;\nnonterminal S dim 1;\nS -> q(S);\n"
+                      "S -> (b);\npolymap q(f) = (f + b);\n")
+    assert g.cert_ring("S") is g.ring.extended(
+        (n, VarKind.ORDINARY) for n in g.coord_names("S"))
+    assert g.cert_ring("S") is PolyRing(
+        g.ring.vartable.extended([("_v0_0", VarKind.ORDINARY)]),
+        g.ring.field, g.ring.mode)
+
+
+def test_rings_are_held_weakly():
+    import gc
+    import weakref
+    ring = ordinary_ring(["only_here"])
+    ring.var("only_here")  # a cache that refers back to the ring
+    gone = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert gone() is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -973,10 +1015,24 @@ OF_RING = PolyRing(VarTable.make([("x", VarKind.ORDINARY), ("y", VarKind.ORDINAR
 OF_FIELD = OF_RING.with_mode(Mode.FIELD)
 
 
+def _up(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den with every negative exponent of a one-term den moved
+    up into num (both multiplied by the inverse of that part of den)."""
+    if len(den.terms) != 1:
+        return num, den
+    (dm, _), = den.terms.items()
+    up = Monomial([(i, -e) for i, e in dm if e < 0])
+    if up.is_unit():
+        return num, den
+    return (Poly(num.ring, {m.mul(up): c for m, c in num.terms.items()}),
+            Poly(den.ring, {m.mul(up): c for m, c in den.terms.items()}))
+
+
 def _reference_of(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """``RatFunc.of`` as it was before the one-term path and the
     unchecked monomial quotients, with ``_division_loop`` for
-    ``poly_exact_div`` (the same results on valid polynomials)."""
+    ``poly_exact_div`` (the same results on valid polynomials), after
+    :func:`_up`."""
     ring = num.ring
     if num.is_zero():
         return ring.zero(), ring.one()
@@ -985,6 +1041,7 @@ def _reference_of(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         if c != 1:
             num = Poly._raw(ring, {m: QQ.div(k, c) for m, k in num.terms.items()})
         return num, ring.one()
+    num, den = _up(num, den)
     content = _poly_content(num).gcd(_poly_content(den))
     if not content.is_unit():
         num = Poly(ring, {t.div(content): c for t, c in num.terms.items()})
@@ -1089,8 +1146,10 @@ def _assert_same_up_to_int(got: Poly, want: Poly) -> None:
 def _gcd_path_of(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """``RatFunc.of`` on one term over one non-constant term as it was
     before the merge: the gcd of the two monomials cancelled from each,
-    then the quotient of what is left, each through ``Monomial.div``."""
+    then the quotient of what is left, each through ``Monomial.div``,
+    after :func:`_up`."""
     ring, field = num.ring, num.ring.field
+    num, den = _up(num, den)
     (nm, nc), = num.terms.items()
     (dm, dc), = den.terms.items()
     content = nm.gcd(dm)
@@ -1141,6 +1200,40 @@ def test_one_term_of_matches_the_gcd_path(nd):
     want_num, want_den = _gcd_path_of(*nd)
     assert _typed_terms(got.num) == _typed_terms(want_num)
     assert _typed_terms(got.den) == _typed_terms(want_den)
+
+
+def test_one_term_denominator_keeps_no_negative_exponent():
+    # every negative exponent of a one-term denominator moves up, whether
+    # or not another exponent of the quotient lands down
+    for num, den, want_num, want_den in [
+            ("y", "4*x*ab^(-1/2)", "1/4*y*ab^(1/2)", "x"),
+            ("x", "ab^(-1)", "x*ab", "1"),
+            ("x + y", "x*ab^(-1)", "x*ab + y*ab", "x")]:
+        r = RatFunc.of(OF_FIELD.parse(num), OF_FIELD.parse(den))
+        assert (r.num, r.den) == (OF_FIELD.parse(want_num), OF_FIELD.parse(want_den))
+        assert all(e > 0 for m in r.den.terms for _, e in m)
+    # the bar variable first: its exponent in the denominator alone is
+    # met before the numerator's variable in the merge
+    bx = PolyRing(VarTable.make([("ab", VarKind.BAR), ("x", VarKind.ORDINARY)]),
+                  QQ, Mode.FIELD)
+    r = RatFunc.of(bx.parse("x"), bx.parse("2*ab^(-1)*x^2"))
+    assert (r.num, r.den) == (bx.parse("1/2*ab"), bx.parse("x"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_pairs())
+@example((OF_FIELD.parse("y"), OF_FIELD.parse("4*x*ab^(-1/2)")))
+@example((OF_FIELD.parse("x"), OF_FIELD.parse("ab^(-1)")))
+@example((OF_FIELD.parse("y*ab^(-1)"), OF_FIELD.parse("x*ab^(-1/2)")))
+def test_one_term_path_matches_the_general_path(nd):
+    # the merge of one term over one term against the reference general
+    # path, which cancels the content and divides: the same terms and
+    # types, and a denominator with no negative exponent
+    got = RatFunc.of(*nd)
+    want_num, want_den = _reference_of(*nd)
+    _assert_same_up_to_int(got.num, want_num)
+    _assert_same_up_to_int(got.den, want_den)
+    assert all(e > 0 for m in got.den.terms for _, e in m)
 
 
 def test_map_coefficients_drops_a_term_mapped_to_zero():

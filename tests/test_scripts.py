@@ -38,13 +38,16 @@ def test_vass_agreement_finds_no_mismatch(argv, monkeypatch, capsys):
 def test_mul_bench_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["mul_bench.py", "--repeat", "1"])
     load("mul_bench", monkeypatch).main()
-    full, one_term, reduction = capsys.readouterr().out.splitlines()
+    full, one_term, reduction, twist = capsys.readouterr().out.splitlines()
     assert full.endswith("(median of 1, 900 result terms)")
     assert one_term.startswith("Poly.__mul__ 1x1 terms over Q(6 params): ")
     assert one_term.endswith(" us (median of 1 batches of 1000)")
     assert reduction.startswith(
         "normal_form of 8 terms mod 3 GrevLex basis polys over Q(6 params): ")
     assert reduction.endswith(" us (median of 1, 7 remainder terms)")
+    assert twist.startswith("invert_substitution # -> #a: ")
+    assert " ms over 3 letters, " in twist
+    assert twist.endswith(" ms over 8 letters (median of 1)")
 
 
 def test_equiv_demo_checks_every_certificate(monkeypatch, capsys):

@@ -365,6 +365,22 @@ def test_sqrev_grammar_carries_twists():
     assert len(out) == 1 and out[0].twist is None
 
 
+def test_each_distinct_substitution_is_inverted_once():
+    # two sites share the substitution '#' -> '#a': one twist for both
+    from polyzero.dsl import parse_transducer
+    two, one = (parse_transducer(
+        "transducer {\n  alphabet a '#';\n  registers R = '#';\n"
+        + "".join(f"  state {q}{' initial' if q == 'p' else ''} accepting;\n"
+                  f"  output {q} = R;\n" for q in states)
+        + "".join(f"  on a from {q} to {r} {{ R = R['#' := '#' . a]; }}\n"
+                  for q, r in zip(states, states[1:] + states[:1]))
+        + "}\n") for states in (["p", "q"], ["p"]))
+    comp = to_difference_grammar(two, one)
+    steps = [p for p in comp.grammar.productions if p.label is not None]
+    assert len(steps) == 2 and steps[0].twist is steps[1].twist
+    assert equivalence_check(two, one, budgets=SMALL).verdict == "equivalent"
+
+
 def _expected_difference(comp, t1, t2, word):
     o1, o2 = run(t1, word), run(t2, word)
     if o1 is None or o2 is None:

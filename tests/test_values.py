@@ -130,7 +130,9 @@ def test_records_keep_their_constructors(cls, params, kwargs):
 
 
 # the classes hashed as dict keys or sets: equal instances are equal and
-# hash as their field tuple, and no field can be assigned
+# hash as their field tuple, and no field can be assigned; an interned
+# class gives one object for equal fields, hashed by identity
+INTERNED = {PolyRing}
 HASHED = [
     (lambda: VarTable(("x", "y"), (ORD, ORD)), (("x", "y"), (ORD, ORD))),
     (lambda: PolyRing(R.vartable, QQ, Mode.FIELD),
@@ -145,8 +147,11 @@ HASHED = [
 @pytest.mark.parametrize("make, fields", HASHED)
 def test_hashed_records_are_values(make, fields):
     a, b = make(), make()
-    assert a is not b and a == b and not a != b
-    assert hash(a) == hash(b) == hash(fields)
+    if type(a) in INTERNED:
+        assert a is b and hash(a) == object.__hash__(a)
+    else:
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash(fields)
     assert len({a, b}) == 1
     assert a != fields and a != object()
     name = next(iter(inspect.signature(type(a)).parameters))
