@@ -343,9 +343,7 @@ def count_inverse(ws: WordSubst, letters: Sequence[str]
 
 
 def invert_substitution(ws: WordSubst, letters: Sequence[str],
-                        ring: PolyRing | None = None, *,
-                        counts: tuple[tuple[int, ...], list[list]] | None = None
-                        ) -> Automorphism:
+                        ring: PolyRing | None = None) -> Automorphism:
     """Automorphism induced by a com-injective word substitution.
 
     The multiplicative variables transform by the letter-count matrix in
@@ -360,8 +358,7 @@ def invert_substitution(ws: WordSubst, letters: Sequence[str],
     letter's column of the count matrix and its row of the additive
     system are unit vectors, so its two variables are their own inverse
     images, and the count inverse comes from the k x k block of moved
-    letters (:func:`count_inverse`, or ``counts`` when the caller has
-    it).  The additive system is inverted by the Gauss-Jordan
+    letters (:func:`count_inverse`).  The additive system is inverted by the Gauss-Jordan
     elimination of :mod:`linalg` on ``[T | I]``, run on the k moved
     rows only and kept sparse: a fixed letter's row is never changed
     and pivots its own column; an operation on a zero entry, which
@@ -373,8 +370,7 @@ def invert_substitution(ws: WordSubst, letters: Sequence[str],
     letters = tuple(letters)
     if ring is None:
         ring = encode_ring(letters)
-    if counts is None:
-        counts = count_inverse(ws, letters)
+    counts = count_inverse(ws, letters)
     if counts is None:
         raise NotComInjective("letter-count matrix is singular (det = 0)")
     moved, einv = counts

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DomainError, StructureError, UnsupportedSubstitution
 from .poly import (EMPTY_VARTABLE, Mode, Poly, PolyMap,
                    PolyRing, VarKind, VarTable)
-from .encoding import (Automorphism, Word, WordSubst, as_word, count_inverse,
+from .encoding import (Word, WordSubst, as_word, count_inverse,
                        encode_ring, encode_word, invert_substitution)
 from .grammar import (Budgets, Grammar, InvariantCertificate, Production,
                       Witness, zeroness)
@@ -347,13 +347,11 @@ def _norm_transitions(t: Transducer
 
 def letter_occurrence_analysis(
         t: Transducer,
-        norm: Mapping[tuple[str, str], Mapping[str, Sequence[Item]]] | None = None
+        norm: Mapping[tuple[str, str], Mapping[str, Sequence[Item]]]
         ) -> dict[tuple[str, str], frozenset[str]]:
     """Superset of the letters occurring in each register at each
     reachable state, by fixpoint over the update expressions; ``norm``
-    is ``_norm_transitions(t)`` when the caller has it."""
-    if norm is None:
-        norm = _norm_transitions(t)
+    is ``_norm_transitions(t)``."""
     occ: dict[tuple[str, str], frozenset[str]] = {
         (t.initial_state, r): frozenset(w) for r, w in t.init.items()}
     reached = {t.initial_state}
@@ -397,17 +395,14 @@ Spec = tuple[bool, tuple[Item, ...]]
 def _classify_site(specs: Sequence[Spec], pair: tuple[str, str],
                    an1: Mapping[tuple[str, str], frozenset[str]],
                    an2: Mapping[tuple[str, str], frozenset[str]],
-                   alphabet: Sequence[str],
-                   counts: dict[WordSubst, tuple | None]
-                   ) -> tuple[str, WordSubst]:
+                   alphabet: Sequence[str]) -> tuple[str, WordSubst]:
     """Kind of one production site and the substitution shared by all
     register occurrences in it.
 
     An occurrence's substitution only matters on letters that can occur
     in the register it reads, so a common substitution is acceptable
     when it agrees with each occurrence on that occurrence's letters.
-    It is com-injective when its :func:`count_inverse`, kept in
-    ``counts`` for the inversion, exists.
+    It is com-injective when its :func:`count_inverse` exists.
     """
     occs: list[tuple[WordSubst, frozenset[str]]] = []
     for owner1, items in specs:
@@ -428,9 +423,7 @@ def _classify_site(specs: Sequence[Spec], pair: tuple[str, str],
                for subst, letters in occs):
             if cand.is_identity():
                 return NO_SUBST, cand
-            if cand not in counts:
-                counts[cand] = count_inverse(cand, alphabet)
-            if counts[cand] is not None:
+            if count_inverse(cand, alphabet) is not None:
                 return SIMULTANEOUS, cand
             return GENERAL, cand
     return GENERAL, identity
@@ -511,12 +504,11 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
     contents of both transducers (tilde and bar per register); reading
     a letter becomes a linear production, twisted in the simultaneous
     fragment by the automorphism that inverts the site's common
-    substitution (built once per distinct substitution, from the count
-    inverse that classified it); the initial nonterminal S derives the
-    difference of the encoded outputs wherever both states accept.  No
-    grammar is built when exactly one side accepts, where the access
-    word separates the transducers outright, nor when a site is
-    general, where no automorphism captures the update.
+    substitution; the initial nonterminal S derives the difference of
+    the encoded outputs wherever both states accept.  No grammar is
+    built when exactly one side accepts, where the access word
+    separates the transducers outright, nor when a site is general,
+    where no automorphism captures the update.
     """
     letters = _common_input(t1, t2, input_letters)
     alphabet = t1.alphabet
@@ -544,8 +536,7 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
             specs = [(True, normalize_expr(t1.outputs[q1], alphabet)),
                      (False, normalize_expr(t2.outputs[q2], alphabet))]
             sites.append(("S", pair, specs, None))
-    counts: dict[WordSubst, tuple | None] = {}
-    kinds = [_classify_site(specs, pair, an1, an2, alphabet, counts)
+    kinds = [_classify_site(specs, pair, an1, an2, alphabet)
              for _, pair, specs, _ in sites]
     classification = max((kind for kind, _ in kinds), key=_SEVERITY.get,
                          default=NO_SUBST)
@@ -589,19 +580,14 @@ def to_difference_grammar(t1: Transducer, t2: Transducer,
                             vring.const(field.coerce(bp))]
     productions = [Production(names[start], (),
                               PolyMap(vring, (), tuple(base_consts)))]
-    twists: dict[WordSubst, Automorphism] = {}
     for (lhs, src, specs, label), (kind, common) in zip(sites, kinds):
         folds = [fold(owner1, items) for owner1, items in specs]
         if label is None:
             outputs: tuple[Poly, ...] = (folds[0][0] - folds[1][0],)
         else:
             outputs = tuple(c for f in folds for c in f)
-        twist = None
-        if kind == SIMULTANEOUS:
-            twist = twists.get(common)
-            if twist is None:
-                twist = twists[common] = invert_substitution(
-                    common, alphabet, lring, counts=counts[common])
+        twist = (invert_substitution(common, alphabet, lring)
+                 if kind == SIMULTANEOUS else None)
         productions.append(Production(lhs, (names[src],),
                                       PolyMap(mring, slots, outputs), twist,
                                       label))
