@@ -201,16 +201,18 @@ def _require_nonnegative(polys: Iterable[Poly]) -> None:
         raise DomainError("Groebner computation with negative exponents")
 
 
-def _monic(p: Poly, key: KeyFn) -> Poly:
-    """``p`` over its leading coefficient, ``field.one()`` at its monomial."""
+def _monic(p: Poly, key: KeyFn) -> Entry:
+    """The entry of ``p`` over its leading coefficient, as normal_form
+    takes it: ``field.one()`` at its leading monomial, which is read
+    once."""
     lm, lc = leading(p, key)
     field = p.ring.field
     one = field.one()
     if lc is one or lc == one:
-        return p
+        return lm, lc, p
     inv = field.div(one, lc)
-    return Poly._raw(p.ring, {m: one if m is lm else c * inv
-                              for m, c in p.terms.items()})
+    return lm, one, Poly._raw(p.ring, {m: one if m is lm else c * inv
+                                       for m, c in p.terms.items()})
 
 
 def _lead_triple(p: Poly, key: KeyFn) -> Entry:
@@ -306,9 +308,8 @@ def buchberger(gens: Iterable[Poly], order: Order) -> tuple[Poly, ...]:
     pending: dict[tuple[int, int], tuple] = {}
 
     def push(p: Poly) -> None:
-        p = _monic(p, key)
-        entries.append(_lead_triple(p, key))
-        sugars.append(p.total_degree())
+        entries.append(_monic(p, key))
+        sugars.append(entries[-1][2].total_degree())
         k = len(entries) - 1
         for i in range(k):
             l = entries[i][0].lcm(entries[k][0])

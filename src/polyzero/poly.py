@@ -570,7 +570,7 @@ class Poly:
     def total_degree(self) -> Exponent | None:
         if not self.terms:
             return None
-        return max((m.total_degree() for m in self.terms), key=Fraction)
+        return max(m.total_degree() for m in self.terms)
 
     def vars_used(self) -> set[str]:
         names = self.ring.vartable.names

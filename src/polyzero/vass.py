@@ -315,6 +315,12 @@ coefficients, lowest degree first, at least two long, with a nonzero
 last entry."""
 
 
+_Node = tuple[str, dict[str, Value], dict[str, "_Node"]]
+"""A node of :class:`NumericTransducer`'s trie: the state and the
+valuation after a prefix, and the nodes of its one-letter extensions by
+letter."""
+
+
 def _norm(coeffs: list[int]) -> Value:
     """The value of a coefficient list: trailing zeros dropped, and an
     ``int`` when at most the constant coefficient is left."""
@@ -395,37 +401,89 @@ def _kernel(src: str) -> Callable[[Mapping[str, Value]], Value]:
 
 
 def _emit(expr: NumExpr, ints: Container[str],
-          regs: Container[str] | None = None) -> tuple[str, bool]:
+          regs: Container[str] | None = None, shared: Container[NumExpr] = (),
+          bound: dict[NumExpr, tuple[str, bool]] | None = None) -> tuple[str, bool]:
     """Source of ``expr`` over the valuation ``v``, and whether it is an
     ``int`` when the registers in ``ints`` are, which makes its sums and
-    products native.  Only ``int`` constants, the helpers and ``repr``'d
-    register names reach the source; a register outside ``regs``, when
-    given, raises :class:`StructureError`."""
+    products native.  Only ``int`` constants, the helpers, ``repr``'d
+    register names and bound names reach the source; a register outside
+    ``regs``, when given, raises :class:`StructureError`.
+
+    A node of ``shared`` is bound with ``:=`` to a name at its first
+    occurrence and read by that name after: ``bound`` maps it to the
+    name and its flag.  Where the source runs only conditionally,
+    ``shared`` is empty, so nothing there is bound or read by name.  A
+    sum or product of two constants is folded, and a product by a
+    factor emitted as ``(1)`` is its other factor; a name is never
+    bound in a source that is dropped."""
     if isinstance(expr, NReg) and type(expr.name) is str:
         if regs is not None and expr.name not in regs:
             raise StructureError(f"undeclared register {expr.name!r}")
         return f"v[{expr.name!r}]", expr.name in ints
-    if isinstance(expr, (NAdd, NMul)):
-        (left, li), (right, ri) = (_emit(expr.left, ints, regs),
-                                   _emit(expr.right, ints, regs))
-        op, helper = ("+", "_add") if isinstance(expr, NAdd) else ("*", "_mul")
-        out = f"({left} {op} {right})" if li and ri else f"{helper}({left}, {right})"
-        if isinstance(expr, NAdd) and isinstance(expr.left, NX) and ri:
-            out = f"({right}, 1)"  # x + c for an int c: already a Value
-        if isinstance(expr, NMul) and isinstance(expr.right, NReg):
-            # a zero register on the right (the output's R2) makes the left
-            # factor unneeded; over Z[x] it cannot raise, so no result changes
-            out = f"({right} and {out})"
-        return out, li and ri
     if isinstance(expr, NConst) and type(expr.value) is int:
         return f"({expr.value})", True
     if isinstance(expr, NX):
         return "(0, 1)", False
-    if isinstance(expr, NSubstX):
-        (body, bi), (repl, ri) = (_emit(expr.body, ints, regs),
-                                  _emit(expr.replacement, ints, regs))
-        return (body, True) if bi else (f"_at({body}, {repl})", ri)
-    raise StructureError(f"not a numeric expression over int constants: {expr!r}")
+    if expr in shared and expr in bound:
+        return bound[expr]
+    if isinstance(expr, (NAdd, NMul)):
+        add = isinstance(expr, NAdd)
+        # a zero register on the right (the output's R2) makes the left
+        # factor unneeded; over Z[x] it cannot raise, so no result changes
+        cond = not add and isinstance(expr.right, NReg)
+        (left, li), (right, ri) = (
+            _emit(expr.left, ints, regs, () if cond else shared, bound),
+            _emit(expr.right, ints, regs, shared, bound))
+        if isinstance(expr.left, NConst) and isinstance(expr.right, NConst):
+            a, b = expr.left.value, expr.right.value
+            out = f"({a + b if add else a * b})"
+        elif not add and "(1)" in (left, right):
+            out = left if right == "(1)" else right
+        else:
+            op, helper = ("+", "_add") if add else ("*", "_mul")
+            out = (f"({left} {op} {right})" if li and ri
+                   else f"{helper}({left}, {right})")
+            if add and isinstance(expr.left, NX) and ri:
+                out = f"({right}, 1)"  # x + c for an int c: already a Value
+            if cond:
+                out = f"({right} and {out})"
+        is_int = li and ri
+    elif isinstance(expr, NSubstX):
+        # an int body leaves the replacement out of the source, though
+        # it is still checked
+        body, is_int = _emit(expr.body, ints, regs, shared, bound)
+        repl, ri = _emit(expr.replacement, ints, regs,
+                         () if is_int else shared, bound)
+        out, is_int = (body, True) if is_int else (f"_at({body}, {repl})", ri)
+    else:
+        raise StructureError(f"not a numeric expression over int constants: {expr!r}")
+    if expr in shared:
+        name = f"c{len(bound)}"
+        bound[expr] = name, is_int
+        out = f"({name} := {out})"
+    return out, is_int
+
+
+def _shared(exprs: Iterable[NumExpr]) -> set[NumExpr]:
+    """The sums, products and substitutions met more than once in
+    ``exprs``; the children of a node met again are not counted again."""
+    seen: set[NumExpr] = set()
+    shared: set[NumExpr] = set()
+    todo = list(exprs)
+    for e in todo:  # grows as it goes
+        kind = type(e)
+        if kind is NAdd or kind is NMul:
+            kids = e.left, e.right
+        elif kind is NSubstX:
+            kids = e.body, e.replacement
+        else:
+            continue
+        if e in seen:
+            shared.add(e)
+        else:
+            seen.add(e)
+            todo += kids
+    return shared
 
 
 def _is_int(expr: NumExpr, ints: Container[str], reads: list[str]) -> bool:
@@ -500,7 +558,7 @@ def compile_num(expr: NumExpr,
     run on the valuation lowered to :data:`Value` and lifted to ``ring``.
     A constant that is not an ``int`` raises :class:`StructureError`."""
     _check_ring(ring)
-    f = _kernel("lambda v: " + _emit(expr, ())[0])
+    f = _kernel("lambda v: " + _emit(expr, (), None, _shared([expr]), {})[0])
     return lambda val: _lift(ring, f({r: v if type(v) is int else _lower(v)
                                       for r, v in val.items()}))
 
@@ -528,17 +586,17 @@ class NumericTransducer:
     the :class:`Poly` of each constant they have lifted; ``init`` keeps
     the :class:`Poly` initial values.
 
-    The machine remembers the last word it ran and the path of states
-    and valuations after each of its prefixes, so memory stays bounded
-    by the length of that word.  A new run or trace resumes from the
-    longest prefix it shares with the last word; one of the same length
-    that differs at most in its last letter redoes only the last step.
-    The new steps are kept aside and committed, the stored path cut
-    back in place and extended, only once the word's last step is done,
-    so a word that raises (an unknown letter) leaves the memory as it
-    was.  Valuations are never mutated: a step that updates registers
-    builds a fresh one, and a step that updates none (into and inside
-    the error state) returns the one it was given.
+    The machine keeps a trie of the (state, valuation) nodes it has
+    reached, rooted at the initial state and ``init``, one node per
+    distinct prefix of the words it has run, each holding its children
+    by letter.  ``run`` and ``trace`` walk a word down from the root and
+    step only where a letter has no child yet, so each prefix is stepped
+    once for the life of the machine, and memory grows with the number
+    of distinct prefixes run.  A word that raises (an unknown letter)
+    keeps only the nodes of its valid prefix.  Valuations are never
+    mutated: a step that updates registers builds a fresh one, and a
+    step that updates none (into and inside the error state) returns
+    the one it was given.
 
     Construction raises :class:`StructureError` unless ``init`` gives
     exactly the registers, every transition joins declared states on a
@@ -591,17 +649,17 @@ class NumericTransducer:
         ints = _int_registers(start, self.transitions.values())
         self._steps: dict[str, dict[str, tuple[str, Callable]]] = {}
         for (q, a), (tgt, upd) in self.transitions.items():
-            fields = ", ".join(f"{r!r}: " + (_emit(upd[r], ints, regs)[0]
-                                             if r in upd else f"v[{r!r}]")
-                               for r in self.registers)
+            shared, bound = _shared(upd.values()), {}
+            fields = ", ".join(
+                f"{r!r}: " + (_emit(upd[r], ints, regs, shared, bound)[0]
+                              if r in upd else f"v[{r!r}]")
+                for r in self.registers)
             self._steps.setdefault(q, {})[a] = (tgt, _kernel(
                 "lambda v: {" + fields + "}" if upd else "lambda v: v"))
-        self._outputs = {q: _kernel("lambda v: " + _emit(e, ints, regs)[0])
-                         for q, e in self.outputs.items()}
+        self._outputs = {q: _kernel("lambda v: " + _emit(
+            e, ints, regs, _shared([e]), {})[0]) for q, e in self.outputs.items()}
         self._consts: dict[int, Poly] = {}
-        self._word: tuple[str, ...] = ()
-        self._stem: tuple[str, ...] | None = None  # all but its last letter
-        self._path: list[tuple[str, dict[str, Value]]] = [(self.initial_state, start)]
+        self._root: _Node = (self.initial_state, start, {})
 
     def step(self, state: str, letter: str,
              valuation: Mapping[str, Value]) -> tuple[str, Mapping[str, Value]]:
@@ -625,39 +683,31 @@ class NumericTransducer:
             p = self._consts[v] = self.ring.const(v)
         return p
 
-    def _prefixes(self, word: Sequence[str]) -> list[tuple[str, dict[str, Value]]]:
-        """(state, valuation) after every prefix of ``word``, resumed
-        from the longest prefix shared with the last word run; the
-        stored path itself, which the next run changes."""
-        word, path = tuple(word), self._path
-        if word and word[:-1] == self._stem:
-            state, vals = path[-2]
-            path[-1] = self.step(state, word[-1], vals)
-            self._word = word
-            return path
-        k = 0
-        for a, b in zip(word, self._word):
-            if a != b:
-                break
-            k += 1
-        state, vals = path[k]
-        new = []
-        for letter in word[k:]:
-            state, vals = self.step(state, letter, vals)
-            new.append((state, vals))
-        del path[k + 1:]
-        path += new
-        self._word, self._stem = word, word[:-1] if word else None
-        return path
+    def _walk(self, word: Iterable[str], node: _Node | None = None) -> _Node:
+        """The node that ``word`` reaches from ``node``, the root when
+        not given.  A letter with no child yet is stepped to and its node
+        added; a step that raises adds none."""
+        node = node or self._root
+        for letter in word:
+            kids = node[2]
+            if letter in kids:
+                node = kids[letter]
+            else:
+                state, vals = self.step(node[0], letter, node[1])
+                node = kids[letter] = (state, vals, {})
+        return node
 
     def run(self, word: Sequence[str]) -> Poly:
-        state, vals = self._prefixes(word)[-1]
+        state, vals, _ = self._walk(word)
         return self._lift(self._outputs[state](vals))
 
     def trace(self, word: Sequence[str]) -> list[tuple[str, dict[str, Poly]]]:
         """States and register valuations after every prefix."""
+        path = [self._root]
+        for letter in word:
+            path.append(self._walk((letter,), path[-1]))
         return [(state, {r: self._lift(v) for r, v in vals.items()})
-                for state, vals in self._prefixes(word)]
+                for state, vals, _ in path]
 
 
 ERROR_STATE = "_err"

@@ -453,7 +453,8 @@ def test_order_key_rejects_orders_that_are_not_total():
 
 
 # ---------------------------------------------------------------------------
-# _monic against scaling by the inverse leading coefficient
+# _monic against scaling by the inverse leading coefficient, and the
+# entry it returns
 
 AB_RING = ordinary_ring(["a", "b"])
 Y_AB = ordinary_ring(["y1", "y2"], FractionField(AB_RING))
@@ -500,8 +501,9 @@ def test_monic_matches_scaling_by_the_inverse(case):
     p, order = case
     key = order_key(order, p.ring)
     field = p.ring.field
-    _, lc = leading(p, key)
-    got, want = _monic(p, key), p.scale(field.div(field.one(), lc))
+    lm, lc = leading(p, key)
+    (got_lm, got_lc, got), want = _monic(p, key), p.scale(field.div(field.one(), lc))
+    assert got_lm == lm and got_lc == field.one() and got.terms[lm] is got_lc
     assert list(got.terms) == list(want.terms)
     for c, w in zip(got.terms.values(), want.terms.values()):
         assert _same_or_int_for_fraction(c, w)
@@ -524,7 +526,7 @@ def fixpoint_buchberger(gens, order):
     entries, sugars, pending = [], [], {}
 
     def push(p):
-        p = _monic(p, key)
+        p = _monic(p, key)[2]
         entries.append(_lead_triple(p, key))
         sugars.append(p.total_degree())
         k = len(entries) - 1
@@ -566,7 +568,7 @@ def fixpoint_buchberger(gens, order):
                 triples[idx] = None
                 changed = True
             elif r != own[2]:
-                triples[idx] = _lead_triple(_monic(r, key), key)
+                triples[idx] = _lead_triple(_monic(r, key)[2], key)
                 changed = True
     final = sorted((t for t in triples if t is not None),
                    key=lambda t: key(t[0]), reverse=True)

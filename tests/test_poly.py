@@ -39,6 +39,19 @@ def test_half_bar_exponents_multiply():
     assert a * a == BAR2.var("ab")
 
 
+def test_total_degree_is_the_first_largest_term_degree():
+    # int and Fraction degrees compare natively, so max needs no key
+    rng = random.Random(7)
+    half = BAR2.var("ab", Fraction(1, 2))
+    for _ in range(50):
+        p = rand_poly(rng, BAR2) * half ** rng.randint(0, 3)
+        degrees = [m.total_degree() for m in p.terms]
+        got = p.total_degree()
+        want = max(degrees, key=Fraction) if degrees else None
+        assert got == want and type(got) is type(want)
+    assert type((half ** 3 + BAR2.var("bb") ** 2).total_degree()) is int
+
+
 def test_add_zero_is_identity():
     rng = random.Random(103)
     for _ in range(50):

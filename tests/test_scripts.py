@@ -88,8 +88,10 @@ def test_traffic_shows_a_vass_pass_running_the_generated_kernels():
     assert status["_int_registers"] == "run"
     # only step's DomainError for an unknown letter is left unrun
     assert status["NumericTransducer.step"].startswith("run")
-    # both the one-step resume and the general one run
-    assert status["NumericTransducer._prefixes"] == "run"
+    # the trie walk runs whole: the branch that reads a node already
+    # reached and the one that steps to a new node
+    assert status["NumericTransducer._walk"] == "run"
+    assert branch_lines("vass", "_walk", "letter in kids")
     # R1's products all take _mul's two-coefficient branch, every
     # statement of it; the general convolution is left unrun
     assert not branch_lines("vass", "_mul", "len(b) == 2") & not_run(status["_mul"])

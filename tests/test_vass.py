@@ -6,6 +6,7 @@ from __future__ import annotations
 import cProfile
 import pstats
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -488,6 +489,59 @@ def test_dense_values_match_the_reference_interpreter(expr, vals):
     assert type(after["R1"]) is (int if want.is_constant() else tuple)
 
 
+def test_compiled_kernels_compute_each_shared_node_once():
+    # R1aux + 1 is R1's root and R1aux's update, a changed counter is
+    # read again by R2's guard, and a reset counter's guard factor 0 + 1
+    # is dropped from the product
+    v = loop_machine(2, [up(1, 2), ResetSet(frozenset({2})), down(2, 2)])
+    inc, reset, dec = (kernel.source for _, kernel in
+                       compile_to_transducer(v)._steps["q0"].values())
+    for src in (inc, reset, dec):
+        assert src.count("v['R1aux'] + (1)") == 1 and "'R1aux': c0" in src
+    assert inc.count("v['S1'] + (1)") == 1 and "'S1': c1" in inc
+    assert dec.count("v['S2'] + (-1)") == 1 and "'S2': c1" in dec
+    assert "'R2': (v['R2'] * (v['S1'] + (1)))" in reset
+    assert ":=" not in compile_to_transducer(v)._outputs["q0"].source
+
+
+@st.composite
+def shared_updates(draw):
+    """An update of every register, whose expressions share nodes: each
+    is drawn from a pool of expressions and sums, products and
+    substitutions of earlier pool members."""
+    pool = draw(st.lists(num_exprs, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 5))):
+        node = draw(st.sampled_from([NAdd, NMul, NSubstX]))
+        pool.append(node(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return {r: draw(st.sampled_from(pool)) for r in REGS}
+
+
+S1_PLUS_1 = NAdd(NReg("S1"), ONE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_updates(), valuations)
+# a shared node first met where the source runs only conditionally:
+# left of a zero R2, and the replacement of an int body
+@example({"R1": NMul(S1_PLUS_1, NReg("R2")), "R1aux": S1_PLUS_1,
+          "R2": NReg("R2"), "S1": S1_PLUS_1}, SOME_VALS)
+@example({"R1": NSubstX(NReg("R1aux"), S1_PLUS_1), "R1aux": NReg("R1aux"),
+          "R2": S1_PLUS_1, "S1": NMul(S1_PLUS_1, S1_PLUS_1)}, SOME_VALS)
+@example({"R1": NMul(NReg("R1"), NAdd(NConst(0), ONE)), "R1aux": NMul(ONE, X),
+          "R2": NReg("R2"), "S1": NReg("S1")}, SOME_VALS)
+def test_steps_with_shared_nodes_match_the_reference_interpreter(upd, vals):
+    # every register's new value, each shared node bound once at most
+    lifted = {r: ZX.const(v) if isinstance(v, int) else v
+              for r, v in vals.items()}
+    t = NumericTransducer(("a",), REGS, lifted, ("q",), "q", (),
+                          {("q", "a"): ("q", upd)}, {"q": NConst(0)}, ZX)
+    _, after = t.step("q", "a", {r: dense(p) for r, p in lifted.items()})
+    for r, e in upd.items():
+        assert after[r] == dense(reference_value(e, lifted, ZX)), r
+    names = re.findall(r"\b(c\d+) := ", t._steps["q"]["a"][1].source)
+    assert len(names) == len(set(names)) <= len(vass._shared(upd.values()))
+
+
 def test_register_made_polynomial_on_one_transition_only():
     # S1 starts constant and only (q0, a) makes it a polynomial; R2 reads
     # S1 and so drops out of the int registers a round later, while R1
@@ -572,7 +626,7 @@ def test_family_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# runs resumed from the last word's prefix
+# runs that share a trie of reached valuations
 
 
 def test_resumed_runs_agree_with_fresh_machines():
@@ -594,6 +648,40 @@ def test_resumed_runs_agree_with_fresh_machines():
                 for _ in range(2):  # the same bad word raises again
                     with pytest.raises(DomainError):
                         t.run(bad)
+
+
+def test_each_distinct_prefix_is_stepped_once():
+    # shuffled words up to length 4, raising words interleaved: a step
+    # returns once per distinct nonempty prefix run, a raising word's
+    # valid prefix included, and the outputs are a fresh machine's
+    rng = random.Random(8)
+    for v in FAMILY[:5]:
+        t = compile_to_transducer(v)
+        done, raised = [], []
+        step = t.step
+
+        def counted(state, letter, vals):
+            raised.append(letter)
+            out = step(state, letter, vals)
+            done.append(raised.pop())
+            return out
+
+        t.step = counted
+        words = [word_of_run(v, w) for w in all_words(len(v.transitions), 4)]
+        rng.shuffle(words)
+        prefixes, bad_runs = set(), 0
+        for n, word in enumerate(words):
+            fresh = compile_to_transducer(v)
+            assert t.run(word) == fresh.run(word), (v.name, word)
+            prefixes.update(word[:k] for k in range(1, len(word) + 1))
+            if n % 5 == 0 and word:
+                bad = word[:-1] + ("zz",) + word[-1:]
+                with pytest.raises(DomainError):
+                    t.run(bad)
+                bad_runs += 1
+                prefixes.update(word[:k] for k in range(1, len(word)))
+        assert len(done) == len(prefixes), v.name
+        assert raised == ["zz"] * bad_runs
 
 
 def test_failed_run_keeps_the_resume_point():
@@ -677,6 +765,21 @@ UNDECLARED = {
 def test_tiny_machine_is_well_formed():
     t = tiny_machine()
     assert t.run(["a", "a"]) == ZX.one()
+
+
+def test_a_long_word_runs_without_recursion():
+    # the trie is walked and grown iteratively: a 10 000-letter word on
+    # a one-state machine, traced on a fresh machine and run on another
+    word = ["a"] * 10_000
+    trace = tiny_machine().trace(word)
+    assert len(trace) == 10_001
+    assert trace[-1] == ("q", {r: ZX.one() for r in REGS})
+    t = tiny_machine()
+    assert t.run(word) == ZX.one()
+    steps = []
+    t.step = lambda *args: steps.append(args)
+    assert t.run(word) == ZX.one() and len(t.trace(word)) == 10_001
+    assert not steps
 
 
 @pytest.mark.parametrize("changed", UNDECLARED.values(), ids=UNDECLARED.keys())
