@@ -649,13 +649,14 @@ class NumericTransducer:
         ints = _int_registers(start, self.transitions.values())
         self._steps: dict[str, dict[str, tuple[str, Callable]]] = {}
         for (q, a), (tgt, upd) in self.transitions.items():
-            shared, bound = _shared(upd.values()), {}
-            fields = ", ".join(
-                f"{r!r}: " + (_emit(upd[r], ints, regs, shared, bound)[0]
-                              if r in upd else f"v[{r!r}]")
-                for r in self.registers)
-            self._steps.setdefault(q, {})[a] = (tgt, _kernel(
-                "lambda v: {" + fields + "}" if upd else "lambda v: v"))
+            src = "lambda v: v"  # into and inside the error state
+            if upd:
+                shared, bound = _shared(upd.values()), {}
+                src = "lambda v: {" + ", ".join(
+                    f"{r!r}: " + (_emit(upd[r], ints, regs, shared, bound)[0]
+                                  if r in upd else f"v[{r!r}]")
+                    for r in self.registers) + "}"
+            self._steps.setdefault(q, {})[a] = (tgt, _kernel(src))
         self._outputs = {q: _kernel("lambda v: " + _emit(
             e, ints, regs, _shared([e]), {})[0]) for q, e in self.outputs.items()}
         self._consts: dict[int, Poly] = {}
