@@ -18,7 +18,12 @@ reduction, each printed on its own line:
 * ``invert_substitution`` of the twist ``# -> #a`` of the sqrev pair,
   over its three letters and over eight, as the difference grammar
   inverts it at each simultaneous site: the median time of one
-  inversion in milliseconds.
+  inversion in milliseconds;
+* ``compile_to_transducer(normalize(v))`` for every machine ``v`` of
+  ``small_family(40, 0)``, with every cache of ``polyzero.vass``
+  cleared before the first, so the family builds each of its
+  distinct updates, typings and kernels once: the median time of the
+  whole family in milliseconds.
 
     PYTHONPATH=src python3 scripts/mul_bench.py [--seed N] [--repeat N]
 """
@@ -31,6 +36,7 @@ import statistics
 import time
 from fractions import Fraction
 
+from polyzero import vass
 from polyzero.encoding import WordSubst, encode_ring, invert_substitution
 from polyzero.groebner import GrevLex, buchberger, leading, normal_form, order_key
 from polyzero.poly import FractionField, Monomial, RatFunc, VarKind, ordinary_ring
@@ -146,6 +152,17 @@ def main() -> None:
                        f"{len(letters)} letters")
     print(f"invert_substitution # -> #a: {', '.join(medians)} "
           f"(median of {args.repeat})")
+    family = vass.small_family(40, 0)
+    times = []
+    for _ in range(args.repeat):
+        for cache in vass._CACHES:
+            cache.cache_clear()
+        t0 = time.perf_counter()
+        for v in family:
+            vass.compile_to_transducer(vass.normalize(v))
+        times.append(time.perf_counter() - t0)
+    print(f"compile_to_transducer of small_family(40, 0) from cleared caches: "
+          f"{1000 * statistics.median(times):.3f} ms (median of {args.repeat})")
 
 
 if __name__ == "__main__":

@@ -389,9 +389,11 @@ def _at(body: Value, v: Value) -> Value:
 @lru_cache(maxsize=256)
 def _kernel(src: str) -> Callable[[Mapping[str, Value]], Value]:
     """The function a generated ``lambda`` defines, compiled once per
-    source text; its file is ``<vass kernel>``, its name ``kernel_`` and
-    the CRC-32 of ``src`` (so profiles tell kernels apart), and it keeps
-    ``src``."""
+    source text (a cache keyed by ``src``, bounded at 256 sources); its
+    file is ``<vass kernel>``, its name ``kernel_`` and the CRC-32 of
+    ``src`` (so profiles tell kernels apart), and it keeps ``src``.
+    :func:`_step_kernel` and :func:`_output_kernel` reach it only when
+    they miss."""
     fn = eval(compile(src, "<vass kernel>", "eval"),
               {"__builtins__": {}, "_add": _add, "_mul": _mul, "_at": _at})
     name = f"kernel_{zlib.crc32(src.encode()):08x}"
@@ -511,6 +513,10 @@ def _check_ring(ring: PolyRing) -> None:
 
 def _lower(p: Poly) -> Value:
     """A :class:`Poly` of Z[x] as a register value."""
+    if not p.terms:
+        return 0
+    if len(p.terms) == 1 and type(c := p.terms.get(UNIT_MONOMIAL)) is int:
+        return c  # a nonzero constant
     coeffs = [0] * (max((m.exp(0) for m in p.terms), default=0) + 1)
     for m, c in p.terms.items():
         if type(c) is not int:
@@ -550,6 +556,48 @@ def _int_registers(start: Mapping[str, Value], transitions: Iterable) -> set[str
     return ints
 
 
+# The caches below key expressions by identity (NumExpr defines no
+# equality), so an expression must not be changed once a machine or a
+# function has been built from it.  Each holds its keys, so no key's id
+# is reused while it is cached.
+
+
+@lru_cache(maxsize=256)
+def _int_typing(ints: frozenset[str],
+                updates: frozenset[tuple[str, NumExpr]]) -> frozenset[str]:
+    """:func:`_int_registers` of a start whose ``int`` registers are
+    ``ints``, under the (register, expression) ``updates``: a cache
+    keyed by both, bounded at 256 entries."""
+    return frozenset(_int_registers(dict.fromkeys(ints, 0),
+                                    [(r, {r: e}) for r, e in updates]))
+
+
+@lru_cache(maxsize=512)
+def _step_kernel(updates: tuple[tuple[str, NumExpr], ...], ints: frozenset[str],
+                 regs: tuple[str, ...]) -> Callable[[Mapping[str, Value]], Value]:
+    """The function of one transition, building the whole new valuation
+    from the (register, expression) ``updates``.  A cache keyed by the
+    updates (expressions by identity), the ``int`` registers and the
+    declared ones ``regs``, bounded at 512 transitions; a miss emits the
+    source, and raises :class:`StructureError` as :func:`_emit` does."""
+    if not updates:
+        return _kernel("lambda v: v")  # into and inside the error state
+    upd = dict(updates)
+    shared, bound = _shared(upd.values()), {}
+    return _kernel("lambda v: {" + ", ".join(
+        f"{r!r}: " + (_emit(upd[r], ints, regs, shared, bound)[0]
+                      if r in upd else f"v[{r!r}]")
+        for r in regs) + "}")
+
+
+@lru_cache(maxsize=512)
+def _output_kernel(expr: NumExpr, ints: frozenset[str],
+                   regs: tuple[str, ...] | None) -> Callable[[Mapping[str, Value]], Value]:
+    """The function of one expression, keyed and bounded as
+    :func:`_step_kernel`; ``regs`` ``None`` declares every register."""
+    return _kernel("lambda v: " + _emit(expr, ints, regs, _shared([expr]), {})[0])
+
+
 def compile_num(expr: NumExpr,
                 ring: PolyRing) -> Callable[[Mapping[str, int | Poly]], Poly]:
     """The expression as a function of a register valuation over Z[x],
@@ -558,7 +606,7 @@ def compile_num(expr: NumExpr,
     run on the valuation lowered to :data:`Value` and lifted to ``ring``.
     A constant that is not an ``int`` raises :class:`StructureError`."""
     _check_ring(ring)
-    f = _kernel("lambda v: " + _emit(expr, (), None, _shared([expr]), {})[0])
+    f = _output_kernel(expr, frozenset(), None)
     return lambda val: _lift(ring, f({r: v if type(v) is int else _lower(v)
                                       for r, v in val.items()}))
 
@@ -579,12 +627,22 @@ class NumericTransducer:
     else the tuple of its integer coefficients.  Construction infers the
     registers that stay ``int`` (S1..Sdim, R1aux and R2 of a compiled
     VASS, not R1) and generates one function per transition, building
-    the whole new valuation, and one per output: native sums and products
-    over ``int`` registers, integer convolutions and Horner's rule
-    elsewhere, so no :class:`Poly` is built while a word runs.  ``run``
-    and ``trace`` lift every value to a :class:`Poly` of the ring, caching
-    the :class:`Poly` of each constant they have lifted; ``init`` keeps
-    the :class:`Poly` initial values.
+    the whole new valuation, and one per output that is not an ``int``
+    constant: native sums and products over ``int`` registers, integer
+    convolutions and Horner's rule elsewhere, so no :class:`Poly` is
+    built while a word runs.  An ``int`` constant output is one
+    :class:`Poly`, built here and returned by ``run`` as it is.  ``run``
+    and ``trace`` lift every other value to a :class:`Poly` of the ring,
+    caching the :class:`Poly` of each constant they have lifted;
+    ``init`` keeps the :class:`Poly` initial values.
+
+    The typing and the functions come from caches keyed by the update
+    and output expressions themselves, by identity (see
+    :func:`_int_typing`, :func:`_step_kernel` and
+    :func:`_output_kernel`), so construction emits and compiles only the
+    transitions and outputs that no machine built before it had: a
+    machine whose expressions were all met before costs its validation
+    and a cache lookup per transition and output.
 
     The machine keeps a trie of the (state, valuation) nodes it has
     reached, rooted at the initial state and ``init``, one node per
@@ -646,20 +704,19 @@ class NumericTransducer:
                                      "updates an undeclared register")
         _check_ring(ring)
         start = {r: _lower(p) for r, p in self.init.items()}
-        ints = _int_registers(start, self.transitions.values())
+        ints = _int_typing(
+            frozenset(r for r, v in start.items() if type(v) is int),
+            frozenset().union(*(upd.items() for _, upd in self.transitions.values())))
         self._steps: dict[str, dict[str, tuple[str, Callable]]] = {}
         for (q, a), (tgt, upd) in self.transitions.items():
-            src = "lambda v: v"  # into and inside the error state
-            if upd:
-                shared, bound = _shared(upd.values()), {}
-                src = "lambda v: {" + ", ".join(
-                    f"{r!r}: " + (_emit(upd[r], ints, regs, shared, bound)[0]
-                                  if r in upd else f"v[{r!r}]")
-                    for r in self.registers) + "}"
-            self._steps.setdefault(q, {})[a] = (tgt, _kernel(src))
-        self._outputs = {q: _kernel("lambda v: " + _emit(
-            e, ints, regs, _shared([e]), {})[0]) for q, e in self.outputs.items()}
+            kernel = _step_kernel(tuple(upd.items()), ints, self.registers)
+            self._steps.setdefault(q, {})[a] = (tgt, kernel)
         self._consts: dict[int, Poly] = {}
+        # a state whose output is an int constant runs no function
+        self._outputs: dict[str, Poly | Callable] = {
+            q: self._lift(e.value) if type(e) is NConst and type(e.value) is int
+            else _output_kernel(e, ints, self.registers)
+            for q, e in self.outputs.items()}
         self._root: _Node = (self.initial_state, start, {})
 
     def step(self, state: str, letter: str,
@@ -700,7 +757,8 @@ class NumericTransducer:
 
     def run(self, word: Sequence[str]) -> Poly:
         state, vals, _ = self._walk(word)
-        return self._lift(self._outputs[state](vals))
+        out = self._outputs[state]
+        return out if type(out) is Poly else self._lift(out(vals))
 
     def trace(self, word: Sequence[str]) -> list[tuple[str, dict[str, Poly]]]:
         """States and register valuations after every prefix."""
@@ -712,6 +770,43 @@ class NumericTransducer:
 
 
 ERROR_STATE = "_err"
+
+
+@lru_cache(maxsize=32)
+def _compiled_parts(dim: int) -> tuple[dict[str, Poly], dict[str, NReg],
+                                       NumExpr, NumExpr, NumExpr]:
+    """The initial values and the nodes of the registers of a compiled
+    VASS of dimension ``dim``, R1aux's update, R1's update and the
+    accepting output; callers must not change them."""
+    ring = ordinary_ring(("x",))
+    counters = tuple(f"S{i}" for i in range(1, dim + 1))
+    init = {r: ring.zero() for r in counters}
+    init.update(R1=ring.one(), R1aux=ring.zero(), R2=ring.one())
+    reg = {r: NReg(r) for r in ("R1", "R1aux", "R2") + counters}
+    bump = NAdd(reg["R1aux"], NConst(1))
+    r1 = NMul(reg["R1"], NAdd(NX(), NMul(NConst(-1), bump)))
+    accept = NMul(NSubstX(reg["R1"], num_sum([reg[r] for r in counters])),
+                  reg["R2"])
+    return init, reg, bump, r1, accept
+
+
+@lru_cache(maxsize=256)
+def _effect_update(kind: type, fields: tuple[int, ...] | frozenset[int],
+                   dim: int) -> dict[str, NumExpr]:
+    """The update of a transition whose effect is ``kind(fields)`` in
+    dimension ``dim``; callers must not change it."""
+    _, reg, bump, r1, _ = _compiled_parts(dim)
+    counters = tuple(f"S{i}" for i in range(1, dim + 1))
+    if kind is AddVector:
+        upd = {r: NAdd(reg[r], NConst(d)) for r, d in zip(counters, fields) if d}
+    else:
+        upd = {r: NConst(0) for k, r in enumerate(counters, 1) if k in fields}
+    one = NConst(1)
+    guard: NumExpr = reg["R2"]
+    for r in counters:
+        guard = NMul(guard, NAdd(upd.get(r, reg[r]), one))
+    upd.update(R2=guard, R1=r1, R1aux=bump)
+    return upd
 
 
 def compile_to_transducer(v: ResetVass) -> NumericTransducer:
@@ -726,47 +821,40 @@ def compile_to_transducer(v: ResetVass) -> NumericTransducer:
     to make that root pattern come out.  R2 picks up a factor of
     counter+1 per coordinate per step and is 0 exactly when some
     coordinate dipped below zero.
+
+    Each transition's update is built once per effect and dimension (a
+    cache keyed by the effect's class, its fields and the dimension,
+    bounded at 256 updates), and R1's, R1aux's and the accepting output
+    once per dimension (bounded at 32 dimensions), so machines with
+    equal effects hand :class:`NumericTransducer` the same expression
+    objects, and it generates nothing for them again.
     """
     if not v.is_normalized():
         raise StructureError("compilation needs a normalized reset VASS")
-    ring = ordinary_ring(("x",))
+    init, reg, _, _, accept = _compiled_parts(v.dim)
     letters = v.letters()
-    counters = tuple(f"S{i}" for i in range(1, v.dim + 1))
-    registers = ("R1", "R1aux", "R2") + counters
-    init = {r: ring.zero() for r in counters}
-    init["R1"] = ring.one()
-    init["R1aux"] = ring.zero()
-    init["R2"] = ring.one()
     states = v.states + (ERROR_STATE,)
 
+    updates = [_effect_update(AddVector, tuple(eff.delta), v.dim)
+               if isinstance(eff, AddVector)
+               else _effect_update(ResetSet, frozenset(eff.coords), v.dim)
+               for _, eff, _ in v.transitions]
     transitions: dict[tuple[str, str], tuple[str, dict[str, NumExpr]]] = {}
-    reg = {r: NReg(r) for r in registers}
-    one = NConst(1)
-    bump = NAdd(reg["R1aux"], one)
-    r1 = NMul(reg["R1"], NAdd(NX(), NMul(NConst(-1), bump)))
     for p in states:
-        for i, (src, eff, tgt) in enumerate(v.transitions):
-            key = (p, letters[i])
-            if p == ERROR_STATE or p != src:
-                transitions[key] = (ERROR_STATE, {})
-                continue
-            if isinstance(eff, AddVector):
-                upd = {r: NAdd(reg[r], NConst(d))
-                       for r, d in zip(counters, eff.delta) if d}
-            else:
-                upd = {r: NConst(0) for k, r in enumerate(counters, 1)
-                       if k in eff.coords}
-            guard: NumExpr = reg["R2"]
-            for r in counters:
-                guard = NMul(guard, NAdd(upd.get(r, reg[r]), one))
-            upd.update(R2=guard, R1=r1, R1aux=bump)
-            transitions[key] = (tgt, upd)
+        for i, (src, _, tgt) in enumerate(v.transitions):
+            transitions[(p, letters[i])] = (
+                (tgt, updates[i]) if p == src else (ERROR_STATE, {}))
 
-    accept = NMul(NSubstX(reg["R1"], num_sum([reg[r] for r in counters])), reg["R2"])
     outputs = {q: accept if q in v.accepting else NConst(0) for q in states}
-    return NumericTransducer(letters, registers, init, states, v.initial,
+    ring = init["R1"].ring  # Z[x]
+    return NumericTransducer(letters, tuple(reg), init, states, v.initial,
                              v.accepting, transitions, outputs, ring,
                              name=v.name)
+
+
+# every cache that building a machine reads, to measure or test it cold
+_CACHES = (_compiled_parts, _effect_update, _int_typing, _step_kernel,
+           _output_kernel, _kernel)
 
 
 def word_of_run(v: ResetVass, run: Sequence[int]) -> tuple[str, ...]:

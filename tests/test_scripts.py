@@ -38,7 +38,7 @@ def test_vass_agreement_finds_no_mismatch(argv, monkeypatch, capsys):
 def test_mul_bench_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["mul_bench.py", "--repeat", "1"])
     load("mul_bench", monkeypatch).main()
-    full, one_term, reduction, twist = capsys.readouterr().out.splitlines()
+    full, one_term, reduction, twist, build = capsys.readouterr().out.splitlines()
     assert full.endswith("(median of 1, 900 result terms)")
     assert one_term.startswith("Poly.__mul__ 1x1 terms over Q(6 params): ")
     assert one_term.endswith(" us (median of 1 batches of 1000)")
@@ -48,6 +48,9 @@ def test_mul_bench_runs(monkeypatch, capsys):
     assert twist.startswith("invert_substitution # -> #a: ")
     assert " ms over 3 letters, " in twist
     assert twist.endswith(" ms over 8 letters (median of 1)")
+    assert build.startswith("compile_to_transducer of small_family(40, 0) "
+                            "from cleared caches: ")
+    assert build.endswith(" ms (median of 1)")
 
 
 def test_equiv_demo_checks_every_certificate(monkeypatch, capsys):
@@ -84,8 +87,15 @@ def test_traffic_lists_the_statements_a_search_pass_never_ran():
 
 def test_traffic_shows_a_vass_pass_running_the_generated_kernels():
     status = traffic("vass")
+    # a fresh pass builds its first machines on cache misses
     assert status["_kernel"] == "run"
-    assert status["_int_registers"] == "run"
+    assert status["_emit"].startswith("run")
+    # the typing gets each (register, expression) pair once, and a
+    # compiled machine has one update of R1, the one register dropped:
+    # no pair of a dropped register is left to skip
+    assert status["_int_registers"].startswith("run")
+    assert not_run(status["_int_registers"]) == \
+        branch_lines("vass", "_int_registers", "r not in ints")
     # only step's DomainError for an unknown letter is left unrun
     assert status["NumericTransducer.step"].startswith("run")
     # the trie walk runs whole: the branch that reads a node already

@@ -600,8 +600,10 @@ def test_machines_of_one_shape_share_their_kernels():
     one = compile_to_transducer(loop_machine(2, effects))
     two = compile_to_transducer(ResetVass(
         2, ("p",), "p", ("p",), [("p", eff, "p") for eff in effects]))
+    assert one._outputs["q0"] is two._outputs["p"]
+    # the error state's output is the constant 0, a Poly and no function
+    assert one._outputs["_err"] == two._outputs["_err"] == ZX.zero()
     for q, p in (("q0", "p"), ("_err", "_err")):
-        assert one._outputs[q] is two._outputs[p]
         for a, (_, kernel) in one._steps[q].items():
             assert two._steps[p][a][1] is kernel
             assert kernel.__code__.co_filename == "<vass kernel>"
@@ -870,26 +872,144 @@ def test_int_registers_worklist_matches_the_rounds(ints, updates):
         int_registers_by_rounds(start, transitions)
 
 
-def test_building_a_machine_emits_each_expression_once(monkeypatch):
-    top, depth = [], [0]
-    emit = vass._emit
+def clear_caches():
+    for cache in vass._CACHES:
+        cache.cache_clear()
 
-    def counted(expr, *args):
+
+def count_calls(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of each outermost call of ``vass.<name>``, from
+    now on."""
+    calls, depth, fn = [], [0], getattr(vass, name)
+
+    def counted(*args):
         if not depth[0]:
-            top.append(id(expr))
+            calls.append(args)
         depth[0] += 1
         try:
-            return emit(expr, *args)
+            return fn(*args)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(vass, "_emit", counted)
+    monkeypatch.setattr(vass, name, counted)
+    return calls
+
+
+def kernels(t: NumericTransducer) -> dict:
+    return {(q, a): kernel for q, steps in t._steps.items()
+            for a, (_, kernel) in steps.items()}
+
+
+def test_each_distinct_transition_is_emitted_at_most_once(monkeypatch):
+    # from cold caches, each update and output of the family is emitted
+    # by the first machine that has it and by no other, and building
+    # every machine again emits nothing.  The expressions of one source
+    # share _emit's last argument, the names it has bound.
+    clear_caches()
+    top = count_calls(monkeypatch, "_emit")
+    sources: dict[int, tuple[int, ...]] = {}
     for v in FAMILY[:6]:
-        top.clear()
+        before = len(top)
         t = compile_to_transducer(v)
-        want = [id(e) for _, upd in t.transitions.values() for e in upd.values()]
-        want += [id(e) for e in t.outputs.values()]
-        assert sorted(top) == sorted(want), v.name
+        for expr, _, _, _, bound in top[before:]:
+            sources[id(bound)] = sources.get(id(bound), ()) + (id(expr),)
+        want = {tuple(id(upd[r]) for r in t.registers if r in upd)
+                for _, upd in t.transitions.values() if upd}
+        want |= {(id(e),) for e in t.outputs.values() if not isinstance(e, NConst)}
+        assert want <= set(sources.values()), v.name
+    assert len(top) == sum(map(len, sources.values()))
+    assert len(set(sources.values())) == len(sources)
+    top.clear()
+    for v in FAMILY[:6]:
+        compile_to_transducer(v)
+    assert not top
+
+
+def test_rebuilding_a_machine_generates_nothing(monkeypatch):
+    # a rebuild, or the same effects on other state names, emits no
+    # source, types no register and gets the same functions
+    effects = [up(1, 2), ResetSet(frozenset({2})), down(2, 2)]
+    one = compile_to_transducer(loop_machine(2, effects))
+    emits = count_calls(monkeypatch, "_emit")
+    typings = count_calls(monkeypatch, "_int_registers")
+    again = compile_to_transducer(loop_machine(2, effects))
+    two = compile_to_transducer(ResetVass(
+        2, ("p", "r"), "p", ("r",),
+        [("p", effects[0], "r"), ("r", effects[1], "p"), ("p", effects[2], "p")]))
+    assert not emits and not typings
+    assert kernels(again) == kernels(one)  # functions are equal when identical
+    assert again._outputs["q0"] is one._outputs["q0"] is two._outputs["r"]
+    assert kernels(two)[("p", "t0")] is kernels(one)[("q0", "t0")]
+    assert kernels(two)[("r", "t1")] is kernels(one)[("q0", "t1")]
+    assert kernels(two)[("p", "t2")] is kernels(one)[("q0", "t2")]
+
+
+@pytest.mark.parametrize("bad", [NConst(True), NConst("1"), NReg(1)],
+                         ids=["True", "str", "int-register"])
+def test_a_cache_hit_skips_no_check(bad):
+    # each position is built valid first; the same position holding a
+    # bad node must still raise, and True never gets 1's function
+    init = {r: ZX.one() for r in REGS}
+    good = NConst(1)
+
+    def build(upd, out):
+        return NumericTransducer(("a",), REGS, init, ("q",), "q", (),
+                                 {("q", "a"): ("q", upd)}, {"q": out}, ZX)
+
+    for leaf in (good, bad):
+        for make in (lambda: compile_num(leaf, ZX),
+                     lambda: build({"S1": leaf}, NReg("R1")),
+                     lambda: build({"S1": NAdd(NReg("S1"), leaf)}, NReg("R1")),
+                     lambda: build({}, leaf),
+                     lambda: build({}, NSubstX(NReg("R1"), leaf))):
+            if leaf is good:
+                make()
+            else:
+                with pytest.raises(StructureError):
+                    make()
+    assert compile_num(good, ZX)({}) == ZX.one()
+
+
+def test_a_register_declared_by_another_machine_is_still_rejected():
+    # an update and an output read S2, with the same int registers in
+    # both machines: declared in the first, undeclared in the second
+    reads_s2 = NMul(NReg("R1"), NReg("S2"))
+    out = NSubstX(NReg("R1"), NReg("S2"))
+    upd = {"R1": reads_s2}
+
+    def build(regs, init, transitions, output):
+        return NumericTransducer(("a",), regs, init, ("q",), "q", ("q",),
+                                 transitions, {"q": output}, ZX)
+
+    x = ZX.var("x")
+    first = build(REGS + ("S2",), {**{r: ZX.one() for r in REGS}, "S2": x},
+                  {("q", "a"): ("q", upd)}, out)
+    assert first.run(["a"]) == x
+    init = {r: ZX.one() for r in REGS}
+    with pytest.raises(StructureError):
+        build(REGS, init, {("q", "a"): ("q", upd)}, NReg("R1"))
+    with pytest.raises(StructureError):
+        build(REGS, init, {("q", "a"): ("q", {})}, out)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_caches_build_the_machines_cold_ones_do(seed):
+    # every machine built from cleared caches, then all of them again in
+    # shuffled order on the caches the others left: the same outputs and
+    # traces on every word up to length 4
+    family = small_family(40, seed)
+    cold = []
+    for v in family:
+        clear_caches()
+        cold.append(compile_to_transducer(v))
+    order = list(range(len(family)))
+    random.Random(seed).shuffle(order)
+    warm = {i: compile_to_transducer(family[i]) for i in order}
+    for i, v in enumerate(family):
+        for run in all_words(len(v.transitions), 4):
+            word = word_of_run(v, run)
+            assert warm[i].run(word) == cold[i].run(word), (v.name, word)
+            assert warm[i].trace(word) == cold[i].trace(word), (v.name, word)
 
 
 def test_kernels_have_their_own_rows_in_a_profile():
