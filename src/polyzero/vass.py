@@ -391,9 +391,7 @@ def _kernel(src: str) -> Callable[[Mapping[str, Value]], Value]:
     """The function a generated ``lambda`` defines, compiled once per
     source text (a cache keyed by ``src``, bounded at 256 sources); its
     file is ``<vass kernel>``, its name ``kernel_`` and the CRC-32 of
-    ``src`` (so profiles tell kernels apart), and it keeps ``src``.
-    :func:`_step_kernel` and :func:`_output_kernel` reach it only when
-    they miss."""
+    ``src`` (so profiles tell kernels apart), and it keeps ``src``."""
     fn = eval(compile(src, "<vass kernel>", "eval"),
               {"__builtins__": {}, "_add": _add, "_mul": _mul, "_at": _at})
     name = f"kernel_{zlib.crc32(src.encode()):08x}"
@@ -513,10 +511,6 @@ def _check_ring(ring: PolyRing) -> None:
 
 def _lower(p: Poly) -> Value:
     """A :class:`Poly` of Z[x] as a register value."""
-    if not p.terms:
-        return 0
-    if len(p.terms) == 1 and type(c := p.terms.get(UNIT_MONOMIAL)) is int:
-        return c  # a nonzero constant
     coeffs = [0] * (max((m.exp(0) for m in p.terms), default=0) + 1)
     for m, c in p.terms.items():
         if type(c) is not int:
@@ -563,22 +557,19 @@ def _int_registers(start: Mapping[str, Value], transitions: Iterable) -> set[str
 
 
 @lru_cache(maxsize=256)
-def _int_typing(ints: frozenset[str],
-                updates: frozenset[tuple[str, NumExpr]]) -> frozenset[str]:
+def _int_typing(ints: frozenset[str], updates: frozenset) -> frozenset[str]:
     """:func:`_int_registers` of a start whose ``int`` registers are
-    ``ints``, under the (register, expression) ``updates``: a cache
-    keyed by both, bounded at 256 entries."""
+    ``ints``, under the (register, expression) ``updates``."""
     return frozenset(_int_registers(dict.fromkeys(ints, 0),
                                     [(r, {r: e}) for r, e in updates]))
 
 
 @lru_cache(maxsize=512)
-def _step_kernel(updates: tuple[tuple[str, NumExpr], ...], ints: frozenset[str],
-                 regs: tuple[str, ...]) -> Callable[[Mapping[str, Value]], Value]:
+def _step_kernel(updates: tuple, ints: frozenset[str],
+                 regs: tuple[str, ...]) -> Callable:
     """The function of one transition, building the whole new valuation
-    from the (register, expression) ``updates``.  A cache keyed by the
-    updates (expressions by identity), the ``int`` registers and the
-    declared ones ``regs``, bounded at 512 transitions; a miss emits the
+    from the (register, expression) ``updates``, keyed by them, the
+    ``int`` registers and the declared ones ``regs``; a miss emits the
     source, and raises :class:`StructureError` as :func:`_emit` does."""
     if not updates:
         return _kernel("lambda v: v")  # into and inside the error state
@@ -592,9 +583,9 @@ def _step_kernel(updates: tuple[tuple[str, NumExpr], ...], ints: frozenset[str],
 
 @lru_cache(maxsize=512)
 def _output_kernel(expr: NumExpr, ints: frozenset[str],
-                   regs: tuple[str, ...] | None) -> Callable[[Mapping[str, Value]], Value]:
-    """The function of one expression, keyed and bounded as
-    :func:`_step_kernel`; ``regs`` ``None`` declares every register."""
+                   regs: tuple[str, ...] | None) -> Callable:
+    """The function of one expression, keyed as :func:`_step_kernel`;
+    ``regs`` ``None`` declares every register."""
     return _kernel("lambda v: " + _emit(expr, ints, regs, _shared([expr]), {})[0])
 
 
@@ -626,23 +617,17 @@ class NumericTransducer:
     Inside, a register holds a :data:`Value`: an ``int`` while constant,
     else the tuple of its integer coefficients.  Construction infers the
     registers that stay ``int`` (S1..Sdim, R1aux and R2 of a compiled
-    VASS, not R1) and generates one function per transition, building
-    the whole new valuation, and one per output that is not an ``int``
+    VASS, not R1) and takes one function per transition, building the
+    whole new valuation, and one per output that is not an ``int``
     constant: native sums and products over ``int`` registers, integer
-    convolutions and Horner's rule elsewhere, so no :class:`Poly` is
-    built while a word runs.  An ``int`` constant output is one
-    :class:`Poly`, built here and returned by ``run`` as it is.  ``run``
-    and ``trace`` lift every other value to a :class:`Poly` of the ring,
-    caching the :class:`Poly` of each constant they have lifted;
-    ``init`` keeps the :class:`Poly` initial values.
-
-    The typing and the functions come from caches keyed by the update
-    and output expressions themselves, by identity (see
-    :func:`_int_typing`, :func:`_step_kernel` and
-    :func:`_output_kernel`), so construction emits and compiles only the
-    transitions and outputs that no machine built before it had: a
-    machine whose expressions were all met before costs its validation
-    and a cache lookup per transition and output.
+    convolutions and Horner's rule elsewhere.  The typing and the
+    functions are cached by the expressions themselves, by identity, so
+    only expressions that no earlier machine had are emitted and
+    compiled, and an expression must not be changed once a machine is
+    built from it.  ``run`` returns a constant output's :class:`Poly`,
+    built here; ``run`` and ``trace`` lift every other value to a
+    :class:`Poly` of the ring, caching each constant's, and ``init``
+    keeps the :class:`Poly` initial values.
 
     The machine keeps a trie of the (state, valuation) nodes it has
     reached, rooted at the initial state and ``init``, one node per
@@ -772,41 +757,40 @@ class NumericTransducer:
 ERROR_STATE = "_err"
 
 
-@lru_cache(maxsize=32)
-def _compiled_parts(dim: int) -> tuple[dict[str, Poly], dict[str, NReg],
-                                       NumExpr, NumExpr, NumExpr]:
-    """The initial values and the nodes of the registers of a compiled
-    VASS of dimension ``dim``, R1aux's update, R1's update and the
-    accepting output; callers must not change them."""
+@lru_cache(maxsize=32, typed=True)
+def _compiled_parts(dim: int) -> tuple:
+    """A compiled VASS of dimension ``dim``: its initial values, its
+    registers, its accepting output, and the update of a transition by
+    the class and the fields of its effect, built once.  An
+    :class:`AddVector`'s fields are the (class, entry) pairs of its
+    vector, so ``True`` and ``1.0`` are not taken for ``1``; a
+    :class:`ResetSet`'s are its coordinates."""
     ring = ordinary_ring(("x",))
     counters = tuple(f"S{i}" for i in range(1, dim + 1))
-    init = {r: ring.zero() for r in counters}
+    init = dict.fromkeys(counters, ring.zero())
     init.update(R1=ring.one(), R1aux=ring.zero(), R2=ring.one())
-    reg = {r: NReg(r) for r in ("R1", "R1aux", "R2") + counters}
-    bump = NAdd(reg["R1aux"], NConst(1))
+    registers = ("R1", "R1aux", "R2") + counters
+    reg = {r: NReg(r) for r in registers}
+    one = NConst(1)
+    bump = NAdd(reg["R1aux"], one)
     r1 = NMul(reg["R1"], NAdd(NX(), NMul(NConst(-1), bump)))
     accept = NMul(NSubstX(reg["R1"], num_sum([reg[r] for r in counters])),
                   reg["R2"])
-    return init, reg, bump, r1, accept
 
+    @lru_cache(maxsize=256)
+    def update(kind: type, fields: tuple | frozenset) -> dict:
+        if kind is AddVector:
+            upd = {r: NAdd(reg[r], NConst(d))
+                   for r, (_, d) in zip(counters, fields) if d}
+        else:
+            upd = {r: NConst(0) for k, r in enumerate(counters, 1) if k in fields}
+        guard: NumExpr = reg["R2"]
+        for r in counters:
+            guard = NMul(guard, NAdd(upd.get(r, reg[r]), one))
+        upd.update(R2=guard, R1=r1, R1aux=bump)
+        return upd
 
-@lru_cache(maxsize=256)
-def _effect_update(kind: type, fields: tuple[int, ...] | frozenset[int],
-                   dim: int) -> dict[str, NumExpr]:
-    """The update of a transition whose effect is ``kind(fields)`` in
-    dimension ``dim``; callers must not change it."""
-    _, reg, bump, r1, _ = _compiled_parts(dim)
-    counters = tuple(f"S{i}" for i in range(1, dim + 1))
-    if kind is AddVector:
-        upd = {r: NAdd(reg[r], NConst(d)) for r, d in zip(counters, fields) if d}
-    else:
-        upd = {r: NConst(0) for k, r in enumerate(counters, 1) if k in fields}
-    one = NConst(1)
-    guard: NumExpr = reg["R2"]
-    for r in counters:
-        guard = NMul(guard, NAdd(upd.get(r, reg[r]), one))
-    upd.update(R2=guard, R1=r1, R1aux=bump)
-    return upd
+    return init, registers, accept, update
 
 
 def compile_to_transducer(v: ResetVass) -> NumericTransducer:
@@ -822,22 +806,22 @@ def compile_to_transducer(v: ResetVass) -> NumericTransducer:
     counter+1 per coordinate per step and is 0 exactly when some
     coordinate dipped below zero.
 
-    Each transition's update is built once per effect and dimension (a
-    cache keyed by the effect's class, its fields and the dimension,
-    bounded at 256 updates), and R1's, R1aux's and the accepting output
-    once per dimension (bounded at 32 dimensions), so machines with
-    equal effects hand :class:`NumericTransducer` the same expression
-    objects, and it generates nothing for them again.
+    The expressions are built once per dimension (a cache of 32), and
+    each transition's update once per effect (a cache of 256 per
+    dimension, keyed by the effect's class and fields).  Machines with
+    equal effects so share expression objects, and
+    :class:`NumericTransducer` generates nothing for them again; they
+    must not be changed.
     """
     if not v.is_normalized():
         raise StructureError("compilation needs a normalized reset VASS")
-    init, reg, _, _, accept = _compiled_parts(v.dim)
+    init, registers, accept, update = _compiled_parts(v.dim)
     letters = v.letters()
     states = v.states + (ERROR_STATE,)
 
-    updates = [_effect_update(AddVector, tuple(eff.delta), v.dim)
+    updates = [update(AddVector, tuple(zip(map(type, eff.delta), eff.delta)))
                if isinstance(eff, AddVector)
-               else _effect_update(ResetSet, frozenset(eff.coords), v.dim)
+               else update(ResetSet, frozenset(eff.coords))
                for _, eff, _ in v.transitions]
     transitions: dict[tuple[str, str], tuple[str, dict[str, NumExpr]]] = {}
     for p in states:
@@ -847,14 +831,13 @@ def compile_to_transducer(v: ResetVass) -> NumericTransducer:
 
     outputs = {q: accept if q in v.accepting else NConst(0) for q in states}
     ring = init["R1"].ring  # Z[x]
-    return NumericTransducer(letters, tuple(reg), init, states, v.initial,
+    return NumericTransducer(letters, registers, init, states, v.initial,
                              v.accepting, transitions, outputs, ring,
                              name=v.name)
 
 
 # every cache that building a machine reads, to measure or test it cold
-_CACHES = (_compiled_parts, _effect_update, _int_typing, _step_kernel,
-           _output_kernel, _kernel)
+_CACHES = (_compiled_parts, _int_typing, _step_kernel, _output_kernel, _kernel)
 
 
 def word_of_run(v: ResetVass, run: Sequence[int]) -> tuple[str, ...]:

@@ -992,6 +992,29 @@ def test_a_register_declared_by_another_machine_is_still_rejected():
         build(REGS, init, {("q", "a"): ("q", {})}, out)
 
 
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["True", "float"])
+def test_an_effect_cache_hit_skips_no_check(entry):
+    # a vector entry equal to 1 that is not an int raises whether (1, 0)
+    # was compiled before it or not, and leaves (1, 0) compiling
+    clear_caches()
+    bad = loop_machine(2, [AddVector((entry, 0)), down(1, 2)])
+    good = loop_machine(2, [up(1, 2), down(1, 2)])
+    for v in (bad, good, bad, good):
+        if v is bad:
+            with pytest.raises(StructureError):
+                compile_to_transducer(v)
+        else:
+            assert compile_to_transducer(v).run(["t0", "t1"]) != ZX.zero()
+
+
+def test_a_dimension_cache_hit_skips_no_check():
+    # dimension 1.0 equals 1, but range() refuses it as in a cold build
+    for effects in ([], [up(1, 1)]):
+        compile_to_transducer(loop_machine(1, effects))
+        with pytest.raises(TypeError):
+            compile_to_transducer(loop_machine(1.0, effects))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_warm_caches_build_the_machines_cold_ones_do(seed):
     # every machine built from cleared caches, then all of them again in
